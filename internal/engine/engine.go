@@ -8,9 +8,10 @@
 // cached (Language), each evaluation worker intersects into a pooled
 // scratch bitset (bitset.AndCountInto) and only materializes an
 // extension for candidates that survive support and scoring,
-// intentions are canonical ascending condition-ID slices deduplicated
-// by integer hash (no string keys), and result logs are bounded top-k
-// heaps rather than sort-and-truncate over the whole level.
+// intentions are canonical ascending condition-ID slices (no string
+// keys), candidate batches and result buffers are reused across
+// searches, and result logs are bounded top-k heaps rather than
+// sort-and-truncate over the whole level.
 package engine
 
 import (
@@ -149,6 +150,7 @@ type Batch struct {
 	parentOf []int32       // per candidate: index into parents
 	conds    []CondID      // per candidate: the refining condition
 	ids      []CondID      // intention arena, stride = depth
+	used     []bool        // Expand scratch: conditions of earlier parents
 }
 
 // Reset clears the batch for a new level whose candidates all have
@@ -172,20 +174,65 @@ func (b *Batch) StartParent(ext *bitset.Set) {
 	b.parents = append(b.parents, ext)
 }
 
-// Add appends one candidate refining the current parent with cond. ids
-// is the candidate's full canonical intention (ascending CondIDs,
-// including cond, length = the Reset depth); it is copied into the
-// batch arena, so callers may pass scratch.
-func (b *Batch) Add(cond CondID, ids []CondID) {
+// Add appends one candidate refining the current parent, whose
+// canonical intention is parentIDs (ascending, length = the Reset depth
+// − 1, not containing cond), with cond. The candidate's intention is
+// written into the batch arena, so callers may pass scratch.
+func (b *Batch) Add(cond CondID, parentIDs []CondID) {
 	if len(b.parents) == 0 {
 		panic("engine: Batch.Add before StartParent")
 	}
-	if len(ids) != b.depth {
+	if len(parentIDs)+1 != b.depth {
 		panic("engine: Batch.Add intention length != depth")
 	}
 	b.parentOf = append(b.parentOf, int32(len(b.parents)-1))
 	b.conds = append(b.conds, cond)
-	b.ids = append(b.ids, ids...)
+	b.ids = InsertSorted(b.ids, parentIDs, cond)
+}
+
+// Expand resets the batch to the level refining beam: each parent in
+// beam order (its materialized Ext; nil means the full dataset), then
+// every condition below numConds that the parent lacks, ascending. The
+// beam's intentions must be distinct and hold depth−1 conditions; a
+// single zero Scored expands to the depth-1 level of every condition.
+//
+// A refinement X = Pᵢ ∪ {c} is dropped when an earlier parent Pⱼ (j < i)
+// already generated it, i.e. when Pⱼ ⊂ X. Pⱼ ⊄ Pᵢ, so that needs c ∈ Pⱼ:
+// only conditions marked as used by an earlier parent pay a subset scan
+// over beam[:i], and every intention enters the batch exactly once, at
+// its first parent.
+func (b *Batch) Expand(depth int, beam []Scored, numConds int) {
+	b.Reset(depth)
+	if cap(b.used) < numConds {
+		b.used = make([]bool, numConds)
+	}
+	used := b.used[:numConds]
+	clear(used)
+	for i := range beam {
+		p := &beam[i]
+		b.StartParent(p.Ext)
+		for c := range used {
+			id := CondID(c)
+			if ContainsID(p.Ids, id) || used[c] && generatedBefore(beam[:i], p.Ids, id) {
+				continue
+			}
+			b.Add(id, p.Ids)
+		}
+		for _, id := range p.Ids {
+			used[id] = true
+		}
+	}
+}
+
+// generatedBefore reports whether some parent in earlier is a subset of
+// ids ∪ {c}, i.e. already refines into that intention.
+func generatedBefore(earlier []Scored, ids []CondID, c CondID) bool {
+	for j := range earlier {
+		if subsetOfPlus(earlier[j].Ids, ids, c) {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of candidates in the batch.
@@ -240,7 +287,10 @@ func lessIDs(a, b []CondID) bool {
 // Scorer, reusing per-worker scratch bitsets (and, for WorkerScorers,
 // per-worker scorer scratch) across batches. An Evaluator is cheap to
 // create per search; it must not be shared between concurrent searches.
+// A search Releases its evaluator when done, which hands the batch and
+// result buffers on to the next search.
 type Evaluator struct {
+	*arena
 	lang    *Language
 	sc      Scorer
 	opt     Options
@@ -272,15 +322,65 @@ type Evaluator struct {
 	// floor instead of -Inf.
 	seedSI  float64
 	seedSet bool
-	// out/valid are the reusable batch result buffers; ctrs is the
-	// reusable per-worker counter scratch (3 slots per worker:
-	// scored, bound evals, pruned).
-	out   []Scored
-	valid []bool
-	ctrs  []int64
+	// ctrs is the reusable per-worker counter scratch (3 slots per
+	// worker: scored, bound evals, pruned).
+	ctrs []int64
 
 	stats EvalStats
 }
+
+// arena is the buffer set that grows with a level's candidate count: the
+// columnar Batch and EvaluateBatch's result buffers. Sets circulate
+// through a process-wide free list — NewEvaluator takes one, Release
+// parks it — so a warm search reuses the high-water buffers of earlier
+// searches instead of regrowing its own.
+type arena struct {
+	batch Batch
+	out   []Scored
+	valid []bool
+}
+
+// arenas is the free list. It parks at most GOMAXPROCS sets, about as
+// many searches as run at once, and leaves any surplus to the GC.
+var arenas struct {
+	sync.Mutex
+	free []*arena
+}
+
+func takeArena() *arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	n := len(arenas.free)
+	if n == 0 {
+		return &arena{}
+	}
+	a := arenas.free[n-1]
+	arenas.free[n-1] = nil
+	arenas.free = arenas.free[:n-1]
+	return a
+}
+
+// Release parks the evaluator's buffers on the free list. The evaluator,
+// its Batch and every slice EvaluateBatch returned are invalid after it.
+// The batch's parent column and every result slot are cleared first, so
+// a parked set keeps no extension, mean or intention alive.
+func (e *Evaluator) Release() {
+	a := e.arena
+	if a == nil {
+		return
+	}
+	e.arena = nil
+	clear(a.batch.parents[:cap(a.batch.parents)])
+	clear(a.out[:cap(a.out)])
+	arenas.Lock()
+	if len(arenas.free) < runtime.GOMAXPROCS(0) {
+		arenas.free = append(arenas.free, a)
+	}
+	arenas.Unlock()
+}
+
+// Batch returns the evaluator's reusable candidate batch.
+func (e *Evaluator) Batch() *Batch { return &e.batch }
 
 // EvalStats are cumulative pruning observability counters. The counts
 // depend on scheduling (which worker raises the shared floor first), so
@@ -359,7 +459,7 @@ type depthOneTable struct {
 // NewEvaluator builds an evaluator over the language.
 func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 	opt = opt.withDefaults()
-	e := &Evaluator{lang: lang, sc: sc, opt: opt}
+	e := &Evaluator{arena: takeArena(), lang: lang, sc: sc, opt: opt}
 	e.scratch = make([]*bitset.Set, opt.Parallelism)
 	for i := range e.scratch {
 		e.scratch[i] = bitset.New(lang.DS.N())
@@ -805,124 +905,10 @@ func SelectTopScored(s []Scored, k int) {
 	SortScored(s[:k])
 }
 
-// Dedup tracks which canonical intentions have been generated, keyed by
-// a 64-bit integer hash of the ID slice with exact verification on the
-// (vanishingly rare) bucket collisions — replacing the former
-// map[string]bool over formatted intention keys, which allocated
-// several strings per candidate.
-//
-// When the language and depth fit (see NewDedupFor), the table instead
-// packs the whole canonical intention into one uint64 key — an exact,
-// collision-free identity — and hands out stored copies from a chunked
-// arena, so the per-fresh-intention allocation of the generic form
-// disappears from beam expansion.
-type Dedup struct {
-	m map[uint64][][]CondID
-
-	packed map[uint64]struct{} // non-nil → packed exact-key mode
-	arena  []CondID            // chunked backing storage for stored ids
-}
-
-// NewDedup returns an empty dedup table.
-func NewDedup() *Dedup {
-	return &Dedup{m: map[uint64][][]CondID{}}
-}
-
-// NewDedupFor returns a dedup table sized for intentions of at most
-// maxDepth conditions over a language of numConds conditions. When
-// every canonical intention packs into a single uint64 (at most 4 IDs,
-// each below 2¹⁶−1), the exact packed form is used; otherwise the
-// generic hash table.
-func NewDedupFor(numConds, maxDepth int) *Dedup {
-	if maxDepth <= 4 && numConds < 1<<16-1 {
-		return &Dedup{packed: make(map[uint64]struct{}, 1024)}
-	}
-	return NewDedup()
-}
-
-func hashIDs(ids []CondID) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a 64
-	for _, id := range ids {
-		h ^= uint64(uint32(id))
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Insert records the canonical intention ids if it is new, returning
-// the stored copy and whether it was fresh. ids may be scratch — it is
-// copied before being retained, and only for fresh intentions.
-func (d *Dedup) Insert(ids []CondID) ([]CondID, bool) {
-	if d.packed != nil && len(ids) <= 4 {
-		// Exact key: ascending IDs, 16 bits each, offset by one so the
-		// packing distinguishes lengths.
-		var key uint64
-		for _, id := range ids {
-			key = key<<16 | uint64(id+1)
-		}
-		if _, dup := d.packed[key]; dup {
-			return nil, false
-		}
-		d.packed[key] = struct{}{}
-		if cap(d.arena)-len(d.arena) < len(ids) {
-			d.arena = make([]CondID, 0, 1<<14)
-		}
-		start := len(d.arena)
-		d.arena = append(d.arena, ids...)
-		return d.arena[start:len(d.arena):len(d.arena)], true
-	}
-	if d.m == nil {
-		d.m = map[uint64][][]CondID{}
-	}
-	h := hashIDs(ids)
-	for _, have := range d.m[h] {
-		if equalIDs(have, ids) {
-			return nil, false
-		}
-	}
-	stored := append([]CondID(nil), ids...)
-	d.m[h] = append(d.m[h], stored)
-	return stored, true
-}
-
-// Seen records the canonical intention ids if it is new and reports
-// whether it had been recorded before. Unlike Insert it never hands out
-// a stored copy, so callers that keep intentions in their own arenas
-// (the columnar Batch) skip the per-intention dedup-side copy in packed
-// mode.
-func (d *Dedup) Seen(ids []CondID) bool {
-	if d.packed != nil && len(ids) <= 4 {
-		var key uint64
-		for _, id := range ids {
-			key = key<<16 | uint64(id+1)
-		}
-		if _, dup := d.packed[key]; dup {
-			return true
-		}
-		d.packed[key] = struct{}{}
-		return false
-	}
-	_, fresh := d.Insert(ids)
-	return !fresh
-}
-
-func equalIDs(a, b []CondID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// InsertSorted writes parent's ascending IDs with id spliced in at its
-// sorted position into dst (typically a reusable scratch slice) and
-// returns it. parent must not already contain id.
+// InsertSorted appends parent's ascending IDs with id spliced in at its
+// sorted position to dst and returns the extended slice. parent must not
+// already contain id.
 func InsertSorted(dst, parent []CondID, id CondID) []CondID {
-	dst = dst[:0]
 	i := 0
 	for ; i < len(parent) && parent[i] < id; i++ {
 		dst = append(dst, parent[i])
@@ -942,6 +928,24 @@ func ContainsID(ids []CondID, id CondID) bool {
 		}
 	}
 	return false
+}
+
+// subsetOfPlus reports whether the ascending slice p is a subset of
+// ids ∪ {c}.
+func subsetOfPlus(p, ids []CondID, c CondID) bool {
+	k := 0
+	for _, id := range p {
+		if id == c {
+			continue
+		}
+		for k < len(ids) && ids[k] < id {
+			k++
+		}
+		if k == len(ids) || ids[k] != id {
+			return false
+		}
+	}
+	return true
 }
 
 // TopK is a bounded result log: a min-heap on the engine ordering that

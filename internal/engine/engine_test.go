@@ -78,7 +78,7 @@ func TestEvaluateBatchMatchesDirectScoring(t *testing.T) {
 	batch.Reset(1)
 	batch.StartParent(full)
 	for i := range lang.Conds {
-		batch.Add(CondID(i), []CondID{CondID(i)})
+		batch.Add(CondID(i), nil)
 	}
 	for _, par := range []int{1, 3, 8} {
 		ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: par, MinSupport: 2})
@@ -124,7 +124,7 @@ func TestEvaluateBatchScratchIsolation(t *testing.T) {
 	batch := &Batch{}
 	batch.Reset(1)
 	batch.StartParent(full)
-	batch.Add(0, []CondID{0})
+	batch.Add(0, nil)
 	ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: 1})
 	first, _ := ev.EvaluateBatch(batch)
 	if len(first) != 1 {
@@ -136,7 +136,7 @@ func TestEvaluateBatchScratchIsolation(t *testing.T) {
 	idsSnapshot := append([]CondID(nil), ids...)
 	batch.Reset(1)
 	batch.StartParent(full)
-	batch.Add(1, []CondID{1})
+	batch.Add(1, nil)
 	ev.EvaluateBatch(batch)
 	if !ext.Equal(snapshot) {
 		t.Fatal("earlier result mutated by later batch (scratch leaked)")
@@ -154,7 +154,7 @@ func TestEvaluateBatchExpiredDeadlineAbandonsBatch(t *testing.T) {
 	batch.Reset(1)
 	batch.StartParent(full)
 	for i := range lang.Conds {
-		batch.Add(CondID(i), []CondID{CondID(i)})
+		batch.Add(CondID(i), nil)
 	}
 	ev := NewEvaluator(lang, sizeScorer{}, Options{
 		Parallelism: 2,
@@ -253,26 +253,6 @@ func topkWouldChange(t *TopK, it Scored) bool {
 	return better(it.SI, it.Ids, t.h[0].SI, t.h[0].Ids)
 }
 
-func TestDedupInsert(t *testing.T) {
-	d := NewDedup()
-	scratch := []CondID{3, 7}
-	stored, fresh := d.Insert(scratch)
-	if !fresh || stored == nil {
-		t.Fatal("first insert must be fresh")
-	}
-	// Mutating the scratch must not affect the stored copy.
-	scratch[0] = 99
-	if _, fresh := d.Insert([]CondID{3, 7}); fresh {
-		t.Fatal("duplicate insert must not be fresh")
-	}
-	if _, fresh := d.Insert([]CondID{3}); !fresh {
-		t.Fatal("prefix is a different intention")
-	}
-	if _, fresh := d.Insert([]CondID{3, 7, 9}); !fresh {
-		t.Fatal("extension is a different intention")
-	}
-}
-
 func TestInsertSortedAndContains(t *testing.T) {
 	parent := []CondID{2, 5, 9}
 	var buf []CondID
@@ -365,22 +345,6 @@ func TestEnumeratePruneSkipsSubtree(t *testing.T) {
 	}
 	if depths[1] == 0 {
 		t.Fatal("no root-level nodes visited")
-	}
-}
-
-func TestHashIDsOrderSensitivity(t *testing.T) {
-	// Canonical slices are sorted, but the hash must still separate
-	// different sets reliably; sanity-check a window of small sets.
-	seen := map[uint64][]CondID{}
-	for a := CondID(0); a < 40; a++ {
-		for b := a + 1; b < 40; b++ {
-			ids := []CondID{a, b}
-			h := hashIDs(ids)
-			if prev, ok := seen[h]; ok {
-				t.Fatalf("hash collision between %v and %v (dedup stays exact, but the hash is weak)", prev, ids)
-			}
-			seen[h] = ids
-		}
 	}
 }
 

@@ -7,10 +7,9 @@
 //
 // The strategies are thin drivers over the shared candidate-evaluation
 // pipeline of package engine: cached condition extensions, pooled
-// scratch bitsets, integer-hash intention dedup and bounded top-k
-// logs. The search is generic over a Scorer, so both the SI measure and
-// the baseline quality measures (package baseline) run on the same
-// engine.
+// scratch bitsets, reused candidate arenas and bounded top-k logs. The
+// search is generic over a Scorer, so both the SI measure and the
+// baseline quality measures (package baseline) run on the same engine.
 package search
 
 import (
@@ -140,27 +139,22 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 		SelectTop:     selectTop,
 		DisableBounds: p.NoPrune,
 	})
+	defer ev.Release()
 
 	res := &Results{}
 	top := engine.NewTopK(p.TopK)
 
-	// Level 1 candidates: every elementary condition (distinct by
-	// construction, no dedup needed). A nil parent means the full
-	// dataset, which lets the evaluator score the level from its
-	// precomputed depth-1 sufficient-statistics table with no bitset
-	// passes at all. The one columnar batch is reused across all levels:
-	// its parent, condition and intention-arena streams only ever grow to
+	// Level 1 candidates: every elementary condition, refining the empty
+	// intention. Its nil extension means the full dataset, which lets the
+	// evaluator score the level from its precomputed depth-1
+	// sufficient-statistics table with no bitset passes at all. The
+	// evaluator's one columnar batch is reused across all levels (and,
+	// through Release, across searches): its streams only ever grow to
 	// the high-water candidate count.
-	batch := &engine.Batch{}
-	batch.Reset(1)
-	batch.StartParent(nil)
-	ids1 := make([]engine.CondID, 1)
-	for i := range lang.Conds {
-		ids1[0] = engine.CondID(i)
-		batch.Add(engine.CondID(i), ids1)
-	}
+	batch := ev.Batch()
+	var root [1]engine.Scored
+	batch.Expand(1, root[:], len(lang.Conds))
 
-	var scratchIDs []engine.CondID
 	for depth := 1; depth <= p.MaxDepth; depth++ {
 		if batch.Len() == 0 {
 			break
@@ -212,32 +206,13 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 
 		// Expand the beam with every condition not already present;
 		// duplicate intentions (reached via different parents) are dropped
-		// here, before they cost a scoring pass. The table is per level:
-		// intentions at different depths have different lengths and can
-		// never collide, so nothing is gained by retaining older levels.
-		// Materialize cloned the beam entries' Ids and extensions out of
-		// the batch, so resetting it for the next level is safe (the
-		// Scored structs themselves live in the evaluator's result
-		// buffer, untouched until the next EvaluateBatch) — and grouping
-		// refinements by parent is what lets the evaluator amortize one
-		// bound preparation per parent run.
-		seen := engine.NewDedupFor(len(lang.Conds), p.MaxDepth)
-		batch.Reset(depth + 1)
-		for i := range beam {
-			b := &beam[i]
-			batch.StartParent(b.Ext)
-			for ci := range lang.Conds {
-				id := engine.CondID(ci)
-				if engine.ContainsID(b.Ids, id) {
-					continue
-				}
-				scratchIDs = engine.InsertSorted(scratchIDs, b.Ids, id)
-				if seen.Seen(scratchIDs) {
-					continue
-				}
-				batch.Add(id, scratchIDs)
-			}
-		}
+		// here, before they cost a scoring pass. Materialize cloned the
+		// beam entries' Ids and extensions out of the batch, so resetting
+		// it for the next level is safe (the Scored structs themselves live
+		// in the evaluator's result buffer, untouched until the next
+		// EvaluateBatch) — and grouping refinements by parent is what lets
+		// the evaluator amortize one bound preparation per parent run.
+		batch.Expand(depth+1, beam, len(lang.Conds))
 	}
 
 	st := ev.Stats()

@@ -1095,13 +1095,17 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// fires at cancel-request time — before the pool notices the Fn
 	// unwinding — so a cancelled mine (queued or mid-search) frees its
 	// slot immediately instead of holding the session until the worker
-	// returns.
+	// returns. A sync mine that finished also releases it before the
+	// response is written, so the client's next request never finds it
+	// held; the Once keeps the watcher from releasing it a second time.
+	var once sync.Once
+	release := func() { once.Do(func() { s.releaseMine(sess) }) }
 	go func() {
 		select {
 		case <-job.Done():
 		case <-job.CancelRequested():
 		}
-		s.releaseMine(sess)
+		release()
 	}()
 
 	if req.Async {
@@ -1110,6 +1114,9 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inf, _ := s.pool.Wait(r.Context(), job.ID(), s.opts.SyncWait)
+	if inf.Status.Terminal() {
+		release()
+	}
 	s.writeMineOutcome(w, r, inf)
 }
 

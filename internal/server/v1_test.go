@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -269,6 +270,41 @@ func TestCancelReleasesSlotImmediately(t *testing.T) {
 	}
 	if !released {
 		t.Fatal("mine slot still held 2s after cancelling the running job")
+	}
+}
+
+// TestSyncMineReleasesSlotBeforeResponse pins that a finished sync mine
+// holds no slot once its response is out: a handoff (v1) or a legacy
+// commit sent right after it must never answer 409 mine_in_progress.
+// Each loop runs 200 times over ten sessions; the cheap depth-1 mines
+// leave the slot-release goroutine the least time to win the race.
+func TestSyncMineReleasesSlotBeforeResponse(t *testing.T) {
+	ts := newTestServerWith(t, Options{Store: NewMemStore()})
+	const sessions, rounds = 10, 20
+	for s := 0; s < sessions; s++ {
+		id := fmt.Sprintf("slot-%d", s)
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
+			ID: id, Dataset: "synthetic", Seed: int64(s + 1), Depth: 1,
+		}, http.StatusCreated, nil)
+		base := ts.URL + "/api/v1/sessions/" + id
+		for i := 0; i < rounds; i++ {
+			// After a handoff the session lives in the store only; the
+			// next mine restores it.
+			doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
+			doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
+			doJSON(t, "POST", base+"/handoff", nil, http.StatusOK, nil)
+		}
+	}
+	for s := 0; s < sessions; s++ {
+		var info SessionInfo
+		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+			Dataset: "synthetic", Seed: int64(s + 1), Depth: 1,
+		}, http.StatusCreated, &info)
+		base := ts.URL + "/api/sessions/" + info.ID
+		for i := 0; i < rounds; i++ {
+			doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
+			doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
+		}
 	}
 }
 
