@@ -44,6 +44,13 @@ var ErrNoPoints = errors.New("background: empty extension")
 // atomically, so the model is left exactly as before the commit.
 var ErrDeadline = errors.New("background: refit deadline exceeded")
 
+// ErrInfeasible is returned (wrapped) when the committed constraints
+// cannot be enforced: the coordinate descent does not converge within
+// MaxSweeps, or a spread update cannot bracket its multiplier, diverges
+// or makes a covariance numerically singular. Like every failed commit,
+// the model is rolled back to its pre-commit state.
+var ErrInfeasible = errors.New("background: constraints infeasible")
+
 // Group is a set of data points sharing background parameters.
 type Group struct {
 	Members *bitset.Set
@@ -185,6 +192,22 @@ type applyScratch struct {
 	sigs   []sigStat
 	stats  []gstat
 	sigW   mat.Vec // Σ·w, one slot per distinct Σ (flat, d-strided)
+
+	// born holds the covariance matrices the running refit allocated,
+	// keyed by pointer, with the number of groups holding each and its
+	// factorization. Only m.groups can reach a born matrix: it was
+	// created after beginCommit forked the published state and split
+	// ran, so no published version, clone or fork source holds it. A
+	// spread apply whose inside groups include every holder of a born
+	// matrix rewrites it in place. Cleared on refit entry and exit;
+	// allocated by the first mutating spread apply.
+	born map[*mat.Dense]bornSigma
+}
+
+// bornSigma is one entry of applyScratch.born.
+type bornSigma struct {
+	holders int32
+	chol    *mat.Cholesky
 }
 
 // vecZ returns *p resized to n and zeroed.
@@ -209,6 +232,11 @@ type sigStat struct {
 	sigma  *mat.Dense
 	sigmaW mat.Vec // filled only on the mutating path
 	s      float64 // wᵀΣw
+	inside int32   // inside groups holding sigma
+
+	// The updated matrix and its factorization (mutating path only).
+	next *mat.Dense
+	chol *mat.Cholesky
 }
 
 type gstat struct {
@@ -264,6 +292,10 @@ type Model struct {
 	// re-apply every constraint — the reference full cyclic descent the
 	// incremental property tests compare against.
 	noSkip bool
+	// cloneSpread disables in-place covariance rewrites, forcing every
+	// spread update to clone Σ — the reference the in-place property
+	// tests compare against.
+	cloneSpread bool
 
 	// Tol is the maximum allowed relative expectation violation after
 	// Commit; the coordinate descent loops until all constraints hold
@@ -401,20 +433,22 @@ func (m *Model) rebuildLabels() {
 func (m *Model) Clone() *Model {
 	out := &Model{
 		n: m.n, d: m.d,
-		epoch:     m.epoch,
-		version:   m.version,
-		Tol:       m.Tol,
-		MaxSweeps: m.MaxSweeps,
-		Deadline:  m.Deadline,
-		noSkip:    m.noSkip,
+		epoch:       m.epoch,
+		version:     m.version,
+		Tol:         m.Tol,
+		MaxSweeps:   m.MaxSweeps,
+		Deadline:    m.Deadline,
+		noSkip:      m.noSkip,
+		cloneSpread: m.cloneSpread,
 	}
 	out.groups = make([]*Group, len(m.groups))
 	for i, g := range m.groups {
-		// Sigma (and its factorization cache) is shared, not copied:
-		// covariance matrices are never mutated in place — a spread
-		// update replaces the matrix wholesale (see spreadConstraint.
-		// apply) — so sharing is safe and keeps Clone O(groups·d) for
-		// the location-only regime where Theorem 1 leaves Σ untouched.
+		// Sigma (and its factorization cache) is shared, not copied: a
+		// spread update rewrites in place only matrices its own refit
+		// allocated (see spreadConstraint.apply), and these predate any
+		// later refit of either model, so sharing is safe and keeps
+		// Clone O(groups·d) for the location-only regime where
+		// Theorem 1 leaves Σ untouched.
 		out.groups[i] = g.derive(g.Members.Clone(), g.Count, g.Mu.Clone())
 	}
 	out.labels = append([]int32(nil), m.labels...)
@@ -448,9 +482,9 @@ func (m *Model) GroupOf(i int) *Group {
 // ext, and rebuilds the dense labeling to match. The two halves of a
 // split group share the parent's Sigma (and factorization cache) — a
 // location commit never touches covariances (Theorem 1), and a spread
-// commit replaces matrices instead of mutating them, so the halves stay
-// correct with zero d×d copies until a spread update actually diverges
-// them.
+// commit replaces every matrix that existed before its refit instead of
+// mutating it, so the halves stay correct with zero d×d copies until a
+// spread update actually diverges them.
 //
 // Splitting starts a new partition epoch. Constraint caches whose
 // dependency groups all survived intact are remapped to the new indices
@@ -614,7 +648,8 @@ type commitRestore struct {
 // the state the published version references untouched: every group
 // is copied with a fresh Mu (the coordinate descent mutates means in
 // place) while member bitsets, covariances and Cholesky caches stay
-// shared by pointer (never written in place anywhere), and the labels
+// shared by pointer (the refit writes in place only covariances it
+// allocated itself, never these), and the labels
 // slice is copied because a split rebuilds it in place. This is the
 // same work the old rollback snapshot did — COW inverts which copy
 // becomes live, it does not add copies. Group order and version
@@ -713,6 +748,8 @@ func (m *Model) CommitSpread(ext *bitset.Set, w mat.Vec, center mat.Vec, value f
 // sparsely (the common regime: the paper commits patterns with limited
 // overlap).
 func (m *Model) refit() error {
+	clear(m.scratch.born)
+	defer clear(m.scratch.born) // a parked model pins no dead matrices
 	m.LastSweeps = 0
 	for len(m.conState) < len(m.cons) {
 		m.conState = append(m.conState, conState{})
@@ -744,7 +781,7 @@ func (m *Model) refit() error {
 			return nil
 		}
 	}
-	return fmt.Errorf("background: coordinate descent did not converge in %d sweeps", m.MaxSweeps)
+	return fmt.Errorf("%w: coordinate descent did not converge in %d sweeps", ErrInfeasible, m.MaxSweeps)
 }
 
 // apply implements Theorem 1. With Σ̄_I = Σ_{i∈I} Σᵢ/|I| and
@@ -873,8 +910,10 @@ func (c *locationConstraint) apply(m *Model, st *conState) (float64, error) {
 // projected variance wᵀΣw once per distinct Σ (found via a
 // pointer-keyed index, not a linear scan) and the mean shifts — from
 // per-model scratch, so the satisfied path allocates nothing. The Σ·w
-// vectors and replacement matrices are built only when the constraint
-// actually updates.
+// vectors and updated matrices are built only when the constraint
+// actually updates, and a matrix the running refit already allocated is
+// updated in place, so a multi-sweep refit copies each distinct Σ at
+// most once per change of its holder set.
 func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 	total := st.total
 	if total == 0 {
@@ -907,6 +946,7 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 				maxS = s
 			}
 		}
+		sigs[si].inside++
 		var b float64
 		for j, wj := range c.w {
 			b += wj * (c.center[j] - g.Mu[j])
@@ -949,14 +989,14 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 	for lhs(lo) < target { // squeeze toward the pole until lhs exceeds target
 		lo = -1/maxS + (lo+1/maxS)/16
 		if lo <= -1/maxS {
-			return 0, fmt.Errorf("background: cannot bracket spread multiplier")
+			return 0, fmt.Errorf("%w: cannot bracket spread multiplier", ErrInfeasible)
 		}
 	}
 	hi := math.Max(1.0, -2*lo)
 	for lhs(hi) > target {
 		hi *= 2
 		if hi > 1e18 {
-			return 0, fmt.Errorf("background: spread multiplier diverged")
+			return 0, fmt.Errorf("%w: spread multiplier diverged", ErrInfeasible)
 		}
 	}
 	// Bisection to machine-level tolerance.
@@ -975,35 +1015,50 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 
 	// Eq. 11 per distinct matrix: the update Σ ← Σ − λ·(Σw)(Σw)ᵀ/(1+λs)
 	// depends only on Σ and w, so groups sharing a matrix get one shared
-	// replacement (never an in-place write — snapshots, clones and split
-	// siblings referencing the old matrix stay untouched).
-	type sigUpdate struct {
-		sigma *mat.Dense
-		chol  *mat.Cholesky
+	// result. A matrix this refit allocated whose holders are all inside
+	// groups is rewritten in place: nothing else can observe it. Any
+	// other matrix may be reachable from a published version, a clone,
+	// a fork source or an outside split sibling, so it is replaced by an
+	// updated copy, which is born to this refit. Either way the groups
+	// end up sharing matrices exactly as the copy-only update would, with
+	// bit-identical values.
+	if sc.born == nil {
+		sc.born = make(map[*mat.Dense]bornSigma)
 	}
-	updated := make([]sigUpdate, len(sigs))
 	for i := range sigs {
-		den := 1 + lambda*sigs[i].s
-		next := sigs[i].sigma.Clone()
-		next.AddOuterScaled(-lambda/den, sigs[i].sigmaW, sigs[i].sigmaW)
+		sg := &sigs[i]
+		den := 1 + lambda*sg.s
+		b, isBorn := sc.born[sg.sigma]
+		inPlace := isBorn && b.holders == sg.inside && !m.cloneSpread
+		next, chol := sg.sigma, b.chol
+		if !inPlace {
+			next, chol = sg.sigma.Clone(), new(mat.Cholesky)
+		}
+		next.AddOuterScaled(-lambda/den, sg.sigmaW, sg.sigmaW)
 		next.Symmetrize()
 		// Theorem 2 preserves positive definiteness in exact arithmetic
 		// (1+λs > 0); extreme squeezes can still underflow numerically,
 		// which must surface as an error (the commit rolls back), not as
 		// a silently broken model.
-		chol, err := mat.NewCholesky(next)
-		if err != nil {
-			return 0, fmt.Errorf("background: spread update made a covariance numerically singular: %w", err)
+		if err := chol.Factor(next); err != nil {
+			return 0, fmt.Errorf("%w: spread update made a covariance numerically singular: %w", ErrInfeasible, err)
 		}
-		updated[i] = sigUpdate{sigma: next, chol: chol}
+		if !inPlace {
+			if isBorn {
+				b.holders -= sg.inside
+				sc.born[sg.sigma] = b
+			}
+			sc.born[next] = bornSigma{holders: sg.inside, chol: chol}
+		}
+		sg.next, sg.chol = next, chol
 	}
 	for _, gs := range stats {
 		den := 1 + lambda*gs.s
 		g := m.groups[gs.gi]
 		// Eq. 10: µ ← µ + λ·wᵀ(ŷ_I−µ)·Σw/(1+λs).
 		g.Mu.AddScaled(lambda*gs.b/den, sigs[gs.sig].sigmaW)
-		g.Sigma = updated[gs.sig].sigma
-		g.chol.Store(updated[gs.sig].chol)
+		g.Sigma = sigs[gs.sig].next
+		g.chol.Store(sigs[gs.sig].chol)
 		g.version++
 	}
 	st.record(m, violation, false)

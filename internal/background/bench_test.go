@@ -105,3 +105,20 @@ func BenchmarkResweepConverged(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefitOverlappingSpread measures one what-if spread commit
+// (clone + commit) whose extension overlaps two committed spread
+// patterns, so its refit re-applies three spread constraints over many
+// sweeps. After the first sweep the refit rewrites the covariances it
+// allocated in place, so allocs/op does not grow with the sweep count.
+func BenchmarkRefitOverlappingSpread(b *testing.B) {
+	base, sp := newOverlapSpread(b, 1024, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := base.Clone()
+		if err := sp.commit(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package background
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,28 +64,78 @@ func sameParams(t *testing.T, tag string, a, b *Model) {
 	}
 }
 
-// TestIncrementalRefitBitIdenticalToFullDescent is the tentpole's
-// correctness contract: dirty-constraint skipping reproduces the exact
-// float trajectory of the full cyclic descent. Two models replay the
-// same randomized commit sequence — location and spread, overlapping and
-// disjoint extensions — one with skipping (the default), one forced to
-// re-apply every constraint every sweep (noSkip). After every commit the
-// group parameters and sweep counts must match bit for bit, and commits
-// must succeed or fail in lockstep.
+// sigmaSharing returns, per group, the index of the first group holding
+// the same covariance matrix by pointer: the Σ pointer-sharing partition
+// the pointer-keyed kernels (shared-Σ fast path, per-distinct-Σ spread
+// dedup) and LoadJSONExact's re-sharing depend on.
+func sigmaSharing(m *Model) []int {
+	out := make([]int, m.NumGroups())
+	for i, g := range m.Groups() {
+		out[i] = i
+		for j, h := range m.Groups()[:i] {
+			if h.Sigma == g.Sigma {
+				out[i] = j
+				break
+			}
+		}
+	}
+	return out
+}
+
+// sameState fails unless the models match bit for bit (sameParams), in
+// their SaveJSON bytes, and in their Σ pointer-sharing partition.
+func sameState(t *testing.T, tag string, a, b *Model) {
+	t.Helper()
+	sameParams(t, tag, a, b)
+	var ja, jb bytes.Buffer
+	if err := a.SaveJSON(&ja); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SaveJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
+		t.Fatalf("%s: SaveJSON bytes differ", tag)
+	}
+	if sa, sb := sigmaSharing(a), sigmaSharing(b); !slices.Equal(sa, sb) {
+		t.Fatalf("%s: Σ sharing differs: %v vs %v", tag, sa, sb)
+	}
+}
+
+// sameErr fails unless both commits failed with the same message or
+// both succeeded.
+func sameErr(t *testing.T, tag string, a, b error) {
+	t.Helper()
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("%s: commit divergence: %v vs %v", tag, a, b)
+	}
+}
+
+// TestIncrementalRefitBitIdenticalToFullDescent is the correctness
+// contract of the two refit shortcuts. Three models replay the same
+// randomized commit sequence — location and spread, overlapping and
+// disjoint extensions: the default (dirty-constraint skipping and
+// in-place rewrites of refit-born covariances), one forced to re-apply
+// every constraint every sweep (noSkip), and one forced to clone Σ on
+// every spread update (cloneSpread). After every commit all three must
+// fail with the same error or succeed, and match in group parameters,
+// sweep counts, SaveJSON bytes and Σ pointer-sharing partition.
 func TestIncrementalRefitBitIdenticalToFullDescent(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(60)
 		d := 1 + rng.Intn(3)
-		fast, err := New(n, make(mat.Vec, d), mat.Eye(d))
-		if err != nil {
-			t.Fatal(err)
+		var models [3]*Model
+		for i := range models {
+			m, err := New(n, make(mat.Vec, d), mat.Eye(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			models[i] = m
 		}
-		full, err := New(n, make(mat.Vec, d), mat.Eye(d))
-		if err != nil {
-			t.Fatal(err)
-		}
+		fast, full, cloned := models[0], models[1], models[2]
 		full.noSkip = true
+		cloned.cloneSpread = true
 
 		for step := 0; step < 6; step++ {
 			var ext *bitset.Set
@@ -99,12 +152,12 @@ func TestIncrementalRefitBitIdenticalToFullDescent(t *testing.T) {
 			for j := range yhat {
 				yhat[j] = rng.NormFloat64()
 			}
+			tag := fmt.Sprintf("seed %d step %d location", seed, step)
 			errA := fast.CommitLocation(ext, yhat)
-			errB := full.CommitLocation(ext, yhat)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("seed %d step %d: commit divergence: %v vs %v", seed, step, errA, errB)
-			}
-			sameParams(t, "location", fast, full)
+			sameErr(t, tag, errA, full.CommitLocation(ext, yhat))
+			sameErr(t, tag, errA, cloned.CommitLocation(ext, yhat))
+			sameState(t, tag, fast, full)
+			sameState(t, tag, fast, cloned)
 
 			if errA == nil && rng.Intn(2) == 0 {
 				w := make(mat.Vec, d)
@@ -113,15 +166,179 @@ func TestIncrementalRefitBitIdenticalToFullDescent(t *testing.T) {
 				}
 				w.Normalize()
 				v := 0.4 + rng.Float64()
+				tag := fmt.Sprintf("seed %d step %d spread", seed, step)
 				errA = fast.CommitSpread(ext, w, yhat, v)
-				errB = full.CommitSpread(ext, w, yhat, v)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("seed %d step %d: spread divergence: %v vs %v", seed, step, errA, errB)
-				}
-				sameParams(t, "spread", fast, full)
+				sameErr(t, tag, errA, full.CommitSpread(ext, w, yhat, v))
+				sameErr(t, tag, errA, cloned.CommitSpread(ext, w, yhat, v))
+				sameState(t, tag, fast, full)
+				sameState(t, tag, fast, cloned)
 			}
 		}
 	}
+}
+
+// overlapSpread is a spread commit straddling both patterns of
+// commitOverlappingSpreads(…, 10, 0): its refit re-applies all three
+// spread constraints over many sweeps, so after the first sweep it
+// updates only covariances it allocated itself.
+type overlapSpread struct {
+	ext       *bitset.Set
+	w, center mat.Vec
+	value     float64
+}
+
+func (sp overlapSpread) commit(m *Model) error {
+	return m.CommitSpread(sp.ext, sp.w, sp.center, sp.value)
+}
+
+// newOverlapSpread builds the base model (converged at Tol 1e-12, so
+// its constraints stay clean at any Tol used here) and the spread
+// commit to replay on clones of it.
+func newOverlapSpread(tb testing.TB, n, d int) (*Model, overlapSpread) {
+	tb.Helper()
+	m, err := New(n, make(mat.Vec, d), mat.Eye(d))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Tol = 1e-12
+	commitOverlappingSpreads(tb, m, 10, 0)
+	sp := overlapSpread{ext: bitset.FromIndices(n, seq(15, 45)), w: make(mat.Vec, d)}
+	for j := range sp.w {
+		sp.w[j] = float64(j + 1)
+	}
+	sp.w.Normalize()
+	if sp.center, _, err = m.SubgroupMeanMarginal(sp.ext); err != nil {
+		tb.Fatal(err)
+	}
+	v, err := m.ExpectedSpread(sp.ext, sp.w, sp.center)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp.value = 0.7 * v
+	return m, sp
+}
+
+// TestSpreadCommitAllocsFlatInSweeps pins the allocation win of
+// in-place covariance rewrites: a spread commit copies each covariance
+// it updates once, when the refit first touches it, so its allocations
+// do not grow with its sweep count. The copy-only reference
+// (cloneSpread) copies Σ and its factorization on every update, so its
+// count does grow — which shows the test can fail.
+func TestSpreadCommitAllocsFlatInSweeps(t *testing.T) {
+	base, sp := newOverlapSpread(t, 100, 3)
+	measure := func(tol float64, cloneSpread bool) (allocs float64, sweeps int) {
+		allocs = testing.AllocsPerRun(5, func() {
+			c := base.Clone()
+			c.Tol, c.cloneSpread = tol, cloneSpread
+			if err := sp.commit(c); err != nil {
+				t.Fatal(err)
+			}
+			sweeps = c.LastSweeps
+		})
+		return allocs, sweeps
+	}
+	loose, looseSweeps := measure(1e-8, false)
+	tight, tightSweeps := measure(1e-12, false)
+	if tightSweeps <= looseSweeps {
+		t.Fatalf("Tol 1e-12 took %d sweeps, Tol 1e-8 %d; the test needs more sweeps at the tighter Tol",
+			tightSweeps, looseSweeps)
+	}
+	if tight != loose {
+		t.Fatalf("spread commit allocated %v at %d sweeps, %v at %d sweeps; want equal",
+			tight, tightSweeps, loose, looseSweeps)
+	}
+	refLoose, _ := measure(1e-8, true)
+	refTight, _ := measure(1e-12, true)
+	if refTight <= refLoose {
+		t.Fatalf("copy-only reference allocated %v at Tol 1e-12 vs %v at 1e-8; want growth", refTight, refLoose)
+	}
+	t.Logf("allocs/commit: in place %v (%d and %d sweeps); copy-only %v and %v",
+		loose, looseSweeps, tightSweeps, refLoose, refTight)
+}
+
+// requireRolledBack fails unless a failed commit left m exactly as it
+// was: the same published version pointer, unchanged published bytes
+// and factorizations, and live state serializing to the same bytes.
+func requireRolledBack(t *testing.T, tag string, m *Model, v *ModelVersion, f frozen, err error, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("%s: got %v, want %v", tag, err, want)
+	}
+	if m.Snapshot() != v {
+		t.Fatalf("%s: failed commit replaced the published version", tag)
+	}
+	requireFrozen(t, tag, v, f)
+	var live bytes.Buffer
+	if err := m.SaveJSON(&live); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), f.json) {
+		t.Fatalf("%s: live model differs from its pre-commit state", tag)
+	}
+}
+
+// TestRollbackAfterInPlaceRewrites: a spread commit whose refit has
+// already rewritten the covariances it allocated, and then fails, rolls
+// back to the exact pre-commit state, and a retry matches a model that
+// never failed. Failing on MaxSweeps is deterministic; the deadline leg
+// starts from an expired deadline and doubles the budget until the
+// commit succeeds, so later attempts fail part-way through the refit.
+func TestRollbackAfterInPlaceRewrites(t *testing.T) {
+	base, sp := newOverlapSpread(t, 100, 3)
+	ref := base.Clone()
+	if err := sp.commit(ref); err != nil {
+		t.Fatal(err)
+	}
+	if ref.LastSweeps < 3 {
+		t.Fatalf("reference commit took %d sweeps; the test needs at least 3", ref.LastSweeps)
+	}
+
+	t.Run("MaxSweeps", func(t *testing.T) {
+		// The failing refit does rewrite in place: it allocates less
+		// than the copy-only reference failing at the same sweep.
+		failAllocs := func(cloneSpread bool) float64 {
+			return testing.AllocsPerRun(3, func() {
+				c := base.Clone()
+				c.MaxSweeps, c.cloneSpread = ref.LastSweeps-1, cloneSpread
+				if err := sp.commit(c); !errors.Is(err, ErrInfeasible) {
+					t.Fatalf("got %v, want ErrInfeasible", err)
+				}
+			})
+		}
+		if inPlace, copied := failAllocs(false), failAllocs(true); inPlace >= copied {
+			t.Fatalf("failing refit allocated %v, copy-only %v: no in-place rewrite happened", inPlace, copied)
+		}
+
+		m := base.Clone()
+		v := m.Snapshot()
+		f := freeze(t, v)
+		m.MaxSweeps = ref.LastSweeps - 1
+		err := sp.commit(m)
+		m.MaxSweeps = ref.MaxSweeps // SaveJSON records it
+		requireRolledBack(t, "MaxSweeps", m, v, f, err, ErrInfeasible)
+		if err := sp.commit(m); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		sameState(t, "retry after MaxSweeps", m, ref)
+	})
+
+	t.Run("Deadline", func(t *testing.T) {
+		m := base.Clone()
+		v := m.Snapshot()
+		f := freeze(t, v)
+		budget := -time.Second
+		for {
+			m.Deadline = time.Now().Add(budget)
+			err := sp.commit(m)
+			m.Deadline = time.Time{}
+			if err == nil {
+				break
+			}
+			requireRolledBack(t, fmt.Sprintf("budget %v", budget), m, v, f, err, ErrDeadline)
+			budget = max(2*budget, time.Microsecond)
+		}
+		sameState(t, "retry after deadline", m, ref)
+	})
 }
 
 // TestIncrementalRefitSkipsCleanConstraints pins the perf contract the

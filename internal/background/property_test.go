@@ -1,6 +1,9 @@
 package background
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,8 +177,9 @@ func TestGroupCountBound(t *testing.T) {
 // TestPathologicalSpreadCommitRollsBack: repeatedly demanding a tiny
 // variance around a center far from the subgroup mean (violating the
 // two-step protocol) eventually becomes numerically infeasible; the
-// commit must then fail cleanly and leave the model exactly as it was,
-// with all previously committed constraints intact.
+// commit must then fail cleanly with ErrInfeasible and leave the model
+// exactly as it was — the same published version, serializing to the
+// same bytes — with all previously committed constraints intact.
 func TestPathologicalSpreadCommitRollsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 40
@@ -196,11 +200,31 @@ func TestPathologicalSpreadCommitRollsBack(t *testing.T) {
 		w.Normalize()
 		center := mat.Vec{rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		before := m.NumConstraints()
+		v := m.Snapshot()
+		var vJSON bytes.Buffer
+		if err := v.SaveJSON(&vJSON); err != nil {
+			t.Fatal(err)
+		}
 		err := m.CommitSpread(ext, w, center, 0.01)
 		if err != nil {
 			failed = true
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("pathological commit failed with %v, want ErrInfeasible", err)
+			}
 			if m.NumConstraints() != before {
 				t.Fatalf("failed commit left a constraint behind")
+			}
+			if m.Snapshot() != v {
+				t.Fatal("failed commit replaced the published version")
+			}
+			for _, r := range []interface{ SaveJSON(io.Writer) error }{v, m} {
+				var after bytes.Buffer
+				if err := r.SaveJSON(&after); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after.Bytes(), vJSON.Bytes()) {
+					t.Fatalf("failed commit changed the model (%T)", r)
+				}
 			}
 			break
 		}

@@ -17,14 +17,18 @@ import (
 // readers proceed lock-free while the writer works — the MVCC
 // snapshot-isolation shape, applied to belief state.
 //
-// Everything reachable from a ModelVersion is frozen: member bitsets
-// and covariance matrices are never mutated in place anywhere in the
-// package (spread updates replace Σ wholesale), group means are deep-
-// copied by the commit that mutates them, and the labels slice is
-// re-allocated per commit. The only mutation a reader can cause is
-// filling a group's Cholesky cache, which is an atomic idempotent
-// store of a deterministic factorization. A mine against a version is
-// therefore byte-identical regardless of concurrent commits.
+// Everything reachable from a ModelVersion is frozen. Member bitsets
+// are never mutated in place. A covariance matrix (and its Cholesky
+// factor) is rewritten in place only while it is private to the refit
+// that allocated it and held solely by groups inside the constraint
+// being applied; once reachable from a published version, a clone or
+// a fork source, a matrix is only ever replaced, never written. Group
+// means are deep-copied by the commit that mutates them, and the
+// labels slice is re-allocated per commit. The only mutation a reader
+// can cause is filling a group's Cholesky cache, which is an atomic
+// idempotent store of a deterministic factorization. A mine against a
+// version is therefore byte-identical regardless of concurrent
+// commits.
 type ModelVersion struct {
 	version uint64
 	n, d    int

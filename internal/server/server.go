@@ -462,6 +462,7 @@ const (
 	errSnapshotCorrupt = "snapshot_corrupt"
 	errStoreDegraded   = "store_degraded"
 	errDraining        = "draining"
+	errModelInfeasible = "model_infeasible"
 )
 
 type errorBody struct {
@@ -1315,12 +1316,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	defer func() { model.Deadline = time.Time{} }()
 	if pl != nil {
 		if err := sess.miner.CommitLocation(pl); err != nil {
-			if errors.Is(err, background.ErrDeadline) {
-				writeError(w, r, http.StatusServiceUnavailable, errDeadline, time.Second,
-					"commit: %v", err)
-				return
-			}
-			writeError(w, r, http.StatusInternalServerError, errInternal, 0, "commit: %v", err)
+			status, code, retry := commitFailure(err)
+			writeError(w, r, status, code, retry, "commit: %v", err)
 			return
 		}
 		// The location is now irreversibly in the background model:
@@ -1340,15 +1337,11 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	if ps != nil {
 		if err := sess.miner.CommitSpread(ps); err != nil {
-			if errors.Is(err, background.ErrDeadline) {
-				// The spread stays pending: the 503 advertises a retry,
-				// and the retry must still have something to commit
-				// (the location leg above is a no-op by then).
-				writeError(w, r, http.StatusServiceUnavailable, errDeadline, time.Second,
-					"commit spread (location was committed): %v", err)
-				return
-			}
-			writeError(w, r, http.StatusInternalServerError, errInternal, 0,
+			// The spread stays pending: a deadline 503 advertises a
+			// retry, and the retry must still have something to commit
+			// (the location leg above is a no-op by then).
+			status, code, retry := commitFailure(err)
+			writeError(w, r, status, code, retry,
 				"commit spread (location was committed): %v", err)
 			return
 		}
@@ -1374,6 +1367,21 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		"persisted":    persisted,
 		"persistence":  s.health.state(),
 	})
+}
+
+// commitFailure maps a failed commit to its status, envelope code and
+// retry hint. A deadline is back-pressure (503, retry later); a
+// constraint system the refit cannot enforce is the client's pattern
+// being infeasible against its belief state (422: a retry fails the
+// same way); anything else is a server fault.
+func commitFailure(err error) (status int, code string, retryAfter time.Duration) {
+	switch {
+	case errors.Is(err, background.ErrDeadline):
+		return http.StatusServiceUnavailable, errDeadline, time.Second
+	case errors.Is(err, background.ErrInfeasible):
+		return http.StatusUnprocessableEntity, errModelInfeasible, 0
+	}
+	return http.StatusInternalServerError, errInternal, 0
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
@@ -48,6 +49,54 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/commit", nil, http.StatusConflict, &env)
 	if env.Error.Code != errNothingPending {
 		t.Fatalf("commit-nothing code = %q, want %q", env.Error.Code, errNothingPending)
+	}
+}
+
+// TestCommitInfeasibleIs422: a commit whose refit cannot enforce the
+// constraint system answers 422 model_infeasible, not a 500, and leaves
+// the pattern pending so a commit the model can enforce still lands.
+// A one-sweep budget makes any violated constraint "not converged".
+func TestCommitInfeasibleIs422(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	var info SessionInfo
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
+		Dataset: "synthetic", Seed: 620, Depth: 2,
+	}, http.StatusCreated, &info)
+	base := ts.URL + "/api/v1/sessions/" + info.ID
+	doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
+
+	sess, err := srv.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setMaxSweeps := func(n int) {
+		sess.commitMu.Lock()
+		defer sess.commitMu.Unlock()
+		sess.miner.Model.MaxSweeps = n
+	}
+	setMaxSweeps(1)
+	var env envelope
+	doJSON(t, "POST", base+"/commit", nil, http.StatusUnprocessableEntity, &env)
+	if env.Error.Code != errModelInfeasible || env.Error.RetryAfterMs != 0 {
+		t.Fatalf("infeasible commit envelope = %+v", env)
+	}
+	if got := sess.miner.Snapshot().Version(); got != 1 {
+		t.Fatalf("failed commit published version %d", got)
+	}
+
+	setMaxSweeps(5000)
+	var commit struct {
+		Iterations   int    `json:"iterations"`
+		ModelVersion uint64 `json:"modelVersion"`
+	}
+	doJSON(t, "POST", base+"/commit", nil, http.StatusOK, &commit)
+	if commit.Iterations != 1 || commit.ModelVersion != 2 {
+		t.Fatalf("commit after infeasible = %+v, want iteration 1 at version 2", commit)
 	}
 }
 
