@@ -113,7 +113,8 @@ func ReadJSON(r io.Reader) (map[string]Entry, error) {
 // GitHub-flavored markdown table — the human-readable artifact the CI
 // bench job uploads next to the raw JSON. Benchmarks are listed by
 // name; entries present on only one side are marked instead of
-// silently dropped.
+// silently dropped. B/op is shown beside allocs/op so byte-only wins
+// are visible, but Compare does not gate on it.
 func WriteMarkdown(w io.Writer, baseline, current map[string]Entry) error {
 	names := map[string]bool{}
 	for n := range baseline {
@@ -128,7 +129,7 @@ func WriteMarkdown(w io.Writer, baseline, current map[string]Entry) error {
 	}
 	sort.Strings(sorted)
 
-	if _, err := fmt.Fprintf(w, "| Benchmark | ns/op (base) | ns/op (current) | Δ ns/op | allocs/op (base) | allocs/op (current) |\n|---|---:|---:|---:|---:|---:|\n"); err != nil {
+	if _, err := fmt.Fprintf(w, "| Benchmark | ns/op (base) | ns/op (current) | Δ ns/op | allocs/op (base) | allocs/op (current) | B/op (base) | B/op (current) |\n|---|---:|---:|---:|---:|---:|---:|---:|\n"); err != nil {
 		return err
 	}
 	fmtNs := func(e Entry, ok bool) string {
@@ -143,6 +144,14 @@ func WriteMarkdown(w io.Writer, baseline, current map[string]Entry) error {
 		}
 		return fmt.Sprintf("%.0f", e.AllocsPerOp)
 	}
+	// Bytes/op is reported together with allocs/op (b.ReportAllocs or
+	// -benchmem), so HasAllocs marks it as measured.
+	fmtBytes := func(e Entry, ok bool) string {
+		if !ok || !e.HasAllocs {
+			return "—"
+		}
+		return fmt.Sprintf("%.0f", e.BytesPerOp)
+	}
 	for _, n := range sorted {
 		base, bok := baseline[n]
 		cur, cok := current[n]
@@ -150,9 +159,10 @@ func WriteMarkdown(w io.Writer, baseline, current map[string]Entry) error {
 		if bok && cok && base.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.1f%%", 100*(cur.NsPerOp-base.NsPerOp)/base.NsPerOp)
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s |\n",
+		if _, err := fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s | %s | %s |\n",
 			n, fmtNs(base, bok), fmtNs(cur, cok), delta,
-			fmtAllocs(base, bok), fmtAllocs(cur, cok)); err != nil {
+			fmtAllocs(base, bok), fmtAllocs(cur, cok),
+			fmtBytes(base, bok), fmtBytes(cur, cok)); err != nil {
 			return err
 		}
 	}

@@ -71,17 +71,18 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	base := map[string]Entry{
-		"A": {Name: "A", NsPerOp: 1e6, AllocsPerOp: 1000, HasAllocs: true},
+		"A": {Name: "A", NsPerOp: 1e6, BytesPerOp: 1e3, AllocsPerOp: 1000, HasAllocs: true},
 		"B": {Name: "B", NsPerOp: 2e6, AllocsPerOp: 500, HasAllocs: true},
 		"C": {Name: "C", NsPerOp: 100}, // too short for ns compare at minNs 1e6
 		"D": {Name: "D", NsPerOp: 1e6, AllocsPerOp: 0, HasAllocs: true},
 		"E": {Name: "E", NsPerOp: 1e6},
 	}
 	cur := map[string]Entry{
-		"A": {Name: "A", NsPerOp: 1.1e6, AllocsPerOp: 1100, HasAllocs: true}, // within thresholds
-		"B": {Name: "B", NsPerOp: 2e6, AllocsPerOp: 800, HasAllocs: true},    // allocs +60%
-		"C": {Name: "C", NsPerOp: 1e4},                                       // 100x but under minNs
-		"D": {Name: "D", NsPerOp: 1e6, AllocsPerOp: 3, HasAllocs: true},      // lost zero-alloc
+		// Within thresholds; the tenfold B/op growth is reported, not gated.
+		"A": {Name: "A", NsPerOp: 1.1e6, BytesPerOp: 1e4, AllocsPerOp: 1100, HasAllocs: true},
+		"B": {Name: "B", NsPerOp: 2e6, AllocsPerOp: 800, HasAllocs: true}, // allocs +60%
+		"C": {Name: "C", NsPerOp: 1e4},                                    // 100x but under minNs
+		"D": {Name: "D", NsPerOp: 1e6, AllocsPerOp: 3, HasAllocs: true},   // lost zero-alloc
 		// E missing
 		"F": {Name: "F", NsPerOp: 5},
 	}
@@ -126,11 +127,11 @@ func TestCompare(t *testing.T) {
 
 func TestWriteMarkdown(t *testing.T) {
 	base := map[string]Entry{
-		"A":       {Name: "A", NsPerOp: 1e6, AllocsPerOp: 1000, HasAllocs: true},
+		"A":       {Name: "A", NsPerOp: 1e6, BytesPerOp: 4419302, AllocsPerOp: 1000, HasAllocs: true},
 		"Removed": {Name: "Removed", NsPerOp: 5e5},
 	}
 	cur := map[string]Entry{
-		"A":     {Name: "A", NsPerOp: 5e5, AllocsPerOp: 10, HasAllocs: true},
+		"A":     {Name: "A", NsPerOp: 5e5, BytesPerOp: 386176, AllocsPerOp: 10, HasAllocs: true},
 		"Added": {Name: "Added", NsPerOp: 2e6},
 	}
 	var buf bytes.Buffer
@@ -152,7 +153,20 @@ func TestWriteMarkdown(t *testing.T) {
 	if !strings.HasPrefix(lines[4], "| Removed ") {
 		t.Fatalf("Removed row missing: %s", lines[4])
 	}
-	if strings.Count(lines[2], "|") != 7 {
-		t.Fatalf("A row has wrong column count: %s", lines[2])
+	if !strings.Contains(lines[0], "| B/op (base) | B/op (current) |") {
+		t.Fatalf("header lacks the B/op columns: %s", lines[0])
+	}
+	for i, l := range lines {
+		if strings.Count(l, "|") != 9 {
+			t.Fatalf("line %d has wrong column count: %s", i, l)
+		}
+	}
+	// B/op follows allocs/op on both sides.
+	if !strings.HasSuffix(lines[2], "| 1000 | 10 | 4419302 | 386176 |") {
+		t.Fatalf("A row must end with allocs/op then B/op, base and current: %s", lines[2])
+	}
+	// Benchmarks without b.ReportAllocs report neither allocs nor bytes.
+	if !strings.HasSuffix(lines[4], "| — | — | — | — |") {
+		t.Fatalf("Removed row must mark unreported allocs and bytes: %s", lines[4])
 	}
 }

@@ -191,8 +191,9 @@ func (d *Dataset) TargetIndex(name string) int {
 
 // SplitPoints returns the thresholds the search uses for a numeric or
 // ordinal column: k interior percentiles (k=4 gives the paper's 1/5–4/5
-// percentile split points), deduplicated and sorted.
-func SplitPoints(c *Column, k int) []float64 {
+// percentile split points), deduplicated and sorted. scratch is the
+// selection key buffer handed to stats.Percentiles, reused across calls.
+func SplitPoints(c *Column, k int, scratch *[]uint64) []float64 {
 	if c.IsDiscrete() {
 		return nil
 	}
@@ -206,7 +207,7 @@ func SplitPoints(c *Column, k int) []float64 {
 	// Partial selection instead of a full sort: identical values (same
 	// order statistics, same interpolation), a fraction of the cost — a
 	// language build runs this over every numeric column.
-	out := stats.Percentiles(c.Values, ps)
+	out := stats.Percentiles(c.Values, ps, scratch)
 	sort.Float64s(out)
 	// Deduplicate near-equal thresholds (constant or heavily tied columns).
 	dedup := out[:0]

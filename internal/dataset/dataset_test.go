@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,9 +83,12 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestSplitPoints(t *testing.T) {
+	// One scratch serves every column below, left dirty by the previous
+	// one, exactly as a language build reuses it.
+	var scratch []uint64
 	c := &Column{Name: "x", Kind: Numeric,
 		Values: []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
-	sp := SplitPoints(c, 4)
+	sp := SplitPoints(c, 4, &scratch)
 	if len(sp) != 4 {
 		t.Fatalf("SplitPoints = %v", sp)
 	}
@@ -97,12 +101,25 @@ func TestSplitPoints(t *testing.T) {
 	}
 	// Constant column collapses to one split point.
 	cc := &Column{Name: "c", Kind: Numeric, Values: []float64{5, 5, 5, 5}}
-	if sp := SplitPoints(cc, 4); len(sp) != 1 || sp[0] != 5 {
+	if sp := SplitPoints(cc, 4, &scratch); len(sp) != 1 || sp[0] != 5 {
 		t.Fatalf("constant column split points = %v", sp)
 	}
 	// Discrete columns have no split points.
-	if sp := SplitPoints(&Column{Kind: Binary, Levels: []string{"a", "b"}}, 4); sp != nil {
+	if sp := SplitPoints(&Column{Kind: Binary, Levels: []string{"a", "b"}}, 4, &scratch); sp != nil {
 		t.Fatalf("binary split points = %v", sp)
+	}
+	// Longer and shorter columns after the constant one: the stale keys
+	// of earlier columns must not leak into the selection, so each must
+	// match a build from a fresh scratch bit for bit.
+	long := &Column{Name: "l", Kind: Numeric, Values: make([]float64, 101)}
+	for i := range long.Values {
+		long.Values[i] = float64(100 - i) // descending 100..0
+	}
+	for _, col := range []*Column{long, cc, c, long} {
+		got := SplitPoints(col, 4, &scratch)
+		if want := SplitPoints(col, 4, new([]uint64)); !slices.Equal(got, want) {
+			t.Fatalf("column %s with reused scratch: split points = %v, want %v", col.Name, got, want)
+		}
 	}
 }
 

@@ -94,3 +94,14 @@ func BenchmarkEvaluateBatchDeepManyGroups(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLanguageBuildCrime measures the cold work of a session on
+// the crime replica: enumerating the condition language (split points
+// of 122 numeric descriptors) and materializing every extension.
+func BenchmarkLanguageBuildCrime(b *testing.B) {
+	ds := gen.CrimeLike(gen.SeedCrime).DS
+	b.ReportAllocs()
+	for b.Loop() {
+		engine.NewLanguage(ds, 4)
+	}
+}

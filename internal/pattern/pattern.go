@@ -363,8 +363,25 @@ func SubgroupScatter(y *mat.Dense, ext *bitset.Set, center mat.Vec) *mat.Dense {
 // descriptors with three or more levels, one NE (exclusion) condition
 // per level — the "set in-/exclusion conditions" of §II-A. (For binary
 // attributes NE duplicates the other level's EQ and is skipped.)
+//
+// A build allocates only the condition slice, pre-sized to its upper
+// bound, and one 2n selection scratch that the first numeric column's
+// split points grow and every later one reuses.
 func AllConditions(ds *dataset.Dataset, numSplits int) []Condition {
-	var out []Condition
+	size := 0
+	for ai := range ds.Descriptors {
+		col := &ds.Descriptors[ai]
+		switch {
+		case !col.IsDiscrete():
+			size += 2 * numSplits
+		case len(col.Levels) > 2:
+			size += 2 * len(col.Levels)
+		default:
+			size += len(col.Levels)
+		}
+	}
+	out := make([]Condition, 0, size)
+	var scratch []uint64
 	for ai := range ds.Descriptors {
 		col := &ds.Descriptors[ai]
 		if col.IsDiscrete() {
@@ -378,7 +395,7 @@ func AllConditions(ds *dataset.Dataset, numSplits int) []Condition {
 			}
 			continue
 		}
-		for _, t := range dataset.SplitPoints(col, numSplits) {
+		for _, t := range dataset.SplitPoints(col, numSplits, &scratch) {
 			out = append(out, Condition{Attr: ai, Op: LE, Threshold: t})
 			out = append(out, Condition{Attr: ai, Op: GE, Threshold: t})
 		}

@@ -219,8 +219,10 @@ func Percentile(xs []float64, p float64) float64 {
 // comparison selects paid a mispredicting swap-heavy partition per
 // statistic. The selected values are full-sort-exact: the key mapping
 // is monotone with NaNs pinned first, matching sort.Float64s order.
-// xs is not modified.
-func Percentiles(xs []float64, ps []float64) []float64 {
+// xs is not modified. *scratch is the caller's key buffer: it is grown
+// to at least 2·len(xs) when shorter and its contents are overwritten,
+// so a caller selecting over many columns allocates it once.
+func Percentiles(xs []float64, ps []float64, scratch *[]uint64) []float64 {
 	out := make([]float64, len(ps))
 	n := len(xs)
 	if n == 0 {
@@ -247,7 +249,10 @@ func Percentiles(xs []float64, ps []float64) []float64 {
 		}
 	}
 
-	keys := make([]uint64, 2*n)
+	if len(*scratch) < 2*n {
+		*scratch = make([]uint64, 2*n)
+	}
+	keys := (*scratch)[:2*n]
 	tmp := keys[n:]
 	keys = keys[:n]
 	for i, v := range xs {

@@ -295,9 +295,14 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 // must be bit-identical to sort + PercentileSorted — split points feed
 // every condition language, so any drift would silently change every
 // search result. Exercised over continuous, heavily tied (binary/ordinal)
-// and tiny inputs.
+// and tiny inputs. One key scratch is shared by every trial, as a
+// language build shares it across columns: it arrives dirty with the
+// previous trial's keys and is sometimes shorter than 2n (Percentiles
+// must grow it) and sometimes longer (only its prefix may be read).
 func TestPercentilesMatchesSortedExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var scratch []uint64
+	grown := 0
 	for trial := 0; trial < 240; trial++ {
 		n := 1 + rng.Intn(400)
 		if trial%8 >= 6 {
@@ -341,7 +346,18 @@ func TestPercentilesMatchesSortedExactly(t *testing.T) {
 			ps = append(ps, rng.Float64()*100)
 		}
 		ps = append(ps, 0, 100, 50)
-		got := Percentiles(xs, ps)
+		if trial%5 == 0 {
+			// Shrink the scratch below 2n so Percentiles must grow it.
+			scratch = scratch[:min(len(scratch), rng.Intn(2*n))]
+		}
+		short := len(scratch) < 2*n
+		got := Percentiles(xs, ps, &scratch)
+		if short {
+			grown++
+		}
+		if len(scratch) < 2*n {
+			t.Fatalf("trial %d: scratch len %d after Percentiles, want >= %d", trial, len(scratch), 2*n)
+		}
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
 		for i, p := range ps {
@@ -350,6 +366,9 @@ func TestPercentilesMatchesSortedExactly(t *testing.T) {
 				t.Fatalf("trial %d n=%d p=%v: %v != %v", trial, n, p, got[i], want)
 			}
 		}
+	}
+	if grown == 0 || grown == 240 {
+		t.Fatalf("scratch grown in %d of 240 trials; want both short and long scratches exercised", grown)
 	}
 }
 
