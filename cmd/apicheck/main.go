@@ -1,14 +1,14 @@
 // Command apicheck lints the HTTP API surface in internal/server so
-// the versioned-API contract cannot rot silently:
+// the API contract cannot rot silently:
 //
-//   - every error response must go through the designated writeError
-//     writer (which emits the /api/v1 envelope and the legacy flat
-//     body): calls to http.Error and hand-rolled {"error": ...} map
-//     literals outside writeError fail the check;
-//   - every route must be registered inside the routes() function with
-//     a prefix-relative pattern, and routes() may only be mounted at
-//     the approved prefixes (/api/v1 and the deprecated /api alias) —
-//     an unversioned or stray registration fails the check.
+//   - every error response must go through the designated WriteError
+//     writer (which emits the error envelope): calls to http.Error and
+//     hand-rolled {"error": ...} map literals outside WriteError fail
+//     the check;
+//   - every route must be registered inside the routes() function;
+//   - every registered pattern must start with the APIPrefix constant
+//     (the /api/v1 mount), after an optional "METHOD " literal — an
+//     unversioned or stray registration fails the check.
 //
 // Run from the repository root (CI does): go run ./cmd/apicheck
 // A non-default package directory can be passed as the only argument.
@@ -20,14 +20,15 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
-// approvedPrefixes are the only mounts routes() may be called with.
-var approvedPrefixes = map[string]bool{
-	`"/api/v1"`: true,
-	`"/api"`:    true, // deprecated alias
-}
+const prefixConst = "APIPrefix"
+
+// methodLit matches the "METHOD " literal a pattern may open with.
+var methodLit = regexp.MustCompile(`^[A-Z]+ $`)
 
 func main() {
 	dir := "internal/server"
@@ -77,30 +78,22 @@ func checkFunc(fd *ast.FuncDecl, fail func(token.Pos, string, ...any)) {
 				return true
 			}
 			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "http" && sel.Sel.Name == "Error" {
-				fail(n.Pos(), "http.Error bypasses the error envelope; use writeError")
+				fail(n.Pos(), "http.Error bypasses the error envelope; use WriteError")
 			}
-			switch sel.Sel.Name {
-			case "HandleFunc", "Handle":
-				// Only mux registrations inside routes() count (ignore
-				// e.g. http.HandleFunc-free code; the receiver doesn't
-				// matter — any registration belongs in routes()).
-				if name != "routes" {
-					fail(n.Pos(), "route registered outside routes(); all registrations go through routes() so the /api/v1 and /api mounts cannot drift")
-				} else if len(n.Args) > 0 && !usesIdent(n.Args[0], "prefix") {
-					fail(n.Pos(), "route pattern does not use the prefix parameter; hardcoded paths make the mount unversioned")
-				}
-			case "routes":
-				if len(n.Args) == 2 {
-					lit, ok := n.Args[1].(*ast.BasicLit)
-					if !ok || !approvedPrefixes[lit.Value] {
-						fail(n.Pos(), "routes() mounted at unapproved prefix %s (allowed: /api/v1, /api)", exprString(n.Args[1]))
-					}
-				}
+			if sel.Sel.Name != "HandleFunc" && sel.Sel.Name != "Handle" {
+				return true
+			}
+			// Any registration counts, whatever the receiver: all of them
+			// belong in routes(), under the one versioned mount.
+			if name != "routes" {
+				fail(n.Pos(), "route registered outside routes(); all registrations go through routes()")
+			} else if len(n.Args) > 0 && !startsWithPrefix(n.Args[0]) {
+				fail(n.Pos(), "route pattern does not start with %s; hardcoded paths make the mount unversioned", prefixConst)
 			}
 		case *ast.CompositeLit:
 			// A hand-rolled {"error": ...} body outside the designated
 			// writer is a second error shape waiting to diverge.
-			if name == "writeError" {
+			if name == "WriteError" {
 				return true
 			}
 			for _, elt := range n.Elts {
@@ -109,7 +102,7 @@ func checkFunc(fd *ast.FuncDecl, fail func(token.Pos, string, ...any)) {
 					continue
 				}
 				if lit, ok := kv.Key.(*ast.BasicLit); ok && lit.Value == `"error"` {
-					fail(kv.Pos(), "error body constructed outside writeError; use writeError so /api/v1 gets the envelope")
+					fail(kv.Pos(), "error body constructed outside WriteError; use WriteError so every error is the envelope")
 				}
 			}
 		}
@@ -117,21 +110,25 @@ func checkFunc(fd *ast.FuncDecl, fail func(token.Pos, string, ...any)) {
 	})
 }
 
-// usesIdent reports whether expr mentions an identifier named name.
-func usesIdent(expr ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
+// startsWithPrefix reports whether a pattern expression is
+// ["METHOD " +] APIPrefix [+ ...].
+func startsWithPrefix(expr ast.Expr) bool {
+	var ops []ast.Expr
+	var flatten func(ast.Expr)
+	flatten = func(e ast.Expr) {
+		if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.ADD {
+			flatten(b.X)
+			flatten(b.Y)
+			return
 		}
-		return !found
-	})
-	return found
-}
-
-func exprString(e ast.Expr) string {
-	if lit, ok := e.(*ast.BasicLit); ok {
-		return lit.Value
+		ops = append(ops, e)
 	}
-	return fmt.Sprintf("%T", e)
+	flatten(expr)
+	if lit, ok := ops[0].(*ast.BasicLit); ok && len(ops) > 1 {
+		if s, err := strconv.Unquote(lit.Value); err == nil && methodLit.MatchString(s) {
+			ops = ops[1:]
+		}
+	}
+	id, ok := ops[0].(*ast.Ident)
+	return ok && id.Name == prefixConst
 }

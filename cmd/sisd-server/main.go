@@ -9,15 +9,15 @@
 //
 //	sisd-server -addr :8080 -store-dir /var/lib/sisd/sessions
 //
-//	curl -X POST localhost:8080/api/sessions -d '{"dataset":"crime"}'
-//	curl -X POST localhost:8080/api/sessions/s0001/mine -d '{"spread":false}'
-//	curl -X POST localhost:8080/api/sessions/s0001/mine -d '{"async":true,"timeoutMs":500}'
-//	curl      'localhost:8080/api/jobs/j000001?waitMs=2000'
-//	curl -X POST localhost:8080/api/sessions/s0001/commit
-//	curl -X POST localhost:8080/api/sessions/s0001/snapshot
-//	curl      localhost:8080/api/sessions/s0001/history
-//	curl      localhost:8080/api/jobs
-//	curl -X DELETE localhost:8080/api/jobs/j000002
+//	curl -X POST localhost:8080/api/v1/sessions -d '{"dataset":"crime"}'
+//	curl -X POST localhost:8080/api/v1/sessions/s0001/mine -d '{"spread":false}'
+//	curl -X POST localhost:8080/api/v1/sessions/s0001/mine -d '{"async":true,"timeoutMs":500}'
+//	curl      'localhost:8080/api/v1/jobs/j000001?waitMs=2000'
+//	curl -X POST localhost:8080/api/v1/sessions/s0001/commit
+//	curl -X POST localhost:8080/api/v1/sessions/s0001/snapshot
+//	curl      localhost:8080/api/v1/sessions/s0001/history
+//	curl      localhost:8080/api/v1/jobs
+//	curl -X DELETE localhost:8080/api/v1/jobs/j000002
 //
 // Mine responses carry a status field: "complete", "partial" (budget
 // expired, best-so-far returned) or "timeout" (budget expired before

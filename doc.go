@@ -27,8 +27,7 @@
 // MineSpreadAt / ExplainLocationAt run lock-free against it while
 // commits proceed, with results byte-identical to a serial run against
 // the same version. Session persistence goes through SaveModel and
-// Restore (RestoreOptions); the older positional RestoreMiner is
-// deprecated but still works.
+// Restore (RestoreOptions).
 //
 // # Quick start
 //

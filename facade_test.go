@@ -55,7 +55,11 @@ func TestSaveRestoreMinerViaFacade(t *testing.T) {
 	if err := sisd.SaveModel(m, &buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := sisd.RestoreMiner(ds, cfg, strings.NewReader(buf.String()), m.Iteration())
+	m2, err := sisd.Restore(ds, sisd.RestoreOptions{
+		Config:     cfg,
+		SavedModel: strings.NewReader(buf.String()),
+		Iterations: m.Iteration(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 // The router is the cluster's single client-facing process: it speaks
-// the same /api/v1 (and legacy /api) surface as one sisd-server, but
+// the same /api/v1 surface and error envelope as one sisd-server, but
 // consistent-hashes each session id onto a shard and reverse-proxies
 // the call there. It holds no session state — routing is a pure
 // function of (membership, health), so any number of router replicas,
@@ -280,7 +280,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 func (rt *Router) probe(ctx context.Context, sh Shard) State {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", sh.URL+"/api/v1/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", sh.URL+server.APIPrefix+"/readyz", nil)
 	if err != nil {
 		return StateDown
 	}
@@ -345,7 +345,7 @@ func (rt *Router) reconcile(ctx context.Context, old, next map[string]bool) {
 		rejoining := !old[id]
 		sh := rt.byID[id].cfg
 		var infos []server.SessionInfo
-		if err := rt.getJSON(ctx, sh.URL+"/api/v1/sessions", &infos); err != nil {
+		if err := rt.getJSON(ctx, sh.URL+server.APIPrefix+"/sessions", &infos); err != nil {
 			rt.logf("cluster: reconcile: list %s: %v", id, err)
 			continue
 		}
@@ -387,7 +387,7 @@ func (rt *Router) getJSON(ctx context.Context, url string, out any) error {
 func (rt *Router) postHandoff(ctx context.Context, sh Shard, id string) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", sh.URL+"/api/v1/sessions/"+id+"/handoff", nil)
+	req, err := http.NewRequestWithContext(ctx, "POST", sh.URL+server.APIPrefix+"/sessions/"+id+"/handoff", nil)
 	if err != nil {
 		return err
 	}
@@ -415,47 +415,30 @@ func (rt *Router) owner(id string) (Shard, bool) {
 }
 
 // Handler returns the router's HTTP surface: the same routes a single
-// sisd-server exposes, on both the /api/v1 mount and the legacy /api
-// alias (error body shape follows the mount, like the server's).
+// sisd-server exposes, under the same server.APIPrefix mount.
 func (rt *Router) Handler() http.Handler {
+	const p = server.APIPrefix
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/api/v1", "/api"} {
-		mux.HandleFunc("POST "+prefix+"/sessions", rt.handleCreate)
-		mux.HandleFunc("GET "+prefix+"/sessions", rt.handleList)
-		mux.HandleFunc(prefix+"/sessions/{id}", rt.handleSession)
-		mux.HandleFunc(prefix+"/sessions/{id}/{verb}", rt.handleSession)
-		mux.HandleFunc("GET "+prefix+"/jobs", rt.handleJobList)
-		mux.HandleFunc(prefix+"/jobs/{id}", rt.handleJob)
-		mux.HandleFunc("GET "+prefix+"/healthz", rt.handleHealthz)
-		mux.HandleFunc("GET "+prefix+"/readyz", rt.handleReadyz)
-		mux.HandleFunc("POST "+prefix+"/drain", rt.handleDrain)
-	}
+	mux.HandleFunc("POST "+p+"/sessions", rt.handleCreate)
+	mux.HandleFunc("GET "+p+"/sessions", rt.handleList)
+	mux.HandleFunc(p+"/sessions/{id}", rt.handleSession)
+	mux.HandleFunc(p+"/sessions/{id}/{verb}", rt.handleSession)
+	mux.HandleFunc("GET "+p+"/jobs", rt.handleJobList)
+	mux.HandleFunc(p+"/jobs/{id}", rt.handleJob)
+	mux.HandleFunc("GET "+p+"/healthz", rt.handleHealthz)
+	mux.HandleFunc("GET "+p+"/readyz", rt.handleReadyz)
+	mux.HandleFunc("POST "+p+"/drain", rt.handleDrain)
 	return mux
 }
 
-// writeErr mirrors the serving layer's two error shapes: /api/v1 gets
-// the structured envelope, the legacy /api alias the flat body.
-func writeErr(w http.ResponseWriter, r *http.Request, status int, code string, retryAfter time.Duration, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if !strings.HasPrefix(r.URL.Path, "/api/v1/") {
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-		return
-	}
-	body := map[string]any{"code": code, "message": msg}
-	if retryAfter > 0 {
-		body["retryAfterMs"] = retryAfter.Milliseconds()
-	}
-	_ = json.NewEncoder(w).Encode(map[string]any{"error": body})
-}
-
-// errNoShard is the router's own 503: no shard is eligible to own the
-// key right now. retryAfter matches the serving layer's degraded hint.
+// noShardRetry is the retry hint on the router's own 503s and 502s;
+// it matches the serving layer's degraded hint.
 const noShardRetry = time.Second
 
-func (rt *Router) writeNoShard(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, r, http.StatusServiceUnavailable, "no_shard", noShardRetry,
+// writeNoShard answers the router's own 503: no shard is eligible to
+// own the key right now.
+func writeNoShard(w http.ResponseWriter) {
+	server.WriteError(w, http.StatusServiceUnavailable, "no_shard", noShardRetry,
 		"no shard available for this session")
 }
 
@@ -474,7 +457,7 @@ func (rt *Router) proxyBody(w http.ResponseWriter, r *http.Request, sh Shard, bo
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
 	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
 		return
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
@@ -484,7 +467,7 @@ func (rt *Router) proxyBody(w http.ResponseWriter, r *http.Request, sh Shard, bo
 	if err != nil {
 		// The shard died between probe sweeps. Surface it as a retryable
 		// 502; the next sweep will fail it over.
-		writeErr(w, r, http.StatusBadGateway, "shard_unreachable", noShardRetry,
+		server.WriteError(w, http.StatusBadGateway, "shard_unreachable", noShardRetry,
 			"shard %s: %v", sh.ID, err)
 		return
 	}
@@ -520,13 +503,13 @@ func newSessionID() (string, error) {
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "bad_request", 0, "read body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad_request", 0, "read body: %v", err)
 		return
 	}
 	var req server.CreateRequest
 	if len(raw) > 0 {
 		if err := json.Unmarshal(raw, &req); err != nil {
-			writeErr(w, r, http.StatusBadRequest, "bad_request", 0, "bad JSON: %v", err)
+			server.WriteError(w, http.StatusBadRequest, "bad_request", 0, "bad JSON: %v", err)
 			return
 		}
 	}
@@ -539,31 +522,31 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if minted {
 			id, err := newSessionID()
 			if err != nil {
-				writeErr(w, r, http.StatusInternalServerError, "internal", 0, "mint id: %v", err)
+				server.WriteError(w, http.StatusInternalServerError, "internal", 0, "mint id: %v", err)
 				return
 			}
 			req.ID = id
 		}
 		body, err := json.Marshal(&req)
 		if err != nil {
-			writeErr(w, r, http.StatusInternalServerError, "internal", 0, "marshal: %v", err)
+			server.WriteError(w, http.StatusInternalServerError, "internal", 0, "marshal: %v", err)
 			return
 		}
 		sh, ok := rt.owner(req.ID)
 		if !ok {
-			rt.writeNoShard(w, r)
+			writeNoShard(w)
 			return
 		}
 		url := sh.URL + r.URL.Path
 		preq, err := http.NewRequestWithContext(r.Context(), "POST", url, bytes.NewReader(body))
 		if err != nil {
-			writeErr(w, r, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
+			server.WriteError(w, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
 			return
 		}
 		preq.Header.Set("Content-Type", "application/json")
 		resp, err := rt.client.Do(preq)
 		if err != nil {
-			writeErr(w, r, http.StatusBadGateway, "shard_unreachable", noShardRetry,
+			server.WriteError(w, http.StatusBadGateway, "shard_unreachable", noShardRetry,
 				"shard %s: %v", sh.ID, err)
 			return
 		}
@@ -587,7 +570,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sh, ok := rt.owner(id)
 	if !ok {
-		rt.writeNoShard(w, r)
+		writeNoShard(w)
 		return
 	}
 	rt.proxy(w, r, sh)
@@ -613,7 +596,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		go func(id string) {
 			defer wg.Done()
 			res := &result{}
-			res.err = rt.getJSON(r.Context(), rt.byID[id].cfg.URL+"/api/v1/sessions", &res.infos)
+			res.err = rt.getJSON(r.Context(), rt.byID[id].cfg.URL+server.APIPrefix+"/sessions", &res.infos)
 			mu.Lock()
 			results[id] = res
 			mu.Unlock()
@@ -654,7 +637,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var jobs []json.RawMessage
-		if err := rt.getJSON(r.Context(), rt.byID[id].cfg.URL+"/api/v1/jobs", &jobs); err != nil {
+		if err := rt.getJSON(r.Context(), rt.byID[id].cfg.URL+server.APIPrefix+"/jobs", &jobs); err != nil {
 			rt.logf("cluster: jobs %s: %v", id, err)
 			continue
 		}
@@ -700,7 +683,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		resp.Body.Close()
 		return
 	}
-	writeErr(w, r, http.StatusNotFound, "not_found", 0, "no job %q on any shard", r.PathValue("id"))
+	server.WriteError(w, http.StatusNotFound, "not_found", 0, "no job %q on any shard", r.PathValue("id"))
 }
 
 // handleHealthz reports the router process plus each shard's last
@@ -749,7 +732,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		go func(id string) {
 			defer wg.Done()
 			sh := rt.byID[id].cfg
-			req, err := http.NewRequestWithContext(r.Context(), "POST", sh.URL+"/api/v1/drain"+q, nil)
+			req, err := http.NewRequestWithContext(r.Context(), "POST", sh.URL+server.APIPrefix+"/drain"+q, nil)
 			if err != nil {
 				return
 			}

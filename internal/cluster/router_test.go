@@ -262,8 +262,8 @@ func TestRouterFailoverAndRejoin(t *testing.T) {
 }
 
 // TestRouterNoEligibleShards: with every shard partitioned the router
-// sheds with its own 503 — structured envelope on /api/v1, flat body on
-// the legacy mount — and readyz goes not-ready.
+// sheds with its own 503 in the error envelope, and readyz goes
+// not-ready.
 func TestRouterNoEligibleShards(t *testing.T) {
 	rt, shards := newTestCluster(t, 2)
 	h := rt.Handler()
@@ -283,19 +283,31 @@ func TestRouterNoEligibleShards(t *testing.T) {
 	if env.Error.Code != "no_shard" || env.Error.RetryAfterMs <= 0 {
 		t.Fatalf("v1 shed envelope: %+v", env.Error)
 	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	decode(t, call(t, h, "GET", "/api/sessions/x/history", nil), http.StatusServiceUnavailable, &flat)
-	if flat.Error == "" {
-		t.Fatal("legacy mount shed must use the flat error body")
-	}
 	var ready struct {
 		Ready bool `json:"ready"`
 	}
 	decode(t, call(t, h, "GET", "/api/v1/readyz", nil), http.StatusServiceUnavailable, &ready)
 	if ready.Ready {
 		t.Fatal("router readyz claims ready with zero eligible shards")
+	}
+}
+
+// TestUnversionedAPIIs404: /api/v1 is the only mount. Requests to
+// /api/... outside it find no route on a shard or on the router.
+func TestUnversionedAPIIs404(t *testing.T) {
+	rt, shards := newTestCluster(t, 1)
+	for name, h := range map[string]http.Handler{"server": shards[0].srv.Handler(), "router": rt.Handler()} {
+		for _, req := range []struct{ method, path string }{
+			{"GET", "/api/sessions"},
+			{"POST", "/api/sessions"},
+			{"GET", "/api/sessions/x/history"},
+			{"GET", "/api/jobs"},
+			{"GET", "/api/readyz"},
+		} {
+			if rec := call(t, h, req.method, req.path, nil); rec.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", name, req.method, req.path, rec.Code)
+			}
+		}
 	}
 }
 

@@ -499,7 +499,7 @@ func (p *Pool) Cancel(id string) (Info, bool) {
 
 // Wait blocks until the job reaches a terminal state, maxWait elapses,
 // or ctx is done, and returns the job's snapshot at that moment — the
-// long-poll primitive behind GET /api/jobs/{id}?waitMs=...
+// long-poll primitive behind GET /api/v1/jobs/{id}?waitMs=...
 func (p *Pool) Wait(ctx context.Context, id string, maxWait time.Duration) (Info, bool) {
 	p.mu.Lock()
 	j := p.jobs[id]

@@ -141,11 +141,14 @@ func (u *user) call(method, path string, body, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		var apiErr struct {
-			Error string `json:"error"`
+		var env struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+			} `json:"error"`
 		}
-		_ = json.NewDecoder(resp.Body).Decode(&apiErr)
-		return fmt.Errorf("%s %s: HTTP %d %s", method, path, resp.StatusCode, apiErr.Error)
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return fmt.Errorf("%s %s: HTTP %d %s: %s", method, path, resp.StatusCode, env.Error.Code, env.Error.Message)
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -163,7 +166,7 @@ type jobStatusView struct {
 // mineOnce performs one mine, sync or async, and returns the outcome.
 func (u *user) mineOnce(cfg Config, sessionID string) (server.MineResponse, error) {
 	req := server.MineRequest{Spread: cfg.Spread, TimeoutMS: cfg.TimeoutMS, Async: cfg.Async}
-	path := "/api/sessions/" + sessionID + "/mine"
+	path := "/api/v1/sessions/" + sessionID + "/mine"
 	if !cfg.Async {
 		var resp server.MineResponse
 		err := u.call("POST", path, req, &resp)
@@ -176,7 +179,7 @@ func (u *user) mineOnce(cfg Config, sessionID string) (server.MineResponse, erro
 	deadline := time.Now().Add(5 * time.Minute)
 	for time.Now().Before(deadline) {
 		var jv jobStatusView
-		if err := u.call("GET", "/api/jobs/"+accepted.ID+"?waitMs=1000", nil, &jv); err != nil {
+		if err := u.call("GET", "/api/v1/jobs/"+accepted.ID+"?waitMs=1000", nil, &jv); err != nil {
 			return server.MineResponse{}, err
 		}
 		switch jv.Status {
@@ -193,7 +196,7 @@ func (u *user) mineOnce(cfg Config, sessionID string) (server.MineResponse, erro
 func (u *user) loop(cfg Config, uid int) {
 	var info server.SessionInfo
 	start := time.Now()
-	err := u.call("POST", "/api/sessions", server.CreateRequest{
+	err := u.call("POST", "/api/v1/sessions", server.CreateRequest{
 		Dataset:    cfg.Dataset,
 		Seed:       cfg.SeedBase + int64(uid),
 		Depth:      cfg.Depth,
@@ -219,13 +222,13 @@ func (u *user) loop(cfg Config, uid int) {
 			u.spreads++
 		}
 		start = time.Now()
-		err = u.call("POST", "/api/sessions/"+info.ID+"/commit", nil, nil)
+		err = u.call("POST", "/api/v1/sessions/"+info.ID+"/commit", nil, nil)
 		if u.record("commit", start, err) != nil {
 			return
 		}
 	}
 	start = time.Now()
-	_ = u.record("delete", start, u.call("DELETE", "/api/sessions/"+info.ID, nil, nil))
+	_ = u.record("delete", start, u.call("DELETE", "/api/v1/sessions/"+info.ID, nil, nil))
 }
 
 func percentile(sorted []float64, q float64) float64 {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -74,5 +75,27 @@ func TestLoadAsyncMode(t *testing.T) {
 	if rep.FailedJobs != 0 || rep.Jobs != 8 {
 		t.Fatalf("async run: %d jobs, %d failed, errors %v",
 			rep.Jobs, rep.FailedJobs, rep.Errors)
+	}
+}
+
+// TestLoadReportsErrorEnvelope: a failed call is reported with the
+// status, the envelope's code and its message.
+func TestLoadReportsErrorEnvelope(t *testing.T) {
+	srv := server.New()
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+
+	rep, err := Run(Config{BaseURL: ts.URL, Users: 1, Dataset: "nope"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Ops["create"]; st.Failed != 1 || len(rep.Errors) != 1 {
+		t.Fatalf("create stats %+v, errors %v", st, rep.Errors)
+	}
+	if got := rep.Errors[0]; !strings.Contains(got, "HTTP 400 bad_request: unknown dataset") {
+		t.Fatalf("error %q lacks the envelope's status, code and message", got)
 	}
 }

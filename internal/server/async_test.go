@@ -34,7 +34,7 @@ func pollJob(t *testing.T, baseURL, id string, deadline time.Duration) jobView {
 	end := time.Now().Add(deadline)
 	for time.Now().Before(end) {
 		var jv jobView
-		doJSON(t, "GET", baseURL+"/api/jobs/"+id+"?waitMs=500", nil, http.StatusOK, &jv)
+		doJSON(t, "GET", baseURL+"/api/v1/jobs/"+id+"?waitMs=500", nil, http.StatusOK, &jv)
 		if jv.Status.Terminal() {
 			return jv
 		}
@@ -48,10 +48,10 @@ func pollJob(t *testing.T, baseURL, id string, deadline time.Duration) jobView {
 func TestAsyncMineJobFlow(t *testing.T) {
 	ts := newTestServer(t)
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Depth: 2,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
 	var accepted jobView
 	doJSON(t, "POST", base+"/mine", MineRequest{Async: true}, http.StatusAccepted, &accepted)
@@ -76,39 +76,41 @@ func TestAsyncMineJobFlow(t *testing.T) {
 
 	// The job list knows the job; unknown job ids 404.
 	var list []jobView
-	doJSON(t, "GET", ts.URL+"/api/jobs", nil, http.StatusOK, &list)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs", nil, http.StatusOK, &list)
 	if len(list) == 0 {
 		t.Fatal("job list empty")
 	}
-	doJSON(t, "GET", ts.URL+"/api/jobs/zzz", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/zzz", nil, http.StatusNotFound, nil)
 }
 
 // TestMineConflictsWhileMining pins the locking contract: while a mine
-// job is in flight, a second mine, a commit, an explain and a model
-// export on the SAME session conflict with 409 — but the session lock
-// is NOT held across the search, so history/list stay readable.
+// job is in flight the session lock is NOT held across the search, so
+// history, the session list, an explicit snapshot and a second mine on
+// the SAME session all proceed — every mine runs against the model
+// version published at its start.
 func TestMineConflictsWhileMining(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 2})
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "mammals", Depth: 8, BeamWidth: 1024,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
 	var accepted jobView
 	doJSON(t, "POST", base+"/mine", MineRequest{Async: true, TimeoutMS: 2500},
 		http.StatusAccepted, &accepted)
 
-	// The session reports conflicts for model-touching calls...
-	doJSON(t, "POST", base+"/mine", nil, http.StatusConflict, nil)
-	doJSON(t, "POST", base+"/commit", nil, http.StatusConflict, nil)
-	doJSON(t, "GET", base+"/explain", nil, http.StatusConflict, nil)
-	doJSON(t, "POST", base+"/snapshot", nil, http.StatusConflict, nil)
-	// ...but non-model reads and the rest of the server stay live.
 	var hist []PatternJSON
 	doJSON(t, "GET", base+"/history", nil, http.StatusOK, &hist)
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "POST", base+"/snapshot", nil, http.StatusOK, nil)
+	// A second mine answers while the first is still searching.
+	var second MineResponse
+	doJSON(t, "POST", base+"/mine", MineRequest{TimeoutMS: 300}, http.StatusOK, &second)
+	if second.Status == "" {
+		t.Fatalf("second mine = %+v", second)
+	}
 
 	fin := pollJob(t, ts.URL, accepted.ID, 30*time.Second)
 	if fin.Status != jobs.StatusDone {
@@ -124,7 +126,7 @@ func TestMineConflictsWhileMining(t *testing.T) {
 		t.Fatal("partial status with no location")
 	}
 
-	// After the job the session is usable again.
+	// The first mine finished last, so its pattern is the pending one.
 	if fin.Result.Location != nil {
 		doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 	}
@@ -137,10 +139,10 @@ func TestCancelQueuedMineReleasesSession(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 1})
 	mkSession := func(ds string, depth int) string {
 		var info SessionInfo
-		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 			Dataset: ds, Depth: depth,
 		}, http.StatusCreated, &info)
-		return ts.URL + "/api/sessions/" + info.ID
+		return ts.URL + "/api/v1/sessions/" + info.ID
 	}
 	baseA := mkSession("mammals", 8)
 	baseB := mkSession("synthetic", 2)
@@ -152,7 +154,7 @@ func TestCancelQueuedMineReleasesSession(t *testing.T) {
 	doJSON(t, "POST", baseB+"/mine", MineRequest{Async: true}, http.StatusAccepted, &queuedB)
 
 	var cancelled jobView
-	doJSON(t, "DELETE", ts.URL+"/api/jobs/"+queuedB.ID, nil, http.StatusOK, &cancelled)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+queuedB.ID, nil, http.StatusOK, &cancelled)
 	fin := pollJob(t, ts.URL, queuedB.ID, 10*time.Second)
 	if fin.Status != jobs.StatusCancelled {
 		t.Fatalf("queued job after cancel: %s", fin.Status)
@@ -175,17 +177,17 @@ func TestCancelQueuedMineReleasesSession(t *testing.T) {
 func TestCancelRunningMineDiscardsResult(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 2})
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "mammals", Depth: 8, BeamWidth: 1024,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
 	var accepted jobView
 	doJSON(t, "POST", base+"/mine", MineRequest{Async: true, TimeoutMS: 2000},
 		http.StatusAccepted, &accepted)
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		var jv jobView
-		doJSON(t, "GET", ts.URL+"/api/jobs/"+accepted.ID, nil, http.StatusOK, &jv)
+		doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+accepted.ID, nil, http.StatusOK, &jv)
 		if jv.Status == jobs.StatusRunning {
 			break
 		}
@@ -194,7 +196,7 @@ func TestCancelRunningMineDiscardsResult(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	doJSON(t, "DELETE", ts.URL+"/api/jobs/"+accepted.ID, nil, http.StatusOK, nil)
+	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+accepted.ID, nil, http.StatusOK, nil)
 	fin := pollJob(t, ts.URL, accepted.ID, 30*time.Second)
 	if fin.Status != jobs.StatusCancelled {
 		t.Fatalf("cancelled running mine finished %s", fin.Status)
@@ -214,10 +216,10 @@ func TestMineQueueFull(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 1, QueueCap: 1})
 	mk := func(ds string, depth int) string {
 		var info SessionInfo
-		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 			Dataset: ds, Depth: depth,
 		}, http.StatusCreated, &info)
-		return ts.URL + "/api/sessions/" + info.ID
+		return ts.URL + "/api/v1/sessions/" + info.ID
 	}
 	baseA := mk("mammals", 8)
 	baseB := mk("mammals", 8)
@@ -230,7 +232,7 @@ func TestMineQueueFull(t *testing.T) {
 	// deterministically.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		var jv jobView
-		doJSON(t, "GET", ts.URL+"/api/jobs/"+a.ID, nil, http.StatusOK, &jv)
+		doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+a.ID, nil, http.StatusOK, &jv)
 		if jv.Status != jobs.StatusQueued {
 			break
 		}

@@ -54,15 +54,15 @@ func postJSON(method, url string, body any, wantStatus int, out any) error {
 func TestConcurrentSessionsDoNotSerialize(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 2})
 	var infoA SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "mammals", Depth: 8, BeamWidth: 1024,
 	}, http.StatusCreated, &infoA)
 	var infoB SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Depth: 2,
 	}, http.StatusCreated, &infoB)
-	baseA := ts.URL + "/api/sessions/" + infoA.ID
-	baseB := ts.URL + "/api/sessions/" + infoB.ID
+	baseA := ts.URL + "/api/v1/sessions/" + infoA.ID
+	baseB := ts.URL + "/api/v1/sessions/" + infoB.ID
 
 	// Session A starts a mine that will use its whole 4s budget.
 	var jobA jobView
@@ -79,7 +79,7 @@ func TestConcurrentSessionsDoNotSerialize(t *testing.T) {
 
 	// A's search must still be in flight: B did not wait behind it.
 	var jvA jobView
-	doJSON(t, "GET", ts.URL+"/api/jobs/"+jobA.ID, nil, http.StatusOK, &jvA)
+	doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+jobA.ID, nil, http.StatusOK, &jvA)
 	if jvA.Status.Terminal() {
 		t.Fatalf("session A's 4s mine already %s while B completed a loop — "+
 			"either the machine stalled for >4s or sessions serialize again", jvA.Status)
@@ -109,12 +109,12 @@ func TestConcurrentSessionDeterminism(t *testing.T) {
 	}
 	drive := func(ts string, user int) ([]step, error) {
 		var info SessionInfo
-		if err := postJSON("POST", ts+"/api/sessions", CreateRequest{
+		if err := postJSON("POST", ts+"/api/v1/sessions", CreateRequest{
 			Dataset: "synthetic", Seed: int64(100 + user), Depth: 2,
 		}, http.StatusCreated, &info); err != nil {
 			return nil, err
 		}
-		base := ts + "/api/sessions/" + info.ID
+		base := ts + "/api/v1/sessions/" + info.ID
 		var out []step
 		for i := 0; i < iters; i++ {
 			var mined MineResponse

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -85,6 +86,9 @@ func TestCorruptSnapshotSurfacesEnvelope(t *testing.T) {
 		{"truncate-quarter", func(b []byte) []byte { return b[:len(b)/4] }},
 		{"truncate-half", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"truncate-last-byte", func(b []byte) []byte { return b[:len(b)-1] }},
+		// Valid JSON with a matching CRC, but no format: an unsealed
+		// file is never restored.
+		{"drop-format", func(b []byte) []byte { return setFormat(t, b, nil) }},
 		{"flip-model-digit", func(b []byte) []byte {
 			// Valid JSON, wrong content: only the CRC can catch this.
 			out := append([]byte(nil), b...)
@@ -133,6 +137,86 @@ func TestCorruptSnapshotSurfacesEnvelope(t *testing.T) {
 
 	// The pristine file restored: the session serves again.
 	doJSON(t, "GET", base2+"/history", nil, http.StatusOK, nil)
+}
+
+// setFormat rewrites a snapshot file's "format" field; nil drops it.
+func setFormat(t *testing.T, raw []byte, format any) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	if format == nil {
+		delete(m, "format")
+	} else {
+		m["format"] = format
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDirStoreSnapshotFormat: a file that is otherwise valid but has no
+// "format" is unsealed and quarantined, both by the open-time sweep and
+// by Get. A newer format is refused and left in place: it may be sound,
+// this code just cannot read it.
+func TestDirStoreSnapshotFormat(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(&Snapshot{ID: "s0001", Model: json.RawMessage(`{"n":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "s0001.json")
+	sealed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(raw []byte) {
+		t.Helper()
+		_ = os.Remove(path + ".corrupt")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quarantined := func() bool {
+		t.Helper()
+		_, errLive := os.Stat(path)
+		_, errAside := os.Stat(path + ".corrupt")
+		return os.IsNotExist(errLive) && errAside == nil
+	}
+
+	write(setFormat(t, sealed, nil))
+	if _, err := store.Get("s0001"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of unsealed file = %v, want ErrCorrupt", err)
+	}
+	if !quarantined() {
+		t.Fatal("Get left the unsealed file live")
+	}
+	write(setFormat(t, sealed, nil))
+	reopened, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n := reopened.RecoveryStats(); n != 1 || !quarantined() {
+		t.Fatalf("open-time sweep quarantined %d files, want the unsealed one", n)
+	}
+
+	write(setFormat(t, sealed, SnapshotFormat+1))
+	if _, err := NewDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, err = store.Get("s0001")
+	if err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a newer format = %v, want a plain refusal", err)
+	}
+	if _, statErr := os.Stat(path); statErr != nil {
+		t.Fatalf("newer-format file was moved aside: %v", statErr)
+	}
 }
 
 // TestRecoverySweep: NewDirStore clears torn temp files and

@@ -12,7 +12,7 @@ func TestSessionEngineOptions(t *testing.T) {
 	ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset:     "synthetic",
 		Parallelism: 2,
 		TopK:        5,
@@ -21,7 +21,7 @@ func TestSessionEngineOptions(t *testing.T) {
 	}, http.StatusCreated, &info)
 
 	var mined MineResponse
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+info.ID+"/mine", nil,
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/mine", nil,
 		http.StatusOK, &mined)
 	if mined.Location == nil {
 		t.Fatal("no pattern mined")
@@ -37,13 +37,13 @@ func TestSessionEngineOptions(t *testing.T) {
 	// allocations: a two-billion-worker request still yields a working
 	// session.
 	var huge SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset:     "synthetic",
 		Parallelism: 2_000_000_000,
 		NumSplits:   100_000_000,
 	}, http.StatusCreated, &huge)
 	var hugeMine MineResponse
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+huge.ID+"/mine", nil,
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+huge.ID+"/mine", nil,
 		http.StatusOK, &hugeMine)
 	if hugeMine.Location == nil {
 		t.Fatal("clamped session failed to mine")
@@ -56,18 +56,18 @@ func TestSessionEngineOptions(t *testing.T) {
 	// re-mine reliably completes level 1 and then sees the expired
 	// deadline before a deeper level.
 	var tiny SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset:   "crime",
 		Depth:     2,
 		BeamWidth: 10,
 	}, http.StatusCreated, &tiny)
 	var warm, rushed MineResponse
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+tiny.ID+"/mine", nil,
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+tiny.ID+"/mine", nil,
 		http.StatusOK, &warm)
 	if warm.TimedOut {
 		t.Fatal("unbudgeted mine reported timedOut")
 	}
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+tiny.ID+"/mine",
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+tiny.ID+"/mine",
 		MineRequest{TimeoutMS: 1}, http.StatusOK, &rushed)
 	if !rushed.TimedOut {
 		t.Fatal("1ms budget did not report timedOut")

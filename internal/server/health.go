@@ -155,7 +155,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if ms := r.URL.Query().Get("timeoutMs"); ms != "" {
 		n, err := strconv.Atoi(ms)
 		if err != nil || n <= 0 {
-			writeError(w, r, http.StatusBadRequest, errBadRequest, 0, "bad timeoutMs %q", ms)
+			WriteError(w, http.StatusBadRequest, errBadRequest, 0, "bad timeoutMs %q", ms)
 			return
 		}
 		timeout = time.Duration(n) * time.Millisecond

@@ -42,10 +42,10 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 
 	var info SessionInfo
-	doJSON(t, "POST", ts1.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts1.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Gamma: 0.5, Depth: 3,
 	}, http.StatusCreated, &info)
-	base1 := ts1.URL + "/api/sessions/" + info.ID
+	base1 := ts1.URL + "/api/v1/sessions/" + info.ID
 
 	// One full iteration (commit auto-persists), then a second mine that
 	// stays uncommitted — the reference the restored session must match.
@@ -68,7 +68,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		ts2.Close()
 		srv2.Close()
 	})
-	base2 := ts2.URL + "/api/sessions/" + info.ID
+	base2 := ts2.URL + "/api/v1/sessions/" + info.ID
 
 	got := mineBody(t, base2) // transparently restores the session
 	if !bytes.Equal(canonical(t, want), canonical(t, got)) {
@@ -84,7 +84,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	// New sessions on the restarted server do not collide with restored
 	// ids.
 	var fresh SessionInfo
-	doJSON(t, "POST", ts2.URL+"/api/sessions", CreateRequest{Dataset: "synthetic"},
+	doJSON(t, "POST", ts2.URL+"/api/v1/sessions", CreateRequest{Dataset: "synthetic"},
 		http.StatusCreated, &fresh)
 	if fresh.ID == info.ID {
 		t.Fatalf("restarted server reissued id %s", fresh.ID)
@@ -97,20 +97,20 @@ func TestLRUEvictionTransparent(t *testing.T) {
 	ts := newTestServerWith(t, Options{MaxSessions: 2})
 	mk := func(seed int64) string {
 		var info SessionInfo
-		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 			Dataset: "synthetic", Seed: seed, Depth: 2,
 		}, http.StatusCreated, &info)
 		return info.ID
 	}
 	id1 := mk(1)
-	base1 := ts.URL + "/api/sessions/" + id1
+	base1 := ts.URL + "/api/v1/sessions/" + id1
 	mineBody(t, base1)
 	doJSON(t, "POST", base1+"/commit", nil, http.StatusOK, nil)
 	mk(2)
 	mk(3) // pushes the server past MaxSessions; LRU (id1) is evicted
 
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	live, persisted := 0, 0
 	for _, s := range sessions {
 		if s.Persisted {
@@ -135,20 +135,20 @@ func TestLRUEvictionTransparent(t *testing.T) {
 func TestTTLEviction(t *testing.T) {
 	ts := newTestServerWith(t, Options{SessionTTL: 30 * time.Millisecond})
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 7, Depth: 2,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 	mineBody(t, base)
 	doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 
 	time.Sleep(60 * time.Millisecond)
 	// Cap enforcement runs on create: this create sweeps the idle one.
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{Dataset: "synthetic"},
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{Dataset: "synthetic"},
 		http.StatusCreated, nil)
 
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	var evicted *SessionInfo
 	for i := range sessions {
 		if sessions[i].ID == info.ID {
@@ -161,7 +161,7 @@ func TestTTLEviction(t *testing.T) {
 
 	// And it still works: iteration count survived the round trip.
 	doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	for _, s := range sessions {
 		if s.ID == info.ID && s.Iterations != 1 {
 			t.Fatalf("restored iterations = %d", s.Iterations)
@@ -174,10 +174,10 @@ func TestTTLEviction(t *testing.T) {
 func TestDeleteRemovesStoreSnapshot(t *testing.T) {
 	ts := newTestServer(t)
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Depth: 2,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 	mineBody(t, base)
 	doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 
@@ -186,7 +186,7 @@ func TestDeleteRemovesStoreSnapshot(t *testing.T) {
 	doJSON(t, "GET", base+"/history", nil, http.StatusNotFound, nil)
 	doJSON(t, "DELETE", base, nil, http.StatusNotFound, nil)
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	if len(sessions) != 0 {
 		t.Fatalf("sessions after delete = %+v", sessions)
 	}
@@ -201,11 +201,11 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	ts := newTestServerWith(t, Options{Store: store})
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Depth: 2,
 	}, http.StatusCreated, &info)
 	var out map[string]any
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+info.ID+"/snapshot", nil, http.StatusOK, &out)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/snapshot", nil, http.StatusOK, &out)
 	if out["id"] != info.ID || out["modelBytes"].(float64) <= 0 {
 		t.Fatalf("snapshot = %+v", out)
 	}

@@ -146,6 +146,36 @@ func TestReadAfterWriteFreshness(t *testing.T) {
 	}
 }
 
+// TestReplicatedUnsealedCopyRepaired: an unsealed (format 0) copy on
+// one replica claims more progress than its sealed peers. It must not
+// count in the freshness vote; the read returns the sealed version and
+// read-repair overwrites the unsealed copy with it.
+func TestReplicatedUnsealedCopyRepaired(t *testing.T) {
+	rep, _, inners := newReplicatedMem(t, 3, 2)
+	if err := rep.Put(memSnap("s1", 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := memSnap("s1", 5, 5)
+	unsealed.Format = 0
+	if err := inners[0].Put(unsealed); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rep.Get("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != 1 {
+		t.Fatalf("read returned iterations %d, want the sealed 1", got.Iterations)
+	}
+	fixed, err := inners[0].Get("s1")
+	if err != nil || fixed.Format != SnapshotFormat || fixed.Iterations != 1 {
+		t.Fatalf("unsealed copy not repaired: %+v, %v", fixed, err)
+	}
+	if n := rep.Stats().Repairs; n != 1 {
+		t.Fatalf("repairs = %d, want 1", n)
+	}
+}
+
 // TestReplicatedReadyzLadder drives the failure ladder end to end over
 // HTTP: all healthy → one replica down (store_replica_degraded warning,
 // serving unaffected) → quorum lost (existing degraded path: 503 +

@@ -11,27 +11,23 @@
 // not an HTTP handler goroutine, and a burst of mines degrades into
 // queueing latency rather than unbounded concurrency. Clients either
 // wait for the result in the same request (the default), or pass
-// "async": true and poll /api/jobs/{id} (optionally long-polling with
+// "async": true and poll /api/v1/jobs/{id} (optionally long-polling with
 // ?waitMs=). Sessions are persisted as snapshots to a pluggable Store
 // (in-memory or a disk directory) on create, commit and eviction, and
 // are transparently restored on first touch — a restart or a second
 // server process sharing the store does not lose belief state. An LRU
 // cap and an idle TTL bound the number of live in-memory sessions.
 //
-// The API is versioned: /api/v1/... is the current surface, with a
-// uniform error envelope {"error":{"code","message","retryAfterMs?"}}
-// and modelVersion stamps on mine/commit/job responses. The same
-// routes stay mounted under the original /api/... prefix as deprecated
-// aliases with the legacy flat {"error":"message"} body and the legacy
-// one-mine-at-a-time session semantics. Under /api/v1 a session
-// accepts any number of concurrent mines while commits proceed: each
-// mine pins the immutable background-model version published at its
-// start (copy-on-write — see internal/background.ModelVersion), so
-// mines never serialize behind a commit and report which belief state
-// they reflect.
+// Every route lives under /api/v1 (APIPrefix), and every error is one
+// envelope {"error":{"code","message","retryAfterMs?"}}; mine, commit
+// and job responses carry a modelVersion stamp. A session accepts any
+// number of concurrent mines while commits proceed: each mine pins the
+// immutable background-model version published at its start
+// (copy-on-write — see internal/background.ModelVersion), so mines
+// never serialize behind a commit and report which belief state they
+// reflect.
 //
-// Endpoints (all JSON, shown under the /api/v1 prefix; /api aliases
-// are identical modulo the deprecated behaviors above):
+// Endpoints (all JSON):
 //
 //	POST   /api/v1/sessions                  create (builtin dataset or inline CSV)
 //	GET    /api/v1/sessions                  list sessions (live + persisted)
@@ -42,6 +38,7 @@
 //	GET    /api/v1/sessions/{id}/history     committed patterns so far
 //	GET    /api/v1/sessions/{id}/model       export the background model JSON
 //	POST   /api/v1/sessions/{id}/snapshot    persist the session to the store now
+//	POST   /api/v1/sessions/{id}/handoff     flush and evict, for another shard to adopt
 //	GET    /api/v1/jobs                      list mine jobs
 //	GET    /api/v1/jobs/{id}[?waitMs=N]      job status/result, optionally long-polled
 //	DELETE /api/v1/jobs/{id}                 cancel a queued or running job
@@ -212,30 +209,11 @@ func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 // (or an eviction) removed it from the map would otherwise run after
 // the teardown — and a mine would re-pin the evicted condition language
 // of a dead dataset.
-func (sess *session) lockOpen(w http.ResponseWriter, r *http.Request) bool {
+func (sess *session) lockOpen(w http.ResponseWriter) bool {
 	sess.mu.Lock()
 	if sess.closed {
 		sess.mu.Unlock()
-		writeError(w, r, http.StatusNotFound, errNotFound, 0, "session deleted")
-		return false
-	}
-	return true
-}
-
-// lockIdle is lockOpen plus the legacy-API guard against an in-flight
-// mine: the deprecated /api surface promises one mine at a time per
-// session, with commit/explain/model/snapshot 409ing while it runs.
-// Under /api/v1 those handlers operate on published model versions (or
-// serialize on commitMu), so they proceed concurrently with any number
-// of mines and this reduces to lockOpen.
-func (sess *session) lockIdle(w http.ResponseWriter, r *http.Request) bool {
-	if !sess.lockOpen(w, r) {
-		return false
-	}
-	if !isV1(r) && sess.mines > 0 {
-		sess.mu.Unlock()
-		writeError(w, r, http.StatusConflict, errMineInProgress, time.Second,
-			"mine in progress; retry when the job finishes")
+		WriteError(w, http.StatusNotFound, errNotFound, 0, "session deleted")
 		return false
 	}
 	return true
@@ -293,36 +271,35 @@ func parseSessionID(id string) (int, bool) {
 // Close stops the worker pool, cancelling queued and running jobs.
 func (s *Server) Close() { s.pool.Close() }
 
-// Handler returns the API routes, mounted twice: /api/v1 is the
-// current surface, /api the deprecated alias kept for older clients
-// (flat error bodies, one mine at a time per session).
+// APIPrefix is the one mount every route lives under.
+const APIPrefix = "/api/v1"
+
+// Handler returns the API routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.routes(mux, "/api/v1")
-	s.routes(mux, "/api") // deprecated alias
+	s.routes(mux)
 	return mux
 }
 
-// routes registers every endpoint under one prefix. All route
-// registration goes through this function (cmd/apicheck enforces it)
-// so the versioned mounts cannot drift apart.
-func (s *Server) routes(mux *http.ServeMux, prefix string) {
-	mux.HandleFunc("POST "+prefix+"/sessions", s.handleCreate)
-	mux.HandleFunc("GET "+prefix+"/sessions", s.handleList)
-	mux.HandleFunc("DELETE "+prefix+"/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST "+prefix+"/sessions/{id}/mine", s.handleMine)
-	mux.HandleFunc("POST "+prefix+"/sessions/{id}/commit", s.handleCommit)
-	mux.HandleFunc("GET "+prefix+"/sessions/{id}/explain", s.handleExplain)
-	mux.HandleFunc("GET "+prefix+"/sessions/{id}/history", s.handleHistory)
-	mux.HandleFunc("GET "+prefix+"/sessions/{id}/model", s.handleModel)
-	mux.HandleFunc("POST "+prefix+"/sessions/{id}/snapshot", s.handleSnapshot)
-	mux.HandleFunc("POST "+prefix+"/sessions/{id}/handoff", s.handleHandoff)
-	mux.HandleFunc("GET "+prefix+"/jobs", s.handleJobList)
-	mux.HandleFunc("GET "+prefix+"/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("DELETE "+prefix+"/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-	mux.HandleFunc("GET "+prefix+"/readyz", s.handleReadyz)
-	mux.HandleFunc("POST "+prefix+"/drain", s.handleDrain)
+// routes registers every endpoint. All route registration goes through
+// this function, under APIPrefix (cmd/apicheck enforces both).
+func (s *Server) routes(mux *http.ServeMux) {
+	mux.HandleFunc("POST "+APIPrefix+"/sessions", s.handleCreate)
+	mux.HandleFunc("GET "+APIPrefix+"/sessions", s.handleList)
+	mux.HandleFunc("DELETE "+APIPrefix+"/sessions/{id}", s.handleDelete)
+	mux.HandleFunc("POST "+APIPrefix+"/sessions/{id}/mine", s.handleMine)
+	mux.HandleFunc("POST "+APIPrefix+"/sessions/{id}/commit", s.handleCommit)
+	mux.HandleFunc("GET "+APIPrefix+"/sessions/{id}/explain", s.handleExplain)
+	mux.HandleFunc("GET "+APIPrefix+"/sessions/{id}/history", s.handleHistory)
+	mux.HandleFunc("GET "+APIPrefix+"/sessions/{id}/model", s.handleModel)
+	mux.HandleFunc("POST "+APIPrefix+"/sessions/{id}/snapshot", s.handleSnapshot)
+	mux.HandleFunc("POST "+APIPrefix+"/sessions/{id}/handoff", s.handleHandoff)
+	mux.HandleFunc("GET "+APIPrefix+"/jobs", s.handleJobList)
+	mux.HandleFunc("GET "+APIPrefix+"/jobs/{id}", s.handleJobGet)
+	mux.HandleFunc("DELETE "+APIPrefix+"/jobs/{id}", s.handleJobCancel)
+	mux.HandleFunc("GET "+APIPrefix+"/healthz", s.handleHealthz)
+	mux.HandleFunc("GET "+APIPrefix+"/readyz", s.handleReadyz)
+	mux.HandleFunc("POST "+APIPrefix+"/drain", s.handleDrain)
 }
 
 // CreateRequest configures a new session.
@@ -447,7 +424,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// Error codes carried in the /api/v1 error envelope. Codes are part of
+// Error codes carried in the error envelope. Codes are part of
 // the API contract: clients dispatch on them, messages are for humans.
 const (
 	errBadRequest      = "bad_request"
@@ -473,24 +450,12 @@ type errorBody struct {
 	RetryAfterMs int64 `json:"retryAfterMs,omitempty"`
 }
 
-// isV1 reports whether the request came in through the current
-// /api/v1 mount (as opposed to the deprecated /api alias).
-func isV1(r *http.Request) bool {
-	return r != nil && strings.HasPrefix(r.URL.Path, "/api/v1/")
-}
-
-// writeError is the single error-response writer (cmd/apicheck fails
-// the build if a handler bypasses it): /api/v1 requests get the
-// structured envelope {"error":{"code","message","retryAfterMs?"}},
-// legacy /api requests keep the flat {"error":"message"} body older
-// clients parse.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code string, retryAfter time.Duration, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if !isV1(r) {
-		writeJSON(w, status, map[string]string{"error": msg})
-		return
-	}
-	body := errorBody{Code: code, Message: msg}
+// WriteError is the single error-response writer (cmd/apicheck fails
+// the build if a handler bypasses it; the cluster router answers its
+// own errors through it too): every error is the envelope
+// {"error":{"code","message","retryAfterMs?"}}.
+func WriteError(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
+	body := errorBody{Code: code, Message: fmt.Sprintf(format, args...)}
 	if retryAfter > 0 {
 		body.RetryAfterMs = retryAfter.Milliseconds()
 	}
@@ -524,7 +489,7 @@ func buildDataset(req *CreateRequest) (*dataset.Dataset, error) {
 }
 
 // newSession builds a session from a create request — the one
-// construction path shared by POST /api/sessions and snapshot restore,
+// construction path shared by POST /api/v1/sessions and snapshot restore,
 // so both apply identical clamping and defaults (which is what makes a
 // restored session behave exactly like the original).
 func newSession(req *CreateRequest) (*session, error) {
@@ -583,23 +548,23 @@ func newSession(req *CreateRequest) (*session, error) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, degradedRetryAfter,
+		WriteError(w, http.StatusServiceUnavailable, errDraining, degradedRetryAfter,
 			"server is draining; no new sessions")
 		return
 	}
 	var req CreateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, 0, "invalid JSON: %v", err)
+		WriteError(w, http.StatusBadRequest, errBadRequest, 0, "invalid JSON: %v", err)
 		return
 	}
 	if req.ID != "" && !validID(req.ID) {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, 0,
+		WriteError(w, http.StatusBadRequest, errBadRequest, 0,
 			"invalid session id %q (letters, digits, '-', '_'; max 64 chars)", req.ID)
 		return
 	}
 	sess, err := newSession(&req)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, errBadRequest, 0, "%v", err)
+		WriteError(w, http.StatusBadRequest, errBadRequest, 0, "%v", err)
 		return
 	}
 	var id string
@@ -629,7 +594,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		if taken {
 			engine.EvictLanguage(sess.miner.DS)
-			writeError(w, r, http.StatusConflict, errSessionExists, 0,
+			WriteError(w, http.StatusConflict, errSessionExists, 0,
 				"session %q already exists", id)
 			return
 		}
@@ -717,8 +682,8 @@ func (s *Server) restoreFromStore(id string) (*session, error) {
 	}
 	model, err := background.LoadJSONExact(bytes.NewReader(snap.Model))
 	if err != nil {
-		// A model payload the loader rejects inside a checksum-valid (or
-		// legacy, unchecksummed) snapshot is still corruption, not an
+		// A model payload the loader rejects inside a checksum-valid
+		// snapshot is still corruption, not an
 		// operational failure: surface it as the typed sentinel so the
 		// handler can answer with the snapshot_corrupt envelope instead
 		// of bubbling a raw decode error.
@@ -976,12 +941,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// tombstone expires.
 	hadSnapshot, delErr := s.store.Delete(id)
 	if delErr != nil {
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0,
+		WriteError(w, http.StatusInternalServerError, errInternal, 0,
 			"session removed from memory but snapshot deletion failed: %v", delErr)
 		return
 	}
 	if !ok && !hadSnapshot {
-		writeError(w, r, http.StatusNotFound, errNotFound, 0, "no session %q", id)
+		WriteError(w, http.StatusNotFound, errNotFound, 0, "no session %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
@@ -992,20 +957,20 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request) *session {
 	sess, err := s.lookup(id)
 	switch {
 	case errors.Is(err, ErrNotFound):
-		writeError(w, r, http.StatusNotFound, errNotFound, 0, "no session %q", id)
+		WriteError(w, http.StatusNotFound, errNotFound, 0, "no session %q", id)
 		return nil
 	case errors.Is(err, ErrCorrupt):
 		// The stored snapshot failed integrity validation. DirStore has
 		// already quarantined the file; the structured envelope tells the
 		// client the session's persisted state is unrecoverable (rather
 		// than transient), distinct from a plain internal error.
-		writeError(w, r, http.StatusInternalServerError, errSnapshotCorrupt, 0,
+		WriteError(w, http.StatusInternalServerError, errSnapshotCorrupt, 0,
 			"session %q: %v", id, err)
 		return nil
 	case err != nil:
 		// A snapshot exists but could not be restored — surface the
 		// cause instead of a misleading 404.
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0,
+		WriteError(w, http.StatusInternalServerError, errInternal, 0,
 			"restoring session %q: %v", id, err)
 		return nil
 	}
@@ -1044,7 +1009,7 @@ func (s *Server) clampBudget(budget time.Duration) time.Duration {
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, r, http.StatusServiceUnavailable, errDraining, degradedRetryAfter,
+		WriteError(w, http.StatusServiceUnavailable, errDraining, degradedRetryAfter,
 			"server is draining; no new mines")
 		return
 	}
@@ -1055,23 +1020,16 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var req MineRequest
 	if r.ContentLength > 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, r, http.StatusBadRequest, errBadRequest, 0, "invalid JSON: %v", err)
+			WriteError(w, http.StatusBadRequest, errBadRequest, 0, "invalid JSON: %v", err)
 			return
 		}
 	}
 	// Claim a mine slot under the lock, then run the search on a pool
 	// worker with no session lock held — concurrent sessions never
 	// serialize behind one search, and list/history stay responsive
-	// during a long mine. The legacy /api surface allows one slot per
-	// session; /api/v1 allows any number, since every mine runs against
-	// the immutable model version published at its start.
-	if !sess.lockOpen(w, r) {
-		return
-	}
-	if !isV1(r) && sess.mines > 0 {
-		sess.mu.Unlock()
-		writeError(w, r, http.StatusConflict, errMineInProgress, time.Second,
-			"mine already in progress for this session")
+	// during a long mine. A session takes any number of slots, since
+	// every mine runs against the model version published at its start.
+	if !sess.lockOpen(w) {
 		return
 	}
 	sess.mines++
@@ -1088,7 +1046,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	job, err := s.pool.Submit("mine "+sess.id, budget, s.mineJob(sess, req))
 	if err != nil {
 		s.releaseMine(sess)
-		writeError(w, r, http.StatusServiceUnavailable, errQueueFull, time.Second,
+		WriteError(w, http.StatusServiceUnavailable, errQueueFull, time.Second,
 			"mine queue full, retry later: %v", err)
 		return
 	}
@@ -1118,7 +1076,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	if inf.Status.Terminal() {
 		release()
 	}
-	s.writeMineOutcome(w, r, inf)
+	s.writeMineOutcome(w, inf)
 }
 
 // releaseMine returns one mine slot; the watcher of the last slot to
@@ -1137,24 +1095,24 @@ func (s *Server) releaseMine(sess *session) {
 
 // writeMineOutcome maps a finished (or still-running) mine job to the
 // synchronous response the classic API contract promises.
-func (s *Server) writeMineOutcome(w http.ResponseWriter, r *http.Request, inf jobs.Info) {
+func (s *Server) writeMineOutcome(w http.ResponseWriter, inf jobs.Info) {
 	switch inf.Status {
 	case jobs.StatusDone:
 		resp, ok := inf.Result.(*MineResponse)
 		if !ok {
-			writeError(w, r, http.StatusInternalServerError, errInternal, 0,
+			WriteError(w, http.StatusInternalServerError, errInternal, 0,
 				"mine job returned %T", inf.Result)
 			return
 		}
 		// Annotate a copy: the original is shared with concurrent
-		// GET /api/jobs/{id} marshalling.
+		// GET /api/v1/jobs/{id} marshalling.
 		withJob := *resp
 		withJob.Job = inf.ID
 		writeJSON(w, http.StatusOK, &withJob)
 	case jobs.StatusFailed:
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0, "mining: %s", inf.Error)
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "mining: %s", inf.Error)
 	case jobs.StatusCancelled:
-		writeError(w, r, http.StatusConflict, errCancelled, 0, "mine job %s cancelled", inf.ID)
+		WriteError(w, http.StatusConflict, errCancelled, 0, "mine job %s cancelled", inf.ID)
 	default:
 		// SyncWait elapsed (or the client went away): hand over the job
 		// id so the client can keep polling.
@@ -1284,20 +1242,20 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Model writers serialize on commitMu; sess.mu is scoped to the
-	// claim and publish windows. Concurrent v1 mines (which read
+	// claim and publish windows. Concurrent mines (which read
 	// published versions and take neither lock while searching) proceed
 	// in parallel with the refit. The pending claim happens after
 	// commitMu is held, so two racing commits cannot both consume the
 	// same pending pattern — the loser sees the cleared slot and 409s.
 	sess.commitMu.Lock()
 	defer sess.commitMu.Unlock()
-	if !sess.lockIdle(w, r) {
+	if !sess.lockOpen(w) {
 		return
 	}
 	pl, ps := sess.pendingLoc, sess.pendingSpread
 	sess.mu.Unlock()
 	if pl == nil && ps == nil {
-		writeError(w, r, http.StatusConflict, errNothingPending, 0, "nothing mined to commit")
+		WriteError(w, http.StatusConflict, errNothingPending, 0, "nothing mined to commit")
 		return
 	}
 	// The commit's coordinate descent gets the session's mine budget
@@ -1317,7 +1275,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if pl != nil {
 		if err := sess.miner.CommitLocation(pl); err != nil {
 			status, code, retry := commitFailure(err)
-			writeError(w, r, status, code, retry, "commit: %v", err)
+			WriteError(w, status, code, retry, "commit: %v", err)
 			return
 		}
 		// The location is now irreversibly in the background model:
@@ -1325,7 +1283,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		// commit can neither double-commit the location on retry nor
 		// leave the listed iteration count behind the model's. The
 		// pending slot is cleared only if it still holds the committed
-		// pattern — a concurrent v1 mine may have published a fresher
+		// pattern — a concurrent mine may have published a fresher
 		// one in the meantime, which must survive.
 		sess.mu.Lock()
 		sess.history = append(sess.history, *locationJSON(sess.miner.DS, pl))
@@ -1341,7 +1299,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 			// retry, and the retry must still have something to commit
 			// (the location leg above is a no-op by then).
 			status, code, retry := commitFailure(err)
-			writeError(w, r, status, code, retry,
+			WriteError(w, status, code, retry,
 				"commit spread (location was committed): %v", err)
 			return
 		}
@@ -1389,21 +1347,21 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if !sess.lockIdle(w, r) {
+	if !sess.lockOpen(w) {
 		return
 	}
 	pl := sess.pendingLoc
 	v := sess.miner.Snapshot()
 	sess.mu.Unlock()
 	if pl == nil {
-		writeError(w, r, http.StatusConflict, errNothingPending, 0, "nothing mined to explain")
+		WriteError(w, http.StatusConflict, errNothingPending, 0, "nothing mined to explain")
 		return
 	}
 	// Explaining reads the published version, so it never waits on (or
 	// races) an in-flight commit building the next one.
 	expl, err := sess.miner.ExplainLocationAt(v, pl)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0, "explain: %v", err)
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "explain: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, expl)
@@ -1417,7 +1375,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if !sess.lockIdle(w, r) {
+	if !sess.lockOpen(w) {
 		return
 	}
 	v := sess.miner.Snapshot()
@@ -1426,7 +1384,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	// Export the published version: immutable, so serialization is
 	// consistent even while a commit builds the next one.
 	if err := v.SaveJSON(w); err != nil {
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0, "export: %v", err)
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "export: %v", err)
 	}
 }
 
@@ -1443,20 +1401,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// sess.mu, same as everywhere).
 	sess.commitMu.Lock()
 	defer sess.commitMu.Unlock()
-	if !sess.lockIdle(w, r) {
+	if !sess.lockOpen(w) {
 		return
 	}
 	snap, err := sess.snapshotLocked()
 	sess.mu.Unlock()
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0, "snapshot: %v", err)
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "snapshot: %v", err)
 		return
 	}
 	// The explicit flush is the one persist whose failure the client
 	// must hear about: answer 503 with a retry hint instead of claiming
 	// durability. The attempt doubles as a heal probe while degraded.
 	if err := s.storePut(snap); err != nil {
-		writeError(w, r, http.StatusServiceUnavailable, errStoreDegraded, degradedRetryAfter,
+		WriteError(w, http.StatusServiceUnavailable, errStoreDegraded, degradedRetryAfter,
 			"persisting snapshot: %v", err)
 		return
 	}
@@ -1506,19 +1464,19 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		// state; migrating under it would strand the job. The router
 		// retries after the job drains.
 		sess.mu.Unlock()
-		writeError(w, r, http.StatusConflict, errMineInProgress, time.Second,
+		WriteError(w, http.StatusConflict, errMineInProgress, time.Second,
 			"mine in progress; retry handoff when the job finishes")
 		return
 	}
 	snap, err := sess.snapshotLocked()
 	if err != nil {
 		sess.mu.Unlock()
-		writeError(w, r, http.StatusInternalServerError, errInternal, 0, "handoff snapshot: %v", err)
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "handoff snapshot: %v", err)
 		return
 	}
 	if err := s.storePut(snap); err != nil {
 		sess.mu.Unlock()
-		writeError(w, r, http.StatusServiceUnavailable, errStoreDegraded, degradedRetryAfter,
+		WriteError(w, http.StatusServiceUnavailable, errStoreDegraded, degradedRetryAfter,
 			"handoff flush: %v", err)
 		return
 	}
@@ -1543,7 +1501,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if !sess.lockOpen(w, r) {
+	if !sess.lockOpen(w) {
 		return
 	}
 	defer sess.mu.Unlock()
@@ -1564,7 +1522,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if ms := r.URL.Query().Get("waitMs"); ms != "" {
 		n, err := strconv.Atoi(ms)
 		if err != nil || n < 0 {
-			writeError(w, r, http.StatusBadRequest, errBadRequest, 0, "bad waitMs %q", ms)
+			WriteError(w, http.StatusBadRequest, errBadRequest, 0, "bad waitMs %q", ms)
 			return
 		}
 		const maxLongPoll = 60 * time.Second
@@ -1575,7 +1533,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	inf, ok := s.pool.Wait(r.Context(), id, wait)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, errNotFound, 0, "no job %q", id)
+		WriteError(w, http.StatusNotFound, errNotFound, 0, "no job %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, inf)
@@ -1584,7 +1542,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	inf, ok := s.pool.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, r, http.StatusNotFound, errNotFound, 0, "no job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, errNotFound, 0, "no job %q", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, inf)

@@ -62,13 +62,13 @@ func TestFullInteractiveSession(t *testing.T) {
 
 	// Create a session over the synthetic data with Table I settings.
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Gamma: 0.5, Eta: 1, Depth: 3,
 	}, http.StatusCreated, &info)
 	if info.N != 620 || info.Dy != 2 {
 		t.Fatalf("session info = %+v", info)
 	}
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
 	// Mine with a spread preview.
 	var mined MineResponse
@@ -109,7 +109,7 @@ func TestFullInteractiveSession(t *testing.T) {
 
 	// List and delete.
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	if len(sessions) != 1 || sessions[0].Iterations != 1 {
 		t.Fatalf("sessions = %+v", sessions)
 	}
@@ -120,10 +120,10 @@ func TestFullInteractiveSession(t *testing.T) {
 func TestMinePreviewDoesNotCommit(t *testing.T) {
 	ts := newTestServer(t)
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Depth: 2,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
 	// Mining twice without committing must return the SAME top pattern —
 	// the spread preview must not leak into the session model.
@@ -139,14 +139,14 @@ func TestCreateFromCSV(t *testing.T) {
 	ts := newTestServer(t)
 	csv := "x:d:num,y:t:num\n1,0.5\n2,0.6\n3,2.5\n4,2.6\n5,2.4\n6,0.4\n"
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "csv", CSV: csv,
 	}, http.StatusCreated, &info)
 	if info.N != 6 || info.Dx != 1 || info.Dy != 1 {
 		t.Fatalf("info = %+v", info)
 	}
 	var mined MineResponse
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+info.ID+"/mine", nil, http.StatusOK, &mined)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/mine", nil, http.StatusOK, &mined)
 	if mined.Location == nil {
 		t.Fatal("no pattern over CSV data")
 	}
@@ -155,10 +155,10 @@ func TestCreateFromCSV(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	// Unknown dataset.
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{Dataset: "nope"},
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{Dataset: "nope"},
 		http.StatusBadRequest, nil)
 	// Bad JSON.
-	resp, err := http.Post(ts.URL+"/api/sessions", "application/json",
+	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json",
 		strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -168,25 +168,25 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatalf("bad JSON status = %d", resp.StatusCode)
 	}
 	// Unknown session.
-	doJSON(t, "POST", ts.URL+"/api/sessions/zzz/mine", nil, http.StatusNotFound, nil)
-	doJSON(t, "GET", ts.URL+"/api/sessions/zzz/history", nil, http.StatusNotFound, nil)
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/zzz/mine", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions/zzz/history", nil, http.StatusNotFound, nil)
 	// Commit without mining.
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{Dataset: "synthetic"},
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{Dataset: "synthetic"},
 		http.StatusCreated, &info)
-	doJSON(t, "POST", ts.URL+"/api/sessions/"+info.ID+"/commit", nil,
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/commit", nil,
 		http.StatusConflict, nil)
-	doJSON(t, "GET", ts.URL+"/api/sessions/"+info.ID+"/explain", nil,
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions/"+info.ID+"/explain", nil,
 		http.StatusConflict, nil)
 }
 
 func TestModelExportRestores(t *testing.T) {
 	ts := newTestServer(t)
 	var info SessionInfo
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "synthetic", Seed: 620, Depth: 2,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 	doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
 	doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 
@@ -212,14 +212,14 @@ func TestConcurrentSessionsAreIsolated(t *testing.T) {
 	ids := make([]string, 3)
 	for i := range ids {
 		var info SessionInfo
-		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 			Dataset: "synthetic", Seed: int64(100 + i), Depth: 2,
 		}, http.StatusCreated, &info)
 		ids[i] = info.ID
 	}
 	// Commit in session 0 only; session 1 must still mine its original top.
-	base0 := ts.URL + "/api/sessions/" + ids[0]
-	base1 := ts.URL + "/api/sessions/" + ids[1]
+	base0 := ts.URL + "/api/v1/sessions/" + ids[0]
+	base1 := ts.URL + "/api/v1/sessions/" + ids[1]
 	var before MineResponse
 	doJSON(t, "POST", base1+"/mine", nil, http.StatusOK, &before)
 	var m0 MineResponse
@@ -231,7 +231,7 @@ func TestConcurrentSessionsAreIsolated(t *testing.T) {
 		t.Fatal("sessions are not isolated")
 	}
 	var sessions []SessionInfo
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusOK, &sessions)
+	doJSON(t, "GET", ts.URL+"/api/v1/sessions", nil, http.StatusOK, &sessions)
 	if len(sessions) != 3 {
 		t.Fatalf("sessions = %d", len(sessions))
 	}

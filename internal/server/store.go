@@ -23,8 +23,8 @@ import (
 // Pending (mined but uncommitted) patterns are deliberately ephemeral.
 type Snapshot struct {
 	// Format is the snapshot wire-format version (SnapshotFormat when
-	// written by this code; 0 marks a pre-checksum legacy file, accepted
-	// without integrity verification).
+	// written by this code). A missing or zero format is an unsealed
+	// file, which Verify rejects as corrupt.
 	Format int             `json:"format,omitempty"`
 	ID     string          `json:"id"`
 	Create CreateRequest   `json:"create"`
@@ -59,12 +59,14 @@ func (s *Snapshot) Seal() {
 	s.ModelCRC = crc32.Checksum(s.Model, castagnoli)
 }
 
-// Verify checks the integrity framing. Legacy snapshots (Format 0,
-// written before checksumming) pass unverified; anything sealed must
-// match its CRC or the error wraps ErrCorrupt.
+// Verify checks the integrity framing: an unsealed snapshot (Format 0)
+// or one whose model does not match its CRC wraps ErrCorrupt. A format
+// newer than SnapshotFormat is refused with a plain error — the file
+// may be sound, this code just cannot read it — so it is never
+// quarantined.
 func (s *Snapshot) Verify() error {
-	if s.Format == 0 {
-		return nil // pre-checksum legacy file
+	if s.Format <= 0 {
+		return fmt.Errorf("%w: snapshot %s unsealed (format %d)", ErrCorrupt, s.ID, s.Format)
 	}
 	if s.Format > SnapshotFormat {
 		return fmt.Errorf("server: snapshot %s: format %d not supported (newer writer?)", s.ID, s.Format)

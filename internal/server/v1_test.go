@@ -22,9 +22,8 @@ type envelope struct {
 	} `json:"error"`
 }
 
-// TestV1ErrorEnvelope pins the two error shapes: /api/v1 responses
-// carry the structured envelope, the deprecated /api alias keeps the
-// flat {"error":"message"} body older clients parse.
+// TestV1ErrorEnvelope pins the error shape: responses carry the
+// structured envelope with a specific code.
 func TestV1ErrorEnvelope(t *testing.T) {
 	ts := newTestServer(t)
 
@@ -32,12 +31,6 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/api/v1/sessions/zzz/history", nil, http.StatusNotFound, &env)
 	if env.Error.Code != errNotFound || env.Error.Message == "" {
 		t.Fatalf("v1 envelope = %+v", env)
-	}
-
-	var flat map[string]string
-	doJSON(t, "GET", ts.URL+"/api/sessions/zzz/history", nil, http.StatusNotFound, &flat)
-	if flat["error"] == "" {
-		t.Fatalf("legacy error body = %+v", flat)
 	}
 
 	// A v1 commit with nothing pending: envelope with a specific code.
@@ -150,9 +143,8 @@ func TestV1MineReportsModelVersion(t *testing.T) {
 }
 
 // TestV1ConcurrentMinesOneSession is the headline v1 behavior: several
-// mines on ONE session proceed concurrently (the legacy surface 409s
-// the second one), and mines pinned to the same model version return
-// identical results.
+// mines on ONE session proceed concurrently, and mines pinned to the
+// same model version return identical results.
 func TestV1ConcurrentMinesOneSession(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 4})
 	var info SessionInfo
@@ -273,29 +265,33 @@ func TestV1MinesRaceCommits(t *testing.T) {
 // stale-slot bug: cancelling a running mine used to leave the session's
 // mine slot held until the worker noticed the cancellation at its next
 // phase boundary — which on a deep search is seconds away. The slot
-// must free at cancel-request time, so a follow-up mine is accepted
-// immediately even while the cancelled search is still unwinding on
-// the worker.
+// must free at cancel-request time. A handoff probes it: handoff 409s
+// mine_in_progress while any slot is held, so it succeeds only once the
+// cancelled job's slot is gone, even while its search is still
+// unwinding on the worker.
 func TestCancelReleasesSlotImmediately(t *testing.T) {
 	ts := newTestServerWith(t, Options{Workers: 1})
 	var info SessionInfo
 	// A deep, wide search on the largest replica: the cancelled Fn
 	// stays busy in the beam long after the cancel request.
-	doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset: "mammals", Depth: 8, BeamWidth: 1024,
 	}, http.StatusCreated, &info)
-	base := ts.URL + "/api/sessions/" + info.ID
+	base := ts.URL + "/api/v1/sessions/" + info.ID
 
-	var accepted jobView
 	// The budget bounds how long the cancelled search keeps the worker
-	// (and test teardown): long enough to still be running at cancel
-	// time, short enough that Close doesn't wait minutes.
-	doJSON(t, "POST", base+"/mine", MineRequest{Async: true, TimeoutMS: 15000}, http.StatusAccepted, &accepted)
+	// (and test teardown). It stays well above the probe window below,
+	// so a handoff that succeeds inside the window proves the slot was
+	// freed at cancel time, not when the search ran out of budget.
+	const budget, probeWindow = 3 * time.Second, 500 * time.Millisecond
+	var accepted jobView
+	doJSON(t, "POST", base+"/mine", MineRequest{Async: true, TimeoutMS: int(budget / time.Millisecond)},
+		http.StatusAccepted, &accepted)
 	// Wait until it is actually running (dequeued), then cancel.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var jv jobView
-		doJSON(t, "GET", ts.URL+"/api/jobs/"+accepted.ID, nil, http.StatusOK, &jv)
+		doJSON(t, "GET", ts.URL+"/api/v1/jobs/"+accepted.ID, nil, http.StatusOK, &jv)
 		if jv.Status == jobs.StatusRunning {
 			break
 		}
@@ -304,29 +300,32 @@ func TestCancelReleasesSlotImmediately(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	doJSON(t, "DELETE", ts.URL+"/api/jobs/"+accepted.ID, nil, http.StatusOK, nil)
+	// While the slot is held, the handoff must refuse.
+	doJSON(t, "POST", base+"/handoff", nil, http.StatusConflict, nil)
+	cancelled := time.Now()
+	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+accepted.ID, nil, http.StatusOK, nil)
 
 	// The slot must free promptly — well before the cancelled search
-	// could have unwound. The tiny retry loop only absorbs the watcher
+	// could have unwound. The retry loop only absorbs the watcher
 	// goroutine's scheduling latency.
 	released := false
-	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); {
-		if err := postJSON("POST", base+"/mine", MineRequest{Async: true}, http.StatusAccepted, nil); err == nil {
+	for time.Since(cancelled) < probeWindow {
+		if err := postJSON("POST", base+"/handoff", nil, http.StatusOK, nil); err == nil {
 			released = true
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if !released {
-		t.Fatal("mine slot still held 2s after cancelling the running job")
+		t.Fatalf("mine slot still held %v after cancelling the running job", probeWindow)
 	}
 }
 
 // TestSyncMineReleasesSlotBeforeResponse pins that a finished sync mine
-// holds no slot once its response is out: a handoff (v1) or a legacy
-// commit sent right after it must never answer 409 mine_in_progress.
-// Each loop runs 200 times over ten sessions; the cheap depth-1 mines
-// leave the slot-release goroutine the least time to win the race.
+// holds no slot once its response is out: a handoff sent right after it
+// must never answer 409 mine_in_progress. The loop runs 200 times over
+// ten sessions; the cheap depth-1 mines leave the slot-release
+// goroutine the least time to win the race.
 func TestSyncMineReleasesSlotBeforeResponse(t *testing.T) {
 	ts := newTestServerWith(t, Options{Store: NewMemStore()})
 	const sessions, rounds = 10, 20
@@ -342,17 +341,6 @@ func TestSyncMineReleasesSlotBeforeResponse(t *testing.T) {
 			doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
 			doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 			doJSON(t, "POST", base+"/handoff", nil, http.StatusOK, nil)
-		}
-	}
-	for s := 0; s < sessions; s++ {
-		var info SessionInfo
-		doJSON(t, "POST", ts.URL+"/api/sessions", CreateRequest{
-			Dataset: "synthetic", Seed: int64(s + 1), Depth: 1,
-		}, http.StatusCreated, &info)
-		base := ts.URL + "/api/sessions/" + info.ID
-		for i := 0; i < rounds; i++ {
-			doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
-			doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
 		}
 	}
 }

@@ -163,15 +163,6 @@ func Restore(ds *Dataset, opts RestoreOptions) (*Miner, error) {
 	return m, nil
 }
 
-// RestoreMiner rebuilds a miner from a belief state saved with
-// SaveModel.
-//
-// Deprecated: use Restore with RestoreOptions — the positional
-// signature cannot grow new fields without breaking every caller.
-func RestoreMiner(ds *Dataset, cfg Config, savedModel io.Reader, iterations int) (*Miner, error) {
-	return Restore(ds, RestoreOptions{Config: cfg, SavedModel: savedModel, Iterations: iterations})
-}
-
 // OptimalResult is the outcome of the exact single-target search.
 type OptimalResult = search.OptimalResult
 
