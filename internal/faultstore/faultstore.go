@@ -4,7 +4,7 @@
 // a real disk or network store exhibits:
 //
 //   - hard failures of the Nth Put/Get (or a seeded failure rate), for
-//     retry and degraded-mode logic;
+//     circuit-breaker and degraded-mode logic;
 //   - torn writes: the Nth Put persists a mangled snapshot to the
 //     inner store and then reports failure, modelling a crash mid-write
 //     on a store without atomic rename;

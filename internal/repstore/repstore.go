@@ -25,7 +25,7 @@
 // were down when writes happened.
 //
 // Per-replica health is a consecutive-failure circuit breaker: after
-// BreakerThreshold consecutive failures the replica is skipped (open)
+// breakerThreshold consecutive failures the replica is skipped (open)
 // for a capped, seeded-jittered backoff, then a single half-open probe
 // decides between closing and re-opening with doubled backoff. A dead
 // replica therefore costs a bounded number of doomed operations, and a
@@ -106,32 +106,30 @@ type Config[S any] struct {
 	// as a replica failure.
 	Corrupt error
 
-	// Circuit-breaker tuning. Zero values mean: open after 3
-	// consecutive failures, first open interval 250ms, doubling to a
-	// 5s cap, jittered up to +50% from a source seeded with Seed
-	// (0 behaves as 1).
-	BreakerThreshold int
-	BreakerBase      time.Duration
-	BreakerCap       time.Duration
-	Seed             int64
+	// Circuit-breaker tuning. A breaker opens after breakerThreshold
+	// consecutive failures. Zero values mean: first open interval
+	// 250ms, doubling to a 5s cap, jittered up to +50% from a source
+	// seeded with Seed (0 behaves as 1).
+	BreakerBase time.Duration
+	BreakerCap  time.Duration
+	Seed        int64
 
 	// SweepInterval runs the anti-entropy sweep in the background; 0
 	// leaves sweeping to explicit Sweep calls.
 	SweepInterval time.Duration
-
-	// DeleteTTL bounds how long a Delete suppresses resurrection of
-	// its id by read-repair or sweep (a replica that was down across
-	// the delete still holds the snapshot). Tombstones are process
-	// memory, so the bound is best-effort across restarts — see the
-	// package docs. 0 means 1 minute.
-	DeleteTTL time.Duration
 }
 
 const (
-	defaultBreakerThreshold = 3
-	defaultBreakerBase      = 250 * time.Millisecond
-	defaultBreakerCap       = 5 * time.Second
-	defaultDeleteTTL        = time.Minute
+	// breakerThreshold is the consecutive-failure count that opens a
+	// replica's breaker.
+	breakerThreshold   = 3
+	defaultBreakerBase = 250 * time.Millisecond
+	defaultBreakerCap  = 5 * time.Second
+	// deleteTTL bounds how long a Delete suppresses resurrection of its
+	// id by read-repair or sweep (a replica that was down across the
+	// delete still holds the snapshot). Tombstones are process memory,
+	// so the bound is best-effort across restarts.
+	deleteTTL = time.Minute
 
 	lockStripes = 32
 )
@@ -223,7 +221,7 @@ func (r *replica[S]) success() {
 // failure records a failed operation. Crossing the threshold opens the
 // breaker; a failed half-open probe re-opens it with doubled backoff.
 // jitter is sampled outside the replica lock (shared rng).
-func (r *replica[S]) failure(err error, now time.Time, threshold int, base, cap time.Duration, jitter func(time.Duration) time.Duration) {
+func (r *replica[S]) failure(err error, now time.Time, base, cap time.Duration, jitter func(time.Duration) time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fails++
@@ -238,7 +236,7 @@ func (r *replica[S]) failure(err error, now time.Time, threshold int, base, cap 
 		r.state = stateOpen
 		r.openUntil = now.Add(r.backoff + jitter(r.backoff))
 	case stateClosed:
-		if r.fails >= threshold {
+		if r.fails >= breakerThreshold {
 			r.state = stateOpen
 			r.backoff = base
 			r.openUntil = now.Add(base + jitter(base))
@@ -320,17 +318,11 @@ func New[S any](cfg Config[S], members ...Member[S]) (*Replicated[S], error) {
 	if cfg.WriteQuorum < 1 || cfg.WriteQuorum > n {
 		return nil, fmt.Errorf("repstore: write quorum %d out of range [1, %d]", cfg.WriteQuorum, n)
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = defaultBreakerThreshold
-	}
 	if cfg.BreakerBase <= 0 {
 		cfg.BreakerBase = defaultBreakerBase
 	}
 	if cfg.BreakerCap < cfg.BreakerBase {
 		cfg.BreakerCap = defaultBreakerCap
-	}
-	if cfg.DeleteTTL <= 0 {
-		cfg.DeleteTTL = defaultDeleteTTL
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -437,7 +429,7 @@ func (s *Replicated[S]) attempt(r *replica[S], op func(Inner[S]) error) (err err
 }
 
 func (s *Replicated[S]) replicaFailed(r *replica[S], err error) {
-	r.failure(err, s.now(), s.cfg.BreakerThreshold, s.cfg.BreakerBase, s.cfg.BreakerCap, s.jitter)
+	r.failure(err, s.now(), s.cfg.BreakerBase, s.cfg.BreakerCap, s.jitter)
 }
 
 // fanout runs op on every replica concurrently and counts acks.
@@ -515,7 +507,8 @@ func (s *Replicated[S]) Get(id string) (*S, error) {
 	return snap, err
 }
 
-// tombstoned reports whether id was deleted within DeleteTTL.
+// tombstoned reports whether id was deleted within deleteTTL, dropping
+// an expired tombstone.
 func (s *Replicated[S]) tombstoned(id string) bool {
 	s.delMu.Lock()
 	defer s.delMu.Unlock()
@@ -523,7 +516,7 @@ func (s *Replicated[S]) tombstoned(id string) bool {
 	if !ok {
 		return false
 	}
-	if s.now().Sub(t) > s.cfg.DeleteTTL {
+	if s.now().Sub(t) > deleteTTL {
 		delete(s.deleted, id)
 		return false
 	}

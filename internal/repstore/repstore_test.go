@@ -106,11 +106,10 @@ func testConfig(w int) Config[tsnap] {
 			}
 			return nil
 		},
-		NotFound:         errNF,
-		Corrupt:          errCorrupt,
-		BreakerThreshold: 3,
-		BreakerBase:      time.Millisecond,
-		BreakerCap:       4 * time.Millisecond,
+		NotFound:    errNF,
+		Corrupt:     errCorrupt,
+		BreakerBase: time.Millisecond,
+		BreakerCap:  4 * time.Millisecond,
 	}
 }
 
@@ -425,6 +424,39 @@ func TestDeleteTombstoneBlocksResurrection(t *testing.T) {
 	}
 	if ids, err := rep.List(); err != nil || len(ids) != 0 {
 		t.Fatalf("List after delete: %v, %v", ids, err)
+	}
+}
+
+// TestDeleteTombstoneExpires: a tombstone suppresses the id for exactly
+// deleteTTL on the injected clock; past it the id is no longer
+// tombstoned and its map entry is dropped, so the map cannot grow
+// without bound across deletes.
+func TestDeleteTombstoneExpires(t *testing.T) {
+	rep := newRep(t, 2, newMemChild(), newMemChild(), newMemChild())
+	now := time.Unix(1000, 0)
+	rep.now = func() time.Time { return now }
+	entries := func() int {
+		rep.delMu.Lock()
+		defer rep.delMu.Unlock()
+		return len(rep.deleted)
+	}
+
+	if err := rep.Put(cleanSnap("s1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Delete("s1"); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(deleteTTL)
+	if !rep.tombstoned("s1") || entries() != 1 {
+		t.Fatalf("at deleteTTL: tombstoned=%v entries=%d, want true/1", rep.tombstoned("s1"), entries())
+	}
+	now = now.Add(time.Nanosecond)
+	if rep.tombstoned("s1") {
+		t.Fatal("tombstone outlived deleteTTL")
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("expired tombstone still in the map: %d entries", n)
 	}
 }
 

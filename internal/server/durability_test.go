@@ -168,7 +168,9 @@ func TestDirStoreSnapshotFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(&Snapshot{ID: "s0001", Model: json.RawMessage(`{"n":1}`)}); err != nil {
+	snap := &Snapshot{ID: "s0001", Model: json.RawMessage(`{"n":1}`)}
+	snap.Seal()
+	if err := store.Put(snap); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "s0001.json")
@@ -233,6 +235,7 @@ func TestRecoverySweep(t *testing.T) {
 		Create: CreateRequest{Dataset: "synthetic"},
 		Model:  json.RawMessage(`{"n":1}`),
 	}
+	good.Seal()
 	if err := store.Put(good); err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +459,130 @@ func TestDegradedModeEntryAndHeal(t *testing.T) {
 	}
 	if _, err := inner.Get(info.ID); err != nil {
 		t.Fatalf("healed store has no snapshot: %v", err)
+	}
+}
+
+// TestCommitPutSingleAttempt: storePut makes exactly one store.Put per
+// persist — no retry loop and no back-off sleeps on the request path.
+// A failed Put answers persisted:false at once and enters degraded
+// mode; the next successful Put heals it.
+func TestCommitPutSingleAttempt(t *testing.T) {
+	inner := NewMemStore()
+	fs := faultstore.New[Snapshot](inner, faultstore.Plan{})
+	srv := NewWithOptions(Options{Store: fs})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	var info SessionInfo
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
+		Dataset: "synthetic", Seed: 33, Depth: 2,
+	}, http.StatusCreated, &info)
+	base := ts.URL + "/api/v1/sessions/" + info.ID
+
+	var out struct {
+		Persisted   bool   `json:"persisted"`
+		Persistence string `json:"persistence"`
+	}
+	commit := func() (puts int) {
+		t.Helper()
+		mineBody(t, base)
+		before := fs.Stats().Puts
+		doJSON(t, "POST", base+"/commit", nil, http.StatusOK, &out)
+		return fs.Stats().Puts - before
+	}
+
+	fs.Break(nil)
+	if puts := commit(); puts != 1 {
+		t.Fatalf("commit against a broken store made %d Puts, want 1", puts)
+	}
+	if out.Persisted || out.Persistence != PersistenceDegraded {
+		t.Fatalf("commit during outage = %+v", out)
+	}
+
+	fs.Heal()
+	if puts := commit(); puts != 1 {
+		t.Fatalf("commit after heal made %d Puts, want 1", puts)
+	}
+	if !out.Persisted || out.Persistence != PersistenceOK {
+		t.Fatalf("commit after heal = %+v", out)
+	}
+	snap, err := inner.Get(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Iterations != 2 {
+		t.Fatalf("healed store holds iterations=%d, want 2", snap.Iterations)
+	}
+}
+
+// TestDirStorePutRejectsUnverified: the writer seals, DirStore.Put
+// only verifies. An unsealed snapshot, or one whose model no longer
+// matches its CRC, is refused with ErrCorrupt before any file is
+// written — neither the live <id>.json nor a temp file appears.
+func TestDirStorePutRejectsUnverified(t *testing.T) {
+	unsealed := &Snapshot{ID: "s0001", Model: json.RawMessage(`{"n":1}`)}
+	mismatched := &Snapshot{ID: "s0001", Model: json.RawMessage(`{"n":1}`)}
+	mismatched.Seal()
+	mismatched.Model = json.RawMessage(`{"n":2}`)
+
+	for name, snap := range map[string]*Snapshot{"unsealed": unsealed, "crc-mismatch": mismatched} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := NewDirStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put(snap); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Put = %v, want ErrCorrupt", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "s0001.json")); !os.IsNotExist(err) {
+				t.Fatalf("rejected Put left a live file: %v", err)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Fatalf("rejected Put left temp files: %v", tmps)
+			}
+		})
+	}
+}
+
+// TestDirStoreConcurrentLazyOpen: operations racing on a DirStore whose
+// directory is unavailable all fail and retry the open; once the path
+// heals, racing operations open it and all succeed — the -race leg for
+// DirStore.open.
+func TestDirStoreConcurrentLazyOpen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "replica")
+	if err := os.WriteFile(dir, []byte("dead disk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := &DirStore{dir: dir}
+	race := func(wantErr bool) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				snap := memSnap(fmt.Sprintf("s%d", i), 1, 1)
+				if errs[i] = store.Put(snap); errs[i] == nil {
+					_, errs[i] = store.Get(snap.ID)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if (err != nil) != wantErr {
+				t.Fatalf("op %d: err = %v, want error %v", i, err, wantErr)
+			}
+		}
+	}
+	race(true)
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	race(false)
+	if ids, err := store.List(); err != nil || len(ids) != 8 {
+		t.Fatalf("List = %v, %v", ids, err)
 	}
 }
 

@@ -171,7 +171,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // Drain gracefully quiesces the server: stop accepting new sessions
 // and mines (those handlers answer 503 "draining"), wait for in-flight
 // mine jobs up to ctx's deadline, then flush every live session to the
-// store with the full retry policy. Idempotent — a second call re-runs
+// store, one Put per session. Idempotent — a second call re-runs
 // the flush, which is how an operator retries failed flushes after
 // healing the store. The server still answers reads (history, model,
 // jobs) while drained; Close still owns final pool teardown.

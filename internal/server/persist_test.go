@@ -233,6 +233,7 @@ func TestDirStore(t *testing.T) {
 		Iterations: 3,
 		SavedAt:    time.Now(),
 	}
+	snap.Seal()
 	if err := store.Put(snap); err != nil {
 		t.Fatal(err)
 	}

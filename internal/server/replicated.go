@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/repstore"
@@ -25,68 +24,6 @@ func (s *Snapshot) ProgressKey() (iterations, history int64) {
 	return int64(s.Iterations), int64(len(s.History))
 }
 
-// lazyDirStore defers opening a DirStore replica until an operation
-// needs it, and keeps retrying on every operation while opening fails.
-// A replica directory that is unavailable at startup (dead disk,
-// unmounted volume) is a broken replica to route around — the
-// replicated store's circuit breaker bounds the retry cost — not a
-// fatal configuration error, and remounting the volume heals it
-// without a restart. The open also runs DirStore's crash-recovery
-// sweep, so a replica that comes back late still gets its *.tmp
-// cleanup and corrupt-file quarantine.
-type lazyDirStore struct {
-	dir string
-
-	mu    sync.Mutex
-	store *DirStore
-}
-
-func (c *lazyDirStore) open() (*DirStore, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.store != nil {
-		return c.store, nil
-	}
-	st, err := NewDirStore(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	c.store = st
-	return st, nil
-}
-
-func (c *lazyDirStore) Put(snap *Snapshot) error {
-	st, err := c.open()
-	if err != nil {
-		return err
-	}
-	return st.Put(snap)
-}
-
-func (c *lazyDirStore) Get(id string) (*Snapshot, error) {
-	st, err := c.open()
-	if err != nil {
-		return nil, err
-	}
-	return st.Get(id)
-}
-
-func (c *lazyDirStore) Delete(id string) (bool, error) {
-	st, err := c.open()
-	if err != nil {
-		return false, err
-	}
-	return st.Delete(id)
-}
-
-func (c *lazyDirStore) List() ([]string, error) {
-	st, err := c.open()
-	if err != nil {
-		return nil, err
-	}
-	return st.List()
-}
-
 // NewReplicatedDirStore builds a quorum-replicated session store over
 // one DirStore per directory. writeQuorum 0 means majority; reads need
 // len(dirs)-W+1 replies. sweepInterval runs the anti-entropy sweep in
@@ -104,8 +41,8 @@ func NewReplicatedDirStore(dirs []string, writeQuorum int, sweepInterval time.Du
 	opened := 0
 	var openErrs []string
 	for i, dir := range dirs {
-		child := &lazyDirStore{dir: dir}
-		if _, err := child.open(); err == nil {
+		child := &DirStore{dir: dir}
+		if err := child.open(); err == nil {
 			opened++
 		} else {
 			openErrs = append(openErrs, err.Error())

@@ -80,15 +80,14 @@ func newReplicatedMem(t *testing.T, n, w int) (*repstore.Replicated[Snapshot], [
 		members = append(members, repstore.Member[Snapshot]{ID: fmt.Sprintf("r%d", i), Store: fs})
 	}
 	rep, err := repstore.New(repstore.Config[Snapshot]{
-		WriteQuorum:      w,
-		ID:               func(s *Snapshot) string { return s.ID },
-		Progress:         (*Snapshot).ProgressKey,
-		Verify:           (*Snapshot).Verify,
-		NotFound:         ErrNotFound,
-		Corrupt:          ErrCorrupt,
-		BreakerThreshold: 3,
-		BreakerBase:      time.Millisecond,
-		BreakerCap:       8 * time.Millisecond,
+		WriteQuorum: w,
+		ID:          func(s *Snapshot) string { return s.ID },
+		Progress:    (*Snapshot).ProgressKey,
+		Verify:      (*Snapshot).Verify,
+		NotFound:    ErrNotFound,
+		Corrupt:     ErrCorrupt,
+		BreakerBase: time.Millisecond,
+		BreakerCap:  8 * time.Millisecond,
 	}, members...)
 	if err != nil {
 		t.Fatal(err)

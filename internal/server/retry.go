@@ -4,24 +4,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/randx"
 )
 
-// Store-Put resilience parameters. A healthy server retries a failed
-// Put a few times with capped, jittered exponential backoff; once a
-// full retry cycle is exhausted the server enters degraded mode —
-// sessions keep serving from memory, responses advertise
-// "persistence":"degraded", and the snapshot endpoint sheds load with
-// 503 + retryAfterMs. Degraded Puts drop to a single attempt (no
-// backoff sleeps on request paths while the store is known-bad); the
-// first attempt that succeeds heals the server automatically.
-const (
-	putAttempts        = 3
-	putBackoffBase     = 5 * time.Millisecond
-	putBackoffCap      = 80 * time.Millisecond
-	degradedRetryAfter = time.Second
-)
+// degradedRetryAfter is the retry hint the snapshot endpoint sends
+// with its 503 while persistence is degraded.
+const degradedRetryAfter = time.Second
 
 // Persistence states surfaced in API responses and readiness probes.
 const (
@@ -30,20 +17,13 @@ const (
 )
 
 // storeHealth is the degraded-mode state machine. Transitions:
-// healthy → degraded when a full retry cycle of a Put fails;
-// degraded → healthy when any later Put attempt succeeds. The flag is
-// read lock-free on request paths.
+// healthy → degraded when a Put fails; degraded → healthy when any
+// later Put succeeds. The flag is read lock-free on request paths.
 type storeHealth struct {
 	degraded atomic.Bool
 
 	mu      sync.Mutex
-	rng     *randx.Source // jitter source (seeded: tests are repeatable)
 	lastErr error
-	since   time.Time // when degraded mode was entered
-}
-
-func newStoreHealth() *storeHealth {
-	return &storeHealth{rng: randx.New(1)}
 }
 
 func (h *storeHealth) state() string {
@@ -53,37 +33,19 @@ func (h *storeHealth) state() string {
 	return PersistenceOK
 }
 
-// backoff returns the sleep before retry attempt (1-based, so the
-// first retry sleeps ~base): exponential, capped, with up to 50%
-// uniform jitter so a thundering herd of persist paths spreads out.
-func (h *storeHealth) backoff(retry int) time.Duration {
-	d := putBackoffBase << (retry - 1)
-	if d > putBackoffCap {
-		d = putBackoffCap
-	}
-	h.mu.Lock()
-	jitter := time.Duration(h.rng.Int63n(int64(d)/2 + 1))
-	h.mu.Unlock()
-	return d + jitter
-}
-
 // markOK records a successful Put, healing degraded mode.
 func (h *storeHealth) markOK() {
 	if h.degraded.Swap(false) {
 		h.mu.Lock()
 		h.lastErr = nil
-		h.since = time.Time{}
 		h.mu.Unlock()
 	}
 }
 
-// markFailed records an exhausted retry cycle, entering degraded mode.
+// markFailed records a failed Put, entering degraded mode.
 func (h *storeHealth) markFailed(err error) {
 	h.mu.Lock()
 	h.lastErr = err
-	if !h.degraded.Load() {
-		h.since = time.Now()
-	}
 	h.mu.Unlock()
 	h.degraded.Store(true)
 }
@@ -97,10 +59,12 @@ func (h *storeHealth) lastError() error {
 
 // storePut is the single write path to the session store: every
 // persist (create, commit, evict, explicit snapshot, drain flush) goes
-// through it so retry, backoff and the degraded-mode transitions are
-// applied uniformly. It returns the last error when all attempts
-// failed; the caller decides whether that is fatal (explicit snapshot)
-// or best-effort (create).
+// through it so the degraded-mode transitions are applied uniformly.
+// It makes exactly one store.Put and never sleeps: a replicated
+// store's per-replica circuit breakers are the only back-off layer,
+// and a failed write is reported at once rather than retried with the
+// caller's session locks held. The caller decides whether a failure is
+// fatal (explicit snapshot) or best-effort (create).
 func (s *Server) storePut(snap *Snapshot) error {
 	// Stale-write fence (cluster migration safety, DESIGN.md §12). A
 	// session's durable state only grows — iterations and history are
@@ -121,23 +85,10 @@ func (s *Server) storePut(snap *Snapshot) error {
 			return nil
 		}
 	}
-	attempts := putAttempts
-	if s.health.degraded.Load() {
-		// Known-bad store: probe once per call. Success heals; adding
-		// backoff sleeps here would stack latency onto every request
-		// while down.
-		attempts = 1
+	if err := s.store.Put(snap); err != nil {
+		s.health.markFailed(err)
+		return err
 	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(s.health.backoff(i))
-		}
-		if err = s.store.Put(snap); err == nil {
-			s.health.markOK()
-			return nil
-		}
-	}
-	s.health.markFailed(err)
-	return err
+	s.health.markOK()
+	return nil
 }

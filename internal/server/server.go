@@ -46,13 +46,14 @@
 //	GET    /api/v1/readyz                    readiness probe (503: draining/degraded/saturated)
 //	POST   /api/v1/drain[?timeoutMs=N]       quiesce: stop intake, flush sessions durably
 //
-// Persistence is resilient rather than assumed: store writes retry
-// with capped jittered backoff, and when a full retry cycle fails the
-// server enters degraded mode — serving continues from memory,
-// commit/create responses carry "persistence":"degraded", the explicit
-// snapshot endpoint answers 503 store_degraded with a retry hint, and
-// the first successful write heals the state automatically. See
-// DESIGN.md §11 for the failure model.
+// Persistence is resilient rather than assumed: each store write is
+// one attempt (a replicated store's per-replica circuit breakers are
+// the only back-off), and when it fails the server enters degraded
+// mode — serving continues from memory, commit/create responses carry
+// "persistence":"degraded", the explicit snapshot endpoint answers 503
+// store_degraded with a retry hint, and the first successful write
+// heals the state automatically. See DESIGN.md §11 for the failure
+// model.
 package server
 
 import (
@@ -157,8 +158,8 @@ type Server struct {
 	opts  Options
 	pool  *jobs.Pool
 	store Store
-	// health tracks store-Put reliability and the degraded-mode flag;
-	// every persist path routes through storePut (retry.go).
+	// health tracks the degraded-mode flag; every persist path routes
+	// through storePut (retry.go), one store.Put per call.
 	health *storeHealth
 	// draining, once set by Drain, turns away new sessions and mines
 	// with 503 while reads keep working — the graceful-shutdown gate.
@@ -244,7 +245,7 @@ func NewWithOptions(opts Options) *Server {
 		tombstones: map[string]time.Time{},
 		opts:       opts,
 		store:      opts.Store,
-		health:     newStoreHealth(),
+		health:     &storeHealth{},
 		pool:       jobs.NewPool(opts.Workers, opts.QueueCap),
 	}
 	if ids, err := s.store.List(); err == nil {

@@ -48,8 +48,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CRC-32C of its model bytes. The model is canonicalized (compacted)
 // first so the checksummed bytes are exactly the bytes a JSON
 // round-trip through a store preserves — json.Marshal compacts
-// RawMessage payloads, which would otherwise shift the CRC. Idempotent;
-// every persist path seals before handing the snapshot to a store.
+// RawMessage payloads, which would otherwise shift the CRC. Idempotent.
+// The writer seals once (session.snapshotLocked); DirStore.Put only
+// verifies, so an unsealed snapshot never reaches disk.
 func (s *Snapshot) Seal() {
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, s.Model); err == nil {
@@ -167,13 +168,23 @@ func (s *MemStore) List() ([]string, error) {
 // are cleaned up by a recovery sweep at open time (the latter are
 // quarantined under a .corrupt suffix rather than deleted, so an
 // operator can inspect them).
+//
+// NewDirStore opens (creates the directory, runs the sweep) eagerly
+// and fails if it cannot. NewReplicatedDirStore's children open
+// lazily, so an unavailable replica directory (dead disk, unmounted
+// volume) is a broken replica to route around: every operation
+// retries the open, and remounting the volume heals it without a
+// restart.
 type DirStore struct {
 	dir string
 	// noSync skips the fsync calls — a test/bench hook quantifying the
 	// durability cost (BenchmarkDirStorePut), never set in production.
 	noSync bool
 
-	// Recovery-sweep counters from NewDirStore, for startup logging.
+	// mu guards the one-time open and the recovery-sweep counters it
+	// fills (for startup logging).
+	mu          sync.Mutex
+	opened      bool
 	sweptTmp    int
 	quarantined int
 }
@@ -182,19 +193,36 @@ type DirStore struct {
 // sweep (removing orphaned *.tmp files, quarantining snapshots that
 // fail validation), and returns the store.
 func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: session store dir: %w", err)
-	}
 	s := &DirStore{dir: dir}
-	if err := s.recover(); err != nil {
+	if err := s.open(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
+// open creates the directory and runs the recovery sweep, once; until
+// that succeeds, every call retries it.
+func (s *DirStore) open() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.opened {
+		return nil
+	}
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("server: session store dir: %w", err)
+	}
+	if err := s.recover(); err != nil {
+		return err
+	}
+	s.opened = true
+	return nil
+}
+
 // RecoveryStats reports what the open-time sweep found: orphaned *.tmp
 // files removed and corrupt snapshots quarantined.
 func (s *DirStore) RecoveryStats() (tmpRemoved, quarantined int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.sweptTmp, s.quarantined
 }
 
@@ -288,18 +316,25 @@ func (s *DirStore) path(id string) string {
 	return filepath.Join(s.dir, id+".json")
 }
 
-// Put writes the snapshot atomically and durably: marshal a sealed
-// copy, write + fsync a temp file, rename it over the target, fsync
-// the directory. A crash at any point leaves either the previous
-// complete snapshot or the new one — the recovery sweep disposes of
-// any temp file left behind.
+// Put writes the snapshot atomically and durably: marshal it, write +
+// fsync a temp file, rename it over the target, fsync the directory. A
+// crash at any point leaves either the previous complete snapshot or
+// the new one — the recovery sweep disposes of any temp file left
+// behind. The writer seals: a snapshot that fails Verify (unsealed, or
+// a model that no longer matches its CRC) is rejected without touching
+// the directory, so Put never writes a file its own Get would
+// quarantine.
 func (s *DirStore) Put(snap *Snapshot) error {
 	if !validID(snap.ID) {
 		return fmt.Errorf("server: invalid session id %q", snap.ID)
 	}
-	sealed := *snap
-	sealed.Seal()
-	raw, err := json.Marshal(&sealed)
+	if err := snap.Verify(); err != nil {
+		return err
+	}
+	if err := s.open(); err != nil {
+		return err
+	}
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		return err
 	}
@@ -343,6 +378,9 @@ func (s *DirStore) Get(id string) (*Snapshot, error) {
 	if !validID(id) {
 		return nil, ErrNotFound
 	}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
 	snap, err := s.load(s.path(id))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNotFound
@@ -362,6 +400,9 @@ func (s *DirStore) Delete(id string) (bool, error) {
 	if !validID(id) {
 		return false, nil
 	}
+	if err := s.open(); err != nil {
+		return false, err
+	}
 	err := os.Remove(s.path(id))
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
@@ -371,6 +412,9 @@ func (s *DirStore) Delete(id string) (bool, error) {
 
 // List returns the ids of all snapshot files, sorted.
 func (s *DirStore) List() ([]string, error) {
+	if err := s.open(); err != nil {
+		return nil, err
+	}
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err

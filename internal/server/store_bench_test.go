@@ -35,6 +35,7 @@ func benchDirStorePut(b *testing.B, noSync bool) {
 		History: []PatternJSON{{Kind: "location", Intention: "x1<=0.5"}},
 		SavedAt: time.Unix(1, 0),
 	}
+	snap.Seal()
 	// Warm-up Put: the first write pays one-time lazy initialization
 	// (and creates the file), which would dominate a single-iteration
 	// CI run; the gate is about the steady-state overwrite path.
@@ -67,13 +68,15 @@ func benchSnapshot(b *testing.B) *Snapshot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &Snapshot{
+	snap := &Snapshot{
 		ID:      "s0001",
 		Create:  CreateRequest{Dataset: "synthetic", Seed: 1},
 		Model:   json.RawMessage(model),
 		History: []PatternJSON{{Kind: "location", Intention: "x1<=0.5"}},
 		SavedAt: time.Unix(1, 0),
 	}
+	snap.Seal()
+	return snap
 }
 
 func newBenchReplicated(b *testing.B) *repstore.Replicated[Snapshot] {
