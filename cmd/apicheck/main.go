@@ -5,6 +5,9 @@
 //     writer (which emits the error envelope): calls to http.Error and
 //     hand-rolled {"error": ...} map literals outside WriteError fail
 //     the check;
+//   - every status goes out through the two designated writers,
+//     WriteJSON and WriteError: a WriteHeader call anywhere else fails
+//     the check;
 //   - every route must be registered inside the routes() function;
 //   - every registered pattern must start with the APIPrefix constant
 //     (the /api/v1 mount), after an optional "METHOD " literal — an
@@ -79,6 +82,9 @@ func checkFunc(fd *ast.FuncDecl, fail func(token.Pos, string, ...any)) {
 			}
 			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "http" && sel.Sel.Name == "Error" {
 				fail(n.Pos(), "http.Error bypasses the error envelope; use WriteError")
+			}
+			if sel.Sel.Name == "WriteHeader" && name != "WriteJSON" && name != "WriteError" {
+				fail(n.Pos(), "WriteHeader outside WriteJSON/WriteError; respond through one of the two writers")
 			}
 			if sel.Sel.Name != "HandleFunc" && sel.Sel.Name != "Handle" {
 				return true

@@ -625,7 +625,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, inf)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleJobList merges every serving shard's job listing. Job ids are
@@ -646,7 +646,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if all == nil {
 		all = []json.RawMessage{}
 	}
-	writeJSON(w, http.StatusOK, all)
+	server.WriteJSON(w, http.StatusOK, all)
 }
 
 // handleJob tries each serving shard in id order and relays the first
@@ -693,7 +693,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, id := range rt.ids {
 		shards[id] = rt.state(id).String()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "router", "shards": shards})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "router", "shards": shards})
 }
 
 // handleReadyz: the router can take traffic iff at least one shard is
@@ -711,7 +711,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		body["reasons"] = []string{"no eligible shards"}
 	}
-	writeJSON(w, code, body)
+	server.WriteJSON(w, code, body)
 }
 
 // handleDrain fans the drain out to every serving shard and returns the
@@ -754,11 +754,5 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		}(id)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{"shards": reports})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteJSON(w, http.StatusOK, map[string]any{"shards": reports})
 }

@@ -462,9 +462,9 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 	e := &Evaluator{arena: takeArena(), lang: lang, sc: sc, opt: opt}
 	e.scratch = make([]*bitset.Set, opt.Parallelism)
 	for i := range e.scratch {
-		e.scratch[i] = bitset.New(lang.DS.N())
+		e.scratch[i] = bitset.New(lang.N)
 	}
-	e.full = bitset.Full(lang.DS.N())
+	e.full = bitset.Full(lang.N)
 	if ws, ok := sc.(WorkerScorer); ok {
 		e.workers = make([]ScorerWorker, opt.Parallelism)
 		e.statWorkers = make([]StatScorerWorker, opt.Parallelism)
@@ -511,7 +511,7 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 func buildDepthOne(lang *Language, gl GroupLabeler) *depthOneTable {
 	labels := gl.Labels()
 	ng := gl.NumGroups()
-	if ng == 0 || len(labels) != lang.DS.N() {
+	if ng == 0 || len(labels) != lang.N {
 		return nil
 	}
 	sums, sizes := lang.CondTargetStats()
@@ -814,7 +814,7 @@ func (e *Evaluator) Materialize(b *Batch, s *Scored) {
 			return
 		}
 	} else {
-		ext := bitset.New(e.lang.DS.N())
+		ext := bitset.New(e.lang.N)
 		bitset.AndCountInto(ext, parent, e.lang.Exts[cond])
 		s.Ext = ext
 	}

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
@@ -169,22 +171,37 @@ func TestEvaluateBatchExpiredDeadlineAbandonsBatch(t *testing.T) {
 	}
 }
 
-func TestLanguageCacheLRU(t *testing.T) {
-	// A recently used entry must survive the arrival of maxCachedLanguages
-	// newer keys that would evict it under FIFO.
-	hot := testDS(20, 20)
-	l := LanguageFor(hot, 4)
-	for i := 0; i < maxCachedLanguages-1; i++ {
-		LanguageFor(testDS(20, int64(100+i)), 4)
-		if LanguageFor(hot, 4) != l { // touch keeps it most recently used
-			t.Fatalf("hot language evicted after %d insertions", i+1)
+func TestLanguageCacheDropsCollectedDataset(t *testing.T) {
+	// A cached Language must not keep its dataset alive, and once the
+	// dataset is collected its Languages must leave the cache.
+	ds := testDS(20, 20)
+	wp := weak.Make(ds)
+	LanguageFor(ds, 4)
+	LanguageFor(ds, 2)
+	cached := func() int {
+		langCache.Lock()
+		defer langCache.Unlock()
+		n := 0
+		for k := range langCache.m {
+			if k.ds == wp {
+				n++
+			}
 		}
+		return n
 	}
-	// One more distinct key evicts the least recently used entry, which
-	// is not the hot one.
-	LanguageFor(testDS(20, 999), 4)
-	if LanguageFor(hot, 4) != l {
-		t.Fatal("LRU evicted the most recently used entry")
+	if got := cached(); got != 2 {
+		t.Fatalf("%d cached languages for a live dataset, want 2", got)
+	}
+	ds = nil
+	// Cleanups run on their own goroutine after the collection that
+	// frees the dataset, so poll.
+	for deadline := time.Now().Add(5 * time.Second); cached() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d languages still cached after the dataset was collected (collected: %v)",
+				cached(), wp.Value() == nil)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 

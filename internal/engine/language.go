@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"time"
+	"weak"
 
 	"repro/internal/bitset"
 	"repro/internal/dataset"
@@ -19,7 +21,10 @@ import (
 // ordering and intention representation operate on — no string keys
 // anywhere on the hot path.
 type Language struct {
-	DS    *dataset.Dataset
+	// N and Y are all a Language reads of its dataset after
+	// construction; holding no *Dataset lets the cache key it weakly.
+	N     int
+	Y     *mat.Dense
 	Conds []pattern.Condition
 	Exts  []*bitset.Set
 
@@ -46,89 +51,68 @@ func NewLanguage(ds *dataset.Dataset, numSplits int) *Language {
 	for i, c := range conds {
 		exts[i] = c.Extension(ds)
 	}
-	return &Language{DS: ds, Conds: conds, Exts: exts}
+	return &Language{N: ds.N(), Y: ds.Y, Conds: conds, Exts: exts}
 }
 
-// languageCache memoizes NewLanguage per (dataset, numSplits). Iterative
+// langCache memoizes NewLanguage per (dataset, numSplits). Iterative
 // mining re-runs the search once per committed pattern and the server
 // mines repeatedly within a session, so rebuilding the extensions each
-// time is pure waste. The cache is bounded with least-recently-used
-// eviction once maxCachedLanguages distinct keys accumulate (sessions
-// on generated datasets would otherwise pin them all).
-const maxCachedLanguages = 32
-
+// time is pure waste. Keys hold the dataset weakly, so an entry lives
+// exactly as long as its dataset: a runtime cleanup drops it once the
+// dataset is collected.
 type langKey struct {
-	ds        *dataset.Dataset
+	ds        weak.Pointer[dataset.Dataset]
 	numSplits int
 }
 
 var langCache = struct {
 	sync.Mutex
-	m     map[langKey]*Language
-	order []langKey // least recently used first
+	m map[langKey]*Language
 }{m: map[langKey]*Language{}}
-
-// touch moves key to the most-recently-used end of the order. Must be
-// called with the cache lock held.
-func touchLangKey(key langKey) {
-	order := langCache.order
-	for i, k := range order {
-		if k == key {
-			copy(order[i:], order[i+1:])
-			order[len(order)-1] = key
-			return
-		}
-	}
-}
 
 // LanguageFor returns the (cached) condition language for ds. The
 // dataset must not be mutated after first use — the same assumption the
 // rest of the system already makes.
 func LanguageFor(ds *dataset.Dataset, numSplits int) *Language {
-	key := langKey{ds, numSplits}
+	key := langKey{weak.Make(ds), numSplits}
 	langCache.Lock()
-	if l, ok := langCache.m[key]; ok {
-		touchLangKey(key)
-		langCache.Unlock()
+	l, ok := langCache.m[key]
+	langCache.Unlock()
+	if ok {
 		return l
 	}
-	langCache.Unlock()
 	// Build outside the lock: extension materialization is O(n·|conds|)
 	// and must not serialize unrelated sessions.
-	l := NewLanguage(ds, numSplits)
+	l = NewLanguage(ds, numSplits)
 	langCache.Lock()
 	defer langCache.Unlock()
 	if have, ok := langCache.m[key]; ok { // lost the race; reuse winner
-		touchLangKey(key)
 		return have
 	}
-	if len(langCache.order) >= maxCachedLanguages {
-		oldest := langCache.order[0]
-		langCache.order = langCache.order[1:]
-		delete(langCache.m, oldest)
-	}
 	langCache.m[key] = l
-	langCache.order = append(langCache.order, key)
+	runtime.AddCleanup(ds, dropLanguage, key)
 	return l
 }
 
-// EvictLanguage drops every cached language built for ds, releasing
-// its per-condition extension bitsets. Callers that own a dataset's
-// lifecycle (e.g. the server dropping a session) should evict on
-// teardown so the bounded cache is not the only thing between a dead
-// dataset and the heap.
+// dropLanguage is a collected dataset's cleanup, one per cached entry.
+// A key evicted and rebuilt gets a second one; deleting twice is harmless.
+func dropLanguage(key langKey) {
+	langCache.Lock()
+	delete(langCache.m, key)
+	langCache.Unlock()
+}
+
+// EvictLanguage drops every cached language built for ds, so the next
+// LanguageFor rebuilds it (the cold path a benchmark times).
 func EvictLanguage(ds *dataset.Dataset) {
+	wp := weak.Make(ds)
 	langCache.Lock()
 	defer langCache.Unlock()
-	keep := langCache.order[:0]
-	for _, k := range langCache.order {
-		if k.ds == ds {
+	for k := range langCache.m {
+		if k.ds == wp {
 			delete(langCache.m, k)
-		} else {
-			keep = append(keep, k)
 		}
 	}
-	langCache.order = keep
 }
 
 // CondTargetStats returns, for every condition, the sum of target rows
@@ -157,9 +141,9 @@ func EvictLanguage(ds *dataset.Dataset) {
 // results by exactness rather than by order preservation.
 func (l *Language) CondTargetStats() (sums []mat.Vec, sizes []int) {
 	l.statsOnce.Do(func() {
-		y := l.DS.Y
+		y := l.Y
 		d := y.C
-		n := l.DS.N()
+		n := l.N
 		nc := len(l.Exts)
 		l.condSums = make([]mat.Vec, nc)
 		l.condSizes = make([]int, nc)
@@ -338,7 +322,7 @@ func (l *Language) Enumerate(o EnumOptions, visit func(ids []CondID, ext *bitset
 		// language size is unreachable — no point allocating scratch for it.
 		o.MaxDepth = len(l.Conds)
 	}
-	n := l.DS.N()
+	n := l.N
 	// One scratch extension per depth: the node at depth d writes
 	// scratch[d] and passes it down as the parent of depth d+1.
 	scratch := make([]*bitset.Set, o.MaxDepth)

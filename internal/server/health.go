@@ -95,7 +95,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.opts.ShardID != "" {
 		body["shardId"] = s.opts.ShardID
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -134,7 +134,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if len(reasons) > 0 {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, Readiness{
+	WriteJSON(w, code, Readiness{
 		Ready:       len(reasons) == 0,
 		ShardID:     s.opts.ShardID,
 		Persistence: s.health.state(),
@@ -165,7 +165,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	writeJSON(w, http.StatusOK, s.Drain(ctx))
+	WriteJSON(w, http.StatusOK, s.Drain(ctx))
 }
 
 // Drain gracefully quiesces the server: stop accepting new sessions

@@ -1,10 +1,11 @@
 // Package server exposes the iterative miner as a JSON HTTP API with
 // per-user sessions — the integration target the paper's future work
 // names (§V: "we aim to integrate this method with SIDE, our online
-// tool for exploration of numerical data"). A session owns a dataset
-// and an evolving background model; the client mines, inspects and
-// commits patterns interactively, and the server keeps the belief state
-// between requests.
+// tool for exploration of numerical data"). A session holds a dataset
+// (a builtin replica is shared by every session on it) and an evolving
+// background model; the client mines, inspects and commits patterns
+// interactively, and the server keeps the belief state between
+// requests.
 //
 // Serving is job-oriented: every mine call is enqueued on a bounded
 // worker pool (package jobs), so an expensive search occupies a worker,
@@ -70,11 +71,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/background"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/jobs"
 	"repro/internal/pattern"
@@ -208,8 +209,7 @@ func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 // lockOpen acquires the session lock and reports whether the session is
 // still live. A request that grabbed the session just before a DELETE
 // (or an eviction) removed it from the map would otherwise run after
-// the teardown — and a mine would re-pin the evicted condition language
-// of a dead dataset.
+// the teardown, against state that is no longer served or persisted.
 func (sess *session) lockOpen(w http.ResponseWriter) bool {
 	sess.mu.Lock()
 	if sess.closed {
@@ -419,10 +419,20 @@ type MineResponse struct {
 	ModelVersion uint64 `json:"modelVersion,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON is the single success-response writer (cmd/apicheck fails
+// the build if a handler sets a status any other way; the cluster
+// router answers through it too). It marshals before committing the
+// status, so a value JSON cannot encode — a NaN or infinite float —
+// answers 500 internal instead of a 2xx with an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, errInternal, 0, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // Error codes carried in the error envelope. Codes are part of
@@ -460,33 +470,79 @@ func WriteError(w http.ResponseWriter, status int, code string, retryAfter time.
 	if retryAfter > 0 {
 		body.RetryAfterMs = retryAfter.Milliseconds()
 	}
-	writeJSON(w, status, map[string]errorBody{"error": body})
+	WriteJSON(w, status, map[string]errorBody{"error": body})
+}
+
+// builtinGenerators are the replicas a create request can name.
+var builtinGenerators = map[string]func(seed int64) *dataset.Dataset{
+	"synthetic": func(seed int64) *dataset.Dataset { return gen.Synthetic620(seed).DS },
+	"crime":     func(seed int64) *dataset.Dataset { return gen.CrimeLike(seed).DS },
+	"mammals":   func(seed int64) *dataset.Dataset { return gen.MammalsLike(seed).DS },
+	"socio":     func(seed int64) *dataset.Dataset { return gen.SocioEconLike(seed).DS },
+	"water":     func(seed int64) *dataset.Dataset { return gen.WaterQualityLike(seed).DS },
+}
+
+// builtins shares each generated replica, by (name, seed), for as long
+// as any session on any in-process server holds it, so concurrent
+// sessions and a handoff's restore reuse one dataset and its one cached
+// Language. Entries are weak: once the last session is gone the
+// collector frees the replica, which retires its entry here and its
+// Languages in the engine.
+var builtins = struct {
+	sync.Mutex
+	m map[builtinKey]weak.Pointer[dataset.Dataset]
+}{m: map[builtinKey]weak.Pointer[dataset.Dataset]{}}
+
+type builtinKey struct {
+	name string
+	seed int64
+}
+
+// dropBuiltin is a collected replica's cleanup. It deletes only the
+// entry still holding that replica's weak pointer: a key a newer
+// replica has taken stays.
+func dropBuiltin(wp weak.Pointer[dataset.Dataset]) {
+	builtins.Lock()
+	defer builtins.Unlock()
+	for key, have := range builtins.m {
+		if have == wp {
+			delete(builtins.m, key)
+		}
+	}
 }
 
 func buildDataset(req *CreateRequest) (*dataset.Dataset, error) {
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	switch strings.ToLower(req.Dataset) {
-	case "synthetic":
-		return gen.Synthetic620(seed).DS, nil
-	case "crime":
-		return gen.CrimeLike(seed).DS, nil
-	case "mammals":
-		return gen.MammalsLike(seed).DS, nil
-	case "socio":
-		return gen.SocioEconLike(seed).DS, nil
-	case "water":
-		return gen.WaterQualityLike(seed).DS, nil
-	case "csv":
+	name := strings.ToLower(req.Dataset)
+	if name == "csv" {
 		if req.CSV == "" {
 			return nil, fmt.Errorf("dataset \"csv\" needs a csv field")
 		}
 		return dataset.ReadCSV(strings.NewReader(req.CSV))
-	default:
+	}
+	generate, ok := builtinGenerators[name]
+	if !ok {
 		return nil, fmt.Errorf("unknown dataset %q", req.Dataset)
 	}
+	key := builtinKey{name, req.Seed}
+	if key.seed == 0 {
+		key.seed = 1
+	}
+	builtins.Lock()
+	ds := builtins.m[key].Value()
+	builtins.Unlock()
+	if ds != nil {
+		return ds, nil
+	}
+	ds = generate(key.seed) // outside the lock: other creates must not queue behind it
+	builtins.Lock()
+	defer builtins.Unlock()
+	if have := builtins.m[key].Value(); have != nil { // lost the race; share the winner
+		return have, nil
+	}
+	wp := weak.Make(ds)
+	builtins.m[key] = wp
+	runtime.AddCleanup(ds, dropBuiltin, wp)
+	return ds, nil
 }
 
 // newSession builds a session from a create request — the one
@@ -494,6 +550,11 @@ func buildDataset(req *CreateRequest) (*dataset.Dataset, error) {
 // so both apply identical clamping and defaults (which is what makes a
 // restored session behave exactly like the original).
 func newSession(req *CreateRequest) (*session, error) {
+	// DL = γ·|intention| + η must stay positive: a negative γ or η
+	// makes it zero or negative, and SI = IC/DL infinite or negative.
+	if req.Gamma < 0 || req.Eta < 0 {
+		return nil, fmt.Errorf("gamma and eta must be non-negative, got gamma=%g eta=%g", req.Gamma, req.Eta)
+	}
 	ds, err := buildDataset(req)
 	if err != nil {
 		return nil, err
@@ -594,7 +655,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if taken {
-			engine.EvictLanguage(sess.miner.DS)
 			WriteError(w, http.StatusConflict, errSessionExists, 0,
 				"session %q already exists", id)
 			return
@@ -645,7 +705,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.health.degraded.Load() {
 		inf.Persistence = PersistenceDegraded
 	}
-	writeJSON(w, http.StatusCreated, inf)
+	WriteJSON(w, http.StatusCreated, inf)
 }
 
 // lookup finds a live session or transparently restores it from the
@@ -704,12 +764,10 @@ func (s *Server) restoreFromStore(id string) (*session, error) {
 	if t, dead := s.tombstones[id]; dead && time.Since(t) < tombstoneTTL {
 		// A DELETE ran while we were rebuilding: honour it.
 		s.mu.Unlock()
-		engine.EvictLanguage(sess.miner.DS)
 		return nil, ErrNotFound
 	}
 	if have := s.sessions[id]; have != nil { // lost a restore race
 		s.mu.Unlock()
-		engine.EvictLanguage(sess.miner.DS)
 		have.touch()
 		return have, nil
 	}
@@ -858,7 +916,6 @@ func (s *Server) tryEvict(sess *session) bool {
 		delete(s.sessions, sess.id)
 	}
 	s.mu.Unlock()
-	engine.EvictLanguage(sess.miner.DS)
 	return true
 }
 
@@ -906,7 +963,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -919,21 +976,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.tombstones[id] = time.Now()
 	s.mu.Unlock()
 	if ok {
-		// Release the dataset's cached condition language with the
-		// session; datasets are per-session, so nobody else can be using
-		// it. Marking the session closed stops requests still queued on
-		// the lock from rebuilding and re-pinning the language after the
-		// eviction; if mine jobs are in flight, the watcher of the last
-		// one to drain performs the eviction instead (an in-flight search
-		// keeps its own reference, so dropping the cache entry is safe
-		// either way).
+		// Closing stops requests still queued on the session lock.
 		sess.mu.Lock()
 		sess.closed = true
-		mining := sess.mines > 0
 		sess.mu.Unlock()
-		if !mining {
-			engine.EvictLanguage(sess.miner.DS)
-		}
 	}
 	// A session can exist only as a stored snapshot (evicted, or from a
 	// previous process); deleting that is a successful delete too. A
@@ -950,7 +996,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, errNotFound, 0, "no session %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
 func (s *Server) withSession(w http.ResponseWriter, r *http.Request) *session {
@@ -1070,7 +1116,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 
 	if req.Async {
 		inf, _ := s.pool.Get(job.ID())
-		writeJSON(w, http.StatusAccepted, inf)
+		WriteJSON(w, http.StatusAccepted, inf)
 		return
 	}
 	inf, _ := s.pool.Wait(r.Context(), job.ID(), s.opts.SyncWait)
@@ -1080,18 +1126,11 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	s.writeMineOutcome(w, inf)
 }
 
-// releaseMine returns one mine slot; the watcher of the last slot to
-// drain on a closed session also releases the dataset's cached
-// condition language (an in-flight search keeps its own reference, so
-// eviction while a cancelled search unwinds is safe).
+// releaseMine returns one mine slot.
 func (s *Server) releaseMine(sess *session) {
 	sess.mu.Lock()
 	sess.mines--
-	last := sess.mines == 0 && sess.closed
 	sess.mu.Unlock()
-	if last {
-		engine.EvictLanguage(sess.miner.DS)
-	}
 }
 
 // writeMineOutcome maps a finished (or still-running) mine job to the
@@ -1109,7 +1148,7 @@ func (s *Server) writeMineOutcome(w http.ResponseWriter, inf jobs.Info) {
 		// GET /api/v1/jobs/{id} marshalling.
 		withJob := *resp
 		withJob.Job = inf.ID
-		writeJSON(w, http.StatusOK, &withJob)
+		WriteJSON(w, http.StatusOK, &withJob)
 	case jobs.StatusFailed:
 		WriteError(w, http.StatusInternalServerError, errInternal, 0, "mining: %s", inf.Error)
 	case jobs.StatusCancelled:
@@ -1117,7 +1156,7 @@ func (s *Server) writeMineOutcome(w http.ResponseWriter, inf jobs.Info) {
 	default:
 		// SyncWait elapsed (or the client went away): hand over the job
 		// id so the client can keep polling.
-		writeJSON(w, http.StatusAccepted, inf)
+		WriteJSON(w, http.StatusAccepted, inf)
 	}
 }
 
@@ -1320,7 +1359,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// persistence reports the store health after the Put: "degraded"
 	// tells the client its commit lives in memory only for now (the
 	// server re-persists on heal, eviction, snapshot or drain).
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"iterations":   sess.miner.Iteration(),
 		"modelVersion": sess.miner.Snapshot().Version(),
 		"persisted":    persisted,
@@ -1365,7 +1404,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, errInternal, 0, "explain: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, expl)
+	WriteJSON(w, http.StatusOK, expl)
 }
 
 // handleModel exports the session's background-model state (the user's
@@ -1419,7 +1458,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			"persisting snapshot: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"id":         snap.ID,
 		"iterations": snap.Iterations,
 		"savedAt":    snap.SavedAt,
@@ -1446,7 +1485,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		// Not live here: nothing to flush. Whether the id exists at all
 		// is the adopting shard's question (restore-on-miss 404s there).
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "live": false})
+		WriteJSON(w, http.StatusOK, map[string]any{"id": id, "live": false})
 		return
 	}
 	// Lock order commitMu → sess.mu → s.mu, same as tryEvict: the
@@ -1457,7 +1496,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	if sess.closed {
 		sess.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "live": false})
+		WriteJSON(w, http.StatusOK, map[string]any{"id": id, "live": false})
 		return
 	}
 	if sess.mines > 0 {
@@ -1488,8 +1527,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		delete(s.sessions, id)
 	}
 	s.mu.Unlock()
-	engine.EvictLanguage(sess.miner.DS)
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"id":         id,
 		"live":       true,
 		"iterations": snap.Iterations,
@@ -1507,14 +1545,14 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.mu.Unlock()
 	if sess.history == nil {
-		writeJSON(w, http.StatusOK, []PatternJSON{})
+		WriteJSON(w, http.StatusOK, []PatternJSON{})
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.history)
+	WriteJSON(w, http.StatusOK, sess.history)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.pool.List())
+	WriteJSON(w, http.StatusOK, s.pool.List())
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -1537,7 +1575,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, errNotFound, 0, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, inf)
+	WriteJSON(w, http.StatusOK, inf)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
@@ -1546,5 +1584,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, errNotFound, 0, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, inf)
+	WriteJSON(w, http.StatusOK, inf)
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -42,6 +44,38 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+info.ID+"/commit", nil, http.StatusConflict, &env)
 	if env.Error.Code != errNothingPending {
 		t.Fatalf("commit-nothing code = %q, want %q", env.Error.Code, errNothingPending)
+	}
+}
+
+// TestNegativeDescriptionLengthRejected: a negative gamma or eta makes
+// the description length γ·|intention| + η zero or negative, so SI
+// would be infinite (a mine answering 200 with an empty body) or
+// negative. Create rejects both up front.
+func TestNegativeDescriptionLengthRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for _, req := range []CreateRequest{
+		{Dataset: "synthetic", Gamma: -1, Eta: 1},
+		{Dataset: "synthetic", Gamma: 0.1, Eta: -1},
+	} {
+		var env envelope
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", req, http.StatusBadRequest, &env)
+		if env.Error.Code != errBadRequest {
+			t.Fatalf("gamma=%g eta=%g: code %q, want %q", req.Gamma, req.Eta, env.Error.Code, errBadRequest)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot encode answers a 500
+// envelope, not a success status with an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, math.Inf(1))
+	var env envelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("status %d, body %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Error.Code != errInternal {
+		t.Fatalf("status %d, envelope %+v; want 500 %s", rec.Code, env, errInternal)
 	}
 }
 

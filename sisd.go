@@ -6,7 +6,6 @@ import (
 	"repro/internal/background"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/mat"
 	"repro/internal/pattern"
@@ -109,13 +108,6 @@ func NewMiner(ds *Dataset, cfg Config) (*Miner, error) {
 // flag is set, the time budget expired before anything was scored —
 // a retry with a larger budget, not a dead end.
 var ErrNoPattern = core.ErrNoPattern
-
-// ReleaseDataset drops the cached condition language built for ds by
-// previous searches. The cache is bounded (LRU), so calling this is
-// optional; long-running processes mining a stream of large datasets
-// should release each one when done with it to return the extension
-// bitsets to the heap immediately.
-func ReleaseDataset(ds *Dataset) { engine.EvictLanguage(ds) }
 
 // SaveModel serializes a miner's belief state (the background model's
 // group parameters and committed constraints) as JSON, stamped with
