@@ -139,6 +139,25 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 	if in.N <= 0 || in.D <= 0 {
 		return nil, corrupt("invalid dimensions %d×%d", in.N, in.D)
 	}
+	// Bound every index before any n-bit set is allocated: the member
+	// lists partition [0, n), so their total length is n, which bounds
+	// n by the payload's size; constraint extensions index the same
+	// points.
+	members := 0
+	for gi, g := range in.Groups {
+		if !indicesIn(g.Members, in.N) {
+			return nil, corrupt("group %d has a member outside [0, %d)", gi, in.N)
+		}
+		members += len(g.Members)
+	}
+	if members != in.N {
+		return nil, corrupt("groups list %d members for %d points", members, in.N)
+	}
+	for ci, c := range in.Constraints {
+		if !indicesIn(c.Ext, in.N) {
+			return nil, corrupt("constraint %d has an extension index outside [0, %d)", ci, in.N)
+		}
+	}
 	// epoch starts at 1 (like New) so the zero-valued conState caches the
 	// first refit lazily grows are recognized as stale and rebuilt — the
 	// dependency graph needs no wire format of its own.
@@ -153,7 +172,6 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 	if m.MaxSweeps <= 0 {
 		m.MaxSweeps = 5000
 	}
-	covered := 0
 	// Re-share bit-identical covariances: a live model shares Σ by
 	// pointer across split siblings (and across groups a spread update
 	// rewrote from the same parent matrix), so a restored model must
@@ -164,6 +182,7 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 	// factorized (which doubles as the SPD validation) once per
 	// distinct matrix, not once per group.
 	var distinct []*Group
+	covered := bitset.New(in.N)
 	for gi, g := range in.Groups {
 		if len(g.Mu) != in.D || len(g.Sigma) != in.D*in.D {
 			return nil, corrupt("group %d has inconsistent dimensions", gi)
@@ -171,10 +190,7 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 		sigma := mat.NewDense(in.D, in.D)
 		copy(sigma.Data, g.Sigma)
 		members := bitset.FromIndices(in.N, g.Members)
-		if members.Count() != len(g.Members) {
-			return nil, corrupt("group %d has duplicate members", gi)
-		}
-		covered += members.Count()
+		bitset.OrCountInto(covered, covered, members)
 		grp := &Group{
 			Members: members,
 			Count:   members.Count(),
@@ -198,8 +214,10 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 		}
 		m.groups = append(m.groups, grp)
 	}
-	if covered != in.N {
-		return nil, corrupt("groups cover %d of %d points", covered, in.N)
+	// The member lists total n, so a point listed twice, in one group
+	// or in two, leaves another uncovered.
+	if got := covered.Count(); got != in.N {
+		return nil, corrupt("groups cover %d of %d points", got, in.N)
 	}
 	m.rebuildLabels()
 	for ci, c := range in.Constraints {
@@ -241,4 +259,14 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 	}
 	m.publishCurrent()
 	return m, nil
+}
+
+// indicesIn reports whether every index lies in [0, n).
+func indicesIn(idx []int, n int) bool {
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return false
+		}
+	}
+	return true
 }

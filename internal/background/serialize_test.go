@@ -2,6 +2,8 @@ package background
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -192,10 +194,27 @@ func TestLoadJSONRejectsCorruptInput(t *testing.T) {
 		// Spread constraint with non-positive value.
 		`{"n":2,"d":1,"groups":[{"members":[0,1],"mu":[0],"sigma":[1]}],
 		  "constraints":[{"kind":"spread","ext":[0],"w":[1],"center":[0],"value":0}]}`,
+		// Indices outside [0, n): a typed reject, not a bitset panic.
+		`{"n":2,"d":1,"groups":[{"members":[0,5],"mu":[0],"sigma":[1]}],"constraints":[]}`,
+		`{"n":2,"d":1,"groups":[{"members":[-1,1],"mu":[0],"sigma":[1]}],"constraints":[]}`,
+		`{"n":2,"d":1,"groups":[{"members":[0,1],"mu":[0],"sigma":[1]}],
+		  "constraints":[{"kind":"location","ext":[-1],"target":[0]}]}`,
+		`{"n":2,"d":1,"groups":[{"members":[0,1],"mu":[0],"sigma":[1]}],
+		  "constraints":[{"kind":"spread","ext":[2],"w":[1],"center":[0],"value":1}]}`,
+		// An n the member lists do not account for: rejected before an
+		// n-bit set is allocated.
+		`{"n":1000000000000,"d":1,"groups":[{"members":[0,1],"mu":[0],"sigma":[1]}],"constraints":[]}`,
+		// A point listed twice, in one group or in two, leaves another
+		// uncovered.
+		`{"n":2,"d":1,"groups":[{"members":[0,0],"mu":[0],"sigma":[1]}],"constraints":[]}`,
+		`{"n":3,"d":1,"groups":[{"members":[0,1],"mu":[0],"sigma":[1]},
+		  {"members":[1],"mu":[0],"sigma":[1]}],"constraints":[]}`,
 	}
 	for i, c := range cases {
-		if _, err := LoadJSON(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d: expected error", i)
+		for _, load := range []func(io.Reader) (*Model, error){LoadJSON, LoadJSONExact} {
+			if _, err := load(strings.NewReader(c)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("case %d: err = %v, want ErrCorrupt", i, err)
+			}
 		}
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -48,16 +50,48 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CRC-32C of its model bytes. The model is canonicalized (compacted)
 // first so the checksummed bytes are exactly the bytes a JSON
 // round-trip through a store preserves — json.Marshal compacts
-// RawMessage payloads, which would otherwise shift the CRC. Idempotent.
+// RawMessage payloads, which would otherwise shift the CRC. SaveJSON
+// output is already compact apart from a trailing newline, so Seal
+// trims trailing whitespace by reslicing and copies through
+// json.Compact only if whitespace remains outside a string: sealing it
+// allocates nothing and never writes the caller's array. Idempotent.
 // The writer seals once (session.snapshotLocked); DirStore.Put only
 // verifies, so an unsealed snapshot never reaches disk.
 func (s *Snapshot) Seal() {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, s.Model); err == nil {
-		s.Model = json.RawMessage(buf.Bytes())
+	model := bytes.TrimRight(s.Model, " \t\r\n")
+	if hasSpaceOutsideStrings(model) {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, model); err == nil {
+			model = buf.Bytes()
+		}
 	}
+	s.Model = json.RawMessage(model)
 	s.Format = SnapshotFormat
 	s.ModelCRC = crc32.Checksum(s.Model, castagnoli)
+}
+
+// hasSpaceOutsideStrings reports whether b holds a JSON whitespace
+// byte outside a string literal — the only bytes json.Compact drops.
+func hasSpaceOutsideStrings(b []byte) bool {
+	inString, escaped := false, false
+	for _, c := range b {
+		switch {
+		case escaped:
+			escaped = false
+		case inString:
+			switch c {
+			case '\\':
+				escaped = true
+			case '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ', c == '\t', c == '\r', c == '\n':
+			return true
+		}
+	}
+	return false
 }
 
 // Verify checks the integrity framing: an unsealed snapshot (Format 0)
@@ -266,20 +300,49 @@ func (s *DirStore) quarantine(path string) error {
 }
 
 // load reads and validates one snapshot file. Corruption — truncated
-// or malformed JSON, or a checksum mismatch — wraps ErrCorrupt.
+// or malformed JSON, or a checksum mismatch — wraps ErrCorrupt. The
+// file is read into a pooled buffer sized by Stat: json.Unmarshal
+// copies everything the snapshot keeps (strings, the RawMessage
+// model), so the buffer goes back to the pool with no snapshot
+// aliasing it.
 func (s *DirStore) load(path string) (*Snapshot, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if fi, err := f.Stat(); err == nil {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
 	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 	}
 	if err := snap.Verify(); err != nil {
 		return nil, err
 	}
 	return &snap, nil
+}
+
+// bufPool recycles the snapshot-sized buffers DirStore encodes into
+// (Put) and reads files into (load), so neither pass allocates a
+// buffer per call. Buffers that grew past maxPooledBuf are dropped
+// rather than pinned.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 1 << 20
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBuf {
+		return
+	}
+	buf.Reset()
+	bufPool.Put(buf)
 }
 
 // syncDir fsyncs the store directory, making a just-renamed snapshot's
@@ -316,14 +379,17 @@ func (s *DirStore) path(id string) string {
 	return filepath.Join(s.dir, id+".json")
 }
 
-// Put writes the snapshot atomically and durably: marshal it, write +
-// fsync a temp file, rename it over the target, fsync the directory. A
-// crash at any point leaves either the previous complete snapshot or
-// the new one — the recovery sweep disposes of any temp file left
-// behind. The writer seals: a snapshot that fails Verify (unsealed, or
-// a model that no longer matches its CRC) is rejected without touching
-// the directory, so Put never writes a file its own Get would
-// quarantine.
+// Put writes the snapshot atomically and durably: encode it into a
+// pooled buffer (exactly json.Marshal's bytes), write + fsync a fresh
+// temp file, rename it over the target, fsync the directory. A crash
+// at any point leaves either the previous complete snapshot or the new
+// one — the recovery sweep disposes of any temp file left behind.
+// Every Put has its own temp file, so concurrent Puts of one id, from
+// this process or another sharing the directory, cannot tear each
+// other: the last rename wins. The writer seals: a snapshot that fails
+// Verify (unsealed, or a model that no longer matches its CRC) is
+// rejected without touching the directory, so Put never writes a file
+// its own Get would quarantine.
 func (s *DirStore) Put(snap *Snapshot) error {
 	if !validID(snap.ID) {
 		return fmt.Errorf("server: invalid session id %q", snap.ID)
@@ -334,13 +400,15 @@ func (s *DirStore) Put(snap *Snapshot) error {
 	if err := s.open(); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if err := json.NewEncoder(buf).Encode(snap); err != nil {
 		return err
 	}
-	tmp := s.path(snap.ID) + ".tmp"
-	if err := s.writeFileSync(tmp, raw); err != nil {
-		_ = os.Remove(tmp)
+	// Drop the encoder's trailing newline: json.Marshal writes none.
+	raw := buf.Bytes()
+	tmp, err := s.writeTemp(snap.ID, raw[:len(raw)-1])
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, s.path(snap.ID)); err != nil {
@@ -353,12 +421,15 @@ func (s *DirStore) Put(snap *Snapshot) error {
 	return syncDir(s.dir)
 }
 
-// writeFileSync writes data to path and fsyncs the file before close:
-// the rename in Put must only ever expose fully persisted bytes.
-func (s *DirStore) writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeTemp writes data to a new <id>.json.<rand>.tmp file, created
+// with O_EXCL so no other Put shares it, and fsyncs it before close:
+// the rename in Put must only ever expose fully persisted bytes. On
+// failure the temp file is removed.
+func (s *DirStore) writeTemp(id string, data []byte) (string, error) {
+	path := s.path(id) + "." + strconv.FormatUint(rand.Uint64(), 36) + ".tmp"
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return err
+		return "", err
 	}
 	_, err = f.Write(data)
 	if err == nil && !s.noSync {
@@ -367,7 +438,11 @@ func (s *DirStore) writeFileSync(path string, data []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return err
+	if err != nil {
+		_ = os.Remove(path)
+		return "", err
+	}
+	return path, nil
 }
 
 // Get reads and validates a snapshot by id. A corrupt file (torn
