@@ -2,9 +2,13 @@ package background
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/gen"
 	"repro/internal/mat"
+	"repro/internal/stats"
 )
 
 // benchCommitModel builds a model with k committed location constraints
@@ -118,6 +122,61 @@ func BenchmarkRefitOverlappingSpread(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := base.Clone()
 		if err := sp.commit(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// waterModel builds a d=16 model over the water replica's targets after
+// six location+spread commits — the belief state a spread-water session
+// snapshots. Commit k covers the records whose latent pollution falls
+// in the k-th of six overlapping bands; its location is the band's mean
+// and its spread the band's empirical variance along the direction
+// from the prior mean to that mean.
+func waterModel(tb testing.TB) *Model {
+	tb.Helper()
+	w := gen.WaterQualityLike(1)
+	y := w.DS.Y
+	prior := stats.MeanVec(y, nil)
+	m, err := New(y.R, prior.Clone(), stats.CovMat(y, nil))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 0; k < 6; k++ {
+		lo, hi := 0.1*float64(k), 0.1*float64(k)+0.25
+		var idx []int
+		for i, p := range w.Pollution {
+			if p >= lo && p < hi {
+				idx = append(idx, i)
+			}
+		}
+		ext := bitset.FromIndices(y.R, idx)
+		yhat := stats.MeanVec(y, idx)
+		if err := m.CommitLocation(ext, yhat); err != nil {
+			tb.Fatalf("location commit %d: %v", k, err)
+		}
+		dir := yhat.Sub(prior)
+		dir.Normalize()
+		var v float64
+		for _, i := range idx {
+			p := y.Row(i).Sub(yhat).Dot(dir)
+			v += p * p
+		}
+		if err := m.CommitSpread(ext, dir, yhat, v/float64(len(idx))); err != nil {
+			tb.Fatalf("spread commit %d: %v", k, err)
+		}
+	}
+	return m
+}
+
+// BenchmarkSaveJSONWater measures serializing a published water model
+// version — the model half of every spread-water snapshot.
+func BenchmarkSaveJSONWater(b *testing.B) {
+	v := waterModel(b).Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.SaveJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 )
 
 // TestSessionEngineOptions checks that the evaluation-engine options of
-// a create request — parallelism, top-k, min support, splits, per-mine
-// time budget — reach the session's searches.
+// a create request — parallelism, min support, splits, per-mine time
+// budget — reach the session's searches. Top-k is accepted and ignored
+// (TestMineIgnoresTopK).
 func TestSessionEngineOptions(t *testing.T) {
 	ts := newTestServer(t)
 
@@ -77,5 +80,50 @@ func TestSessionEngineOptions(t *testing.T) {
 	// even that can expire, in which case location is legitimately null.
 	if rushed.Location == nil {
 		t.Log("budget expired before level 1; timedOut reported with null location")
+	}
+}
+
+// TestMineIgnoresTopK checks that a create request's topK does not
+// change what a session mines: the server's searches keep a one-entry
+// result log, and the best pattern is the same for every log size.
+// Sessions created with topK 0, 1, 150 and 10000 must give
+// byte-identical mine responses over three mine→commit iterations
+// (apart from the job id and the scheduling-dependent pruning counts)
+// and export byte-identical models.
+func TestMineIgnoresTopK(t *testing.T) {
+	ts := newTestServer(t)
+	var wantMines [][]byte
+	var wantModel json.RawMessage
+	for _, topK := range []int{0, 1, 150, 10000} {
+		var info SessionInfo
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
+			Dataset: "crime", Depth: 2, TopK: topK, Parallelism: 2,
+		}, http.StatusCreated, &info)
+		base := ts.URL + "/api/v1/sessions/" + info.ID
+		var mines [][]byte
+		for it := 0; it < 3; it++ {
+			var mined MineResponse
+			doJSON(t, "POST", base+"/mine", MineRequest{Spread: true}, http.StatusOK, &mined)
+			if mined.Location == nil || mined.Spread == nil {
+				t.Fatalf("topK %d iteration %d: no pattern mined", topK, it)
+			}
+			mines = append(mines, canonicalMineJSON(t, &mined))
+			doJSON(t, "POST", base+"/commit", nil, http.StatusOK, nil)
+		}
+		var model json.RawMessage
+		doJSON(t, "GET", base+"/model", nil, http.StatusOK, &model)
+		if wantMines == nil {
+			wantMines, wantModel = mines, model
+			continue
+		}
+		for it := range mines {
+			if !bytes.Equal(mines[it], wantMines[it]) {
+				t.Fatalf("topK %d iteration %d: mine response differs from topK 0:\n%s\n%s",
+					topK, it, mines[it], wantMines[it])
+			}
+		}
+		if !bytes.Equal(model, wantModel) {
+			t.Fatalf("topK %d: exported model differs from topK 0", topK)
+		}
 	}
 }

@@ -222,12 +222,10 @@ func (sess *session) lockOpen(w http.ResponseWriter) bool {
 
 // Caps on client-requested search settings that size allocations or
 // unbounded work: numSplits grows the condition language (one cached
-// extension bitset per condition), topK retains a cloned extension per
-// kept pattern, beamWidth multiplies the per-level candidate batch,
-// and depth multiplies the number of levels.
+// extension bitset per condition), beamWidth multiplies the per-level
+// candidate batch, and depth multiplies the number of levels.
 const (
 	maxNumSplits   = 64
-	maxTopK        = 10000
 	maxBeamWidth   = 1024
 	maxSearchDepth = 8
 )
@@ -322,6 +320,10 @@ type CreateRequest struct {
 	// Search settings (0 = paper defaults). Parallelism caps the
 	// evaluation-engine workers per search — sessions on a shared server
 	// can be throttled so one mine call does not occupy every core.
+	// TopK is accepted and ignored: a mine answers with the single best
+	// pattern, which is the same for every result-log size, so the
+	// server's searches keep a one-entry log. The field stays on the
+	// wire for clients that send it.
 	BeamWidth   int  `json:"beamWidth,omitempty"`
 	Depth       int  `json:"depth,omitempty"`
 	TopK        int  `json:"topK,omitempty"`
@@ -568,20 +570,20 @@ func newSession(req *CreateRequest) (*session, error) {
 	if clamped.NumSplits > maxNumSplits {
 		clamped.NumSplits = maxNumSplits
 	}
-	if clamped.TopK > maxTopK {
-		clamped.TopK = maxTopK
-	}
 	if clamped.BeamWidth > maxBeamWidth {
 		clamped.BeamWidth = maxBeamWidth
 	}
 	if clamped.Depth > maxSearchDepth {
 		clamped.Depth = maxSearchDepth
 	}
+	// A mine returns only the best pattern, and a beam search's best
+	// pattern does not depend on its log size (DESIGN §6), so the
+	// search keeps a one-entry log and ignores the requested TopK.
 	cfg := core.Config{
 		Search: search.Params{
 			BeamWidth:   clamped.BeamWidth,
 			MaxDepth:    clamped.Depth,
-			TopK:        clamped.TopK,
+			TopK:        1,
 			MinSupport:  clamped.MinSupport,
 			NumSplits:   clamped.NumSplits,
 			Parallelism: clamped.Parallelism,
@@ -821,14 +823,14 @@ func (s *Server) persist(sess *session) bool {
 // (uncommitted) patterns are ephemeral by design and not part of the
 // snapshot.
 func (sess *session) snapshotLocked() (*Snapshot, error) {
-	var buf bytes.Buffer
-	if err := sess.miner.Snapshot().SaveJSON(&buf); err != nil {
+	model, err := sess.miner.Snapshot().EncodeJSON()
+	if err != nil {
 		return nil, err
 	}
 	snap := &Snapshot{
 		ID:         sess.id,
 		Create:     sess.create,
-		Model:      json.RawMessage(buf.Bytes()),
+		Model:      model,
 		History:    append([]PatternJSON(nil), sess.history...),
 		Iterations: int(sess.iterations.Load()),
 		SavedAt:    time.Now(),
