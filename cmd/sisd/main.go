@@ -74,14 +74,10 @@ func main() {
 		if ds.Dy() != 1 {
 			log.Fatalf("-optimal needs exactly one target, dataset has %d", ds.Dy())
 		}
-		col := ds.TargetColumn(0)
-		var mean, m2 float64
-		for i, v := range col {
-			d := v - mean
-			mean += d / float64(i+1)
-			m2 += d * (v - mean)
+		mean, variance := meanVariance(ds.TargetColumn(0))
+		if !(variance > 0) {
+			log.Fatalf("-optimal needs a target with positive variance, got %v", variance)
 		}
-		variance := m2 / float64(len(col))
 		start := time.Now()
 		opt := sisd.MineOptimalLocation1D(ds, mean, variance,
 			cfg.SI, *depth, *splits, *minsup)
@@ -141,6 +137,18 @@ func main() {
 			}
 		}
 	}
+}
+
+// meanVariance returns the mean and population variance of col
+// (Welford's one-pass update): the fresh model's prior on the target.
+func meanVariance(col []float64) (mean, variance float64) {
+	var m2 float64
+	for i, v := range col {
+		d := v - mean
+		mean += d / float64(i+1)
+		m2 += d * (v - mean)
+	}
+	return mean, m2 / float64(len(col))
 }
 
 func loadDataset(path, arffPath, targets, builtin string, seed int64) (*sisd.Dataset, error) {

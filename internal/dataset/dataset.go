@@ -251,6 +251,18 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			row[k] = strconv.FormatFloat(d.Y.At(r, j), 'g', 17, 64)
 			k++
 		}
+		if len(row) == 1 && row[0] == "" {
+			// csv.Writer writes a lone empty field as a blank line, which
+			// csv.Reader skips; quote it so the row survives.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return err
+			}
+			continue
+		}
 		if err := cw.Write(row); err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ package engine
 
 import (
 	"math"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,24 +50,15 @@ type WorkerScorer interface {
 	NewWorker() ScorerWorker
 }
 
-// StatScorerWorker scores a candidate directly from sufficient
-// statistics — the per-group intersection counts of the extension and
-// the sum of target rows over it — with no bitset pass at all. Both
-// slices are caller-owned and must not be modified or retained. Workers
-// must produce bit-identical results through Score and ScoreStats.
+// StatScorerWorker scores a candidate from its extension together with
+// the sum of target rows over it and its size, so the scorer reads no
+// target row. The evaluator passes a condition's Language-cached sum and
+// size for level-1 candidates. ext and ysum are caller-owned and must
+// not be modified or retained. Workers must produce bit-identical
+// results through Score and ScoreStats.
 type StatScorerWorker interface {
 	ScorerWorker
-	ScoreStats(counts []int32, ysum mat.Vec, size, numConds int) (si, ic float64, mean mat.Vec, ok bool)
-}
-
-// GroupLabeler exposes a scorer's dense per-point group labeling so the
-// evaluator can precompute per-condition sufficient statistics (the
-// depth-1 table). Labels()[i] must index a fixed partition of the
-// points into NumGroups() groups, matching the counts ScoreStats
-// expects.
-type GroupLabeler interface {
-	NumGroups() int
-	Labels() []int32
+	ScoreStats(ext *bitset.Set, ysum mat.Vec, size, numConds int) (si, ic float64, mean mat.Vec, ok bool)
 }
 
 // BoundScorer is a Scorer that can also produce admissible SI upper
@@ -168,8 +158,8 @@ func (b *Batch) Reset(depth int) {
 
 // StartParent begins a run of candidates refining ext. A nil ext means
 // the full dataset — the level-1 form that lets the evaluator skip the
-// intersection entirely (the extension IS the condition's) and score
-// from the precomputed depth-1 table when the scorer supports it.
+// intersection entirely (the extension IS the condition's) and, with a
+// StatScorerWorker, score it from the condition's cached target sum.
 func (b *Batch) StartParent(ext *bitset.Set) {
 	b.parents = append(b.parents, ext)
 }
@@ -300,13 +290,12 @@ type Evaluator struct {
 	// workers[i] is goroutine i's scoring context when sc is a
 	// WorkerScorer; nil entries fall back to the concurrent sc.Score.
 	workers []ScorerWorker
-	// statWorkers mirrors workers when they support stat scoring.
+	// statWorkers mirrors workers when every one supports stat scoring;
+	// condSums and condSizes are then the Language's cached per-condition
+	// target sums and sizes, which score level-1 candidates.
 	statWorkers []StatScorerWorker
-	// d1 is the depth-1 sufficient-statistics table: per-condition
-	// per-group counts plus the Language-cached target sums, letting
-	// level-1 candidates be scored with no bitset pass at all. Non-nil
-	// only when the scorer exposes its group labeling.
-	d1 *depthOneTable
+	condSums    []mat.Vec
+	condSizes   []int
 
 	// bounds[i] is goroutine i's bound worker when sc is a BoundScorer
 	// that offers bounds for this model; nil slice → no pruning.
@@ -450,12 +439,6 @@ const boundSlack = 1e-9
 // Affects only speed, never results.
 const minBoundRun = 64
 
-type depthOneTable struct {
-	counts [][]int32 // per condition, per group: |ext(c) ∩ group|
-	sums   []mat.Vec // per condition: Σ_{i∈ext(c)} yᵢ (Language-cached)
-	sizes  []int     // per condition: |ext(c)| (Language-cached)
-}
-
 // NewEvaluator builds an evaluator over the language.
 func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 	opt = opt.withDefaults()
@@ -478,8 +461,8 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 				allStat = false
 			}
 		}
-		if gl, ok := sc.(GroupLabeler); ok && allStat {
-			e.d1 = buildDepthOne(lang, gl)
+		if allStat {
+			e.condSums, e.condSizes = lang.CondTargetStats()
 		} else {
 			e.statWorkers = nil
 		}
@@ -502,51 +485,17 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 	return e
 }
 
-// buildDepthOne precomputes, for every condition, the per-group
-// intersection counts of its extension under the scorer's labeling —
-// one trailing-zeros pass per condition, backed by a single allocation.
-// Together with the Language's cached per-condition target sums this is
-// everything a StatScorerWorker needs, so scoring the whole first level
-// touches no bitsets.
-func buildDepthOne(lang *Language, gl GroupLabeler) *depthOneTable {
-	labels := gl.Labels()
-	ng := gl.NumGroups()
-	if ng == 0 || len(labels) != lang.N {
-		return nil
-	}
-	sums, sizes := lang.CondTargetStats()
-	counts := make([][]int32, len(lang.Exts))
-	buf := make([]int32, ng*len(lang.Exts))
-	for ci, ext := range lang.Exts {
-		c := buf[ci*ng : (ci+1)*ng : (ci+1)*ng]
-		if ng == 1 {
-			// Fresh model: the only group's count is the extension size.
-			c[0] = int32(sizes[ci])
-		} else {
-			for wi, w := range ext.Words() {
-				base := wi * 64
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					w &= w - 1
-					c[labels[base+b]]++
-				}
-			}
-		}
-		counts[ci] = c
-	}
-	return &depthOneTable{counts: counts, sums: sums, sizes: sizes}
-}
-
 // EvaluateBatch scores all candidates in parallel and returns the
 // accepted ones sorted by the engine ordering (SI descending,
 // deterministic regardless of scheduling). The results are
 // unmaterialized (nil Ext and Mean — see Scored); with a WorkerScorer
 // the entire batch costs no per-candidate allocations: level-1
-// candidates (nil parent) are scored straight from the depth-1 table,
-// deeper ones through one fused AndCountInto + worker-scratch scoring
-// pass over the batch's columnar streams. The returned slice and the
-// Scored.Ids in it are evaluator/batch-owned scratch, valid until the
-// next EvaluateBatch/Reset — Materialize survivors before retaining.
+// candidates (nil parent) are scored from the condition's extension and
+// cached target sum, deeper ones through one fused AndCountInto +
+// worker-scratch scoring pass over the batch's columnar streams. The
+// returned slice and the Scored.Ids in it are evaluator/batch-owned
+// scratch, valid until the next EvaluateBatch/Reset — Materialize
+// survivors before retaining.
 //
 // With bounds armed (BoundScorer + SelectTop, no DisableBounds), each
 // worker keeps a running min-heap of its SelectTop best SIs and
@@ -648,13 +597,13 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 				var si, ic float64
 				var size int
 				var ok bool
-				if parent == nil && e.d1 != nil {
-					size = e.d1.sizes[cond]
+				if parent == nil && e.statWorkers != nil {
+					size = e.condSizes[cond]
 					if size < minSupport {
 						continue
 					}
 					si, ic, _, ok = e.statWorkers[w].ScoreStats(
-						e.d1.counts[cond], e.d1.sums[cond], size, depth)
+						e.lang.Exts[cond], e.condSums[cond], size, depth)
 				} else {
 					pset := parent
 					if pset == nil {
@@ -805,9 +754,10 @@ func (e *Evaluator) Materialize(b *Batch, s *Scored) {
 	numConds := b.depth
 	if parent == nil {
 		s.Ext = e.lang.Exts[cond].Clone()
-		if e.d1 != nil {
+		if e.statWorkers != nil {
+			// The path the batch took: the cached sum, no target row read.
 			_, _, mean, ok := e.statWorkers[0].ScoreStats(
-				e.d1.counts[cond], e.d1.sums[cond], e.d1.sizes[cond], numConds)
+				s.Ext, e.condSums[cond], e.condSizes[cond], numConds)
 			if ok {
 				s.Mean = mean.Clone()
 			}

@@ -28,7 +28,7 @@ type Language struct {
 	Conds []pattern.Condition
 	Exts  []*bitset.Set
 
-	// Depth-1 sufficient statistics, built lazily once per Language:
+	// Per-condition target sums and sizes, built lazily once per Language:
 	// every condition's target-row sum and extension size depend only on
 	// the (immutable) dataset, so they are shared by every search,
 	// session and model state working on it.
@@ -118,18 +118,9 @@ func EvictLanguage(ds *dataset.Dataset) {
 // CondTargetStats returns, for every condition, the sum of target rows
 // over its extension (Σ_{i∈ext(c)} yᵢ) and the extension size. Both are
 // model-independent, so they are computed once per Language and cached.
-//
-// The sums are built point-major: a CSR-style inverted index maps each
-// point to the conditions containing it, and one pass over the data
-// folds every row into all of its conditions' sums. The arithmetic is
-// the same Σ|ext(c)| row additions a per-condition walk performs, but
-// the target matrix is streamed exactly once instead of once per
-// condition — on wide-target datasets (mammals: 134 conditions × 124
-// targets) the per-condition walk re-reads the 2 MB matrix ~70 times
-// and is purely memory-bound. Each condition's sum still accumulates
-// in increasing point order — the same order as the fused scoring
-// kernels and the former per-condition walk — so stat-scored and
-// extension-scored candidates produce bit-identical floats.
+// Each sum accumulates in increasing point order — the order of the
+// fused scoring kernels — so stat-scored and extension-scored
+// candidates produce bit-identical floats.
 //
 // Binary targets (every yᵢⱼ ∈ {0,1}, e.g. species presence/absence)
 // take a separate kernel: a sum of k ones is exactly float64(k)
@@ -171,91 +162,23 @@ func (l *Language) CondTargetStats() (sums []mat.Vec, sizes []int) {
 			}
 			return
 		}
-		if d < 8 {
-			// Narrow targets: each membership contributes only a few
-			// adds, so the inverted index costs more than the re-reads
-			// it eliminates. Walk per condition (same float order).
-			for ci, ext := range l.Exts {
-				sum := buf[ci*d : (ci+1)*d : (ci+1)*d]
-				cnt := 0
-				for wi, w := range ext.Words() {
-					base := wi * 64
-					for w != 0 {
-						b := bits.TrailingZeros64(w)
-						w &= w - 1
-						row := y.Data[(base+b)*d : (base+b)*d+d]
-						for j, v := range row {
-							sum[j] += v
-						}
-						cnt++
+		for ci, ext := range l.Exts {
+			sum := buf[ci*d : (ci+1)*d : (ci+1)*d]
+			cnt := 0
+			for wi, w := range ext.Words() {
+				base := wi * 64
+				for w != 0 {
+					b := bits.TrailingZeros64(w)
+					w &= w - 1
+					row := y.Data[(base+b)*d : (base+b)*d+d]
+					for j, v := range row {
+						sum[j] += v
 					}
-				}
-				l.condSums[ci] = sum
-				l.condSizes[ci] = cnt
-			}
-			return
-		}
-		total := 0
-		for ci, ext := range l.Exts {
-			l.condSums[ci] = buf[ci*d : (ci+1)*d : (ci+1)*d]
-			sz := ext.Count()
-			l.condSizes[ci] = sz
-			total += sz
-		}
-		// CSR inverted index: memb[start[i]:start[i+1]] lists the
-		// conditions containing point i, in ascending condition order
-		// (filled condition-major below, which yields exactly that).
-		start := make([]int32, n+1)
-		for _, ext := range l.Exts {
-			for wi, w := range ext.Words() {
-				base := wi * 64
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					w &= w - 1
-					start[base+b+1]++
+					cnt++
 				}
 			}
-		}
-		for i := 0; i < n; i++ {
-			start[i+1] += start[i]
-		}
-		memb := make([]int32, total)
-		fill := make([]int32, n)
-		for ci, ext := range l.Exts {
-			for wi, w := range ext.Words() {
-				base := wi * 64
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					w &= w - 1
-					i := base + b
-					memb[start[i]+fill[i]] = int32(ci)
-					fill[i]++
-				}
-			}
-		}
-		// Fold every row into its conditions' sums. Each sum[j] is an
-		// independent accumulator, so the four-wide unroll only
-		// interleaves distinct target coordinates — every individual
-		// accumulator still sees its additions in increasing point
-		// order, keeping the sums bit-identical to the rolled loop.
-		// The explicit reslice to len(row) lets the compiler drop the
-		// per-element bounds checks that otherwise dominate the fold.
-		for i := 0; i < n; i++ {
-			row := y.Data[i*d : (i+1)*d]
-			for _, ci := range memb[start[i]:start[i+1]] {
-				sum := buf[int(ci)*d:]
-				sum = sum[:len(row)]
-				j := 0
-				for ; j+4 <= len(row); j += 4 {
-					sum[j] += row[j]
-					sum[j+1] += row[j+1]
-					sum[j+2] += row[j+2]
-					sum[j+3] += row[j+3]
-				}
-				for ; j < len(row); j++ {
-					sum[j] += row[j]
-				}
-			}
+			l.condSums[ci] = sum
+			l.condSizes[ci] = cnt
 		}
 	})
 	return l.condSums, l.condSizes

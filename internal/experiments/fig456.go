@@ -16,7 +16,8 @@ import (
 // read-only, so repeated regenerations (tests, benchmarks, a server
 // rerunning the experiment) skip the costly generation — and, because
 // the condition-language cache is keyed by dataset identity, the
-// percentile splits and depth-1 statistics tables are reused too.
+// percentile splits, extensions and per-condition target sums are
+// reused too.
 var (
 	mammalsMu   sync.Mutex
 	mammalsSeed int64

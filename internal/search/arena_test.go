@@ -31,7 +31,7 @@ func TestWarmBeamAllocatesOnlySurvivors(t *testing.T) {
 	cloneBytes := 32 + 8*((ds.N()+63)/64) + 8*p.MaxDepth + 8*ds.Dy()
 	patternBytes := 64 * p.MaxDepth
 	// Per-search set-up that does not grow with the candidates: the
-	// evaluator, scorer workers, the depth-1 table and the top-k heap.
+	// evaluator, scorer workers and the top-k heap.
 	const setupAllocs, setupBytes = 64, 128 << 10
 	maxAllocs := float64(4*survivors + len(res.Patterns) + setupAllocs)
 	maxBytes := uint64(survivors*cloneBytes + len(res.Patterns)*patternBytes + setupBytes)

@@ -61,10 +61,10 @@ func TestBeamParallelismByteIdentical(t *testing.T) {
 // TestBeamManyGroupsParallelismByteIdentical repeats the byte-identity
 // guarantee on a model that many commits have fragmented into many
 // parameter groups — the regime the fused sufficient-statistics kernel
-// (group-label pass + depth-1 stats table) is built for. The search
-// must return the same bytes at every parallelism and regardless of
-// whether candidates were scored from the depth-1 table or the fused
-// extension pass.
+// (group-label pass + cached per-condition target sums) is built for.
+// The search must return the same bytes at every parallelism and
+// regardless of whether candidates were scored from a cached target sum
+// or the fused extension pass.
 func TestBeamManyGroupsParallelismByteIdentical(t *testing.T) {
 	ds := gen.Synthetic620(gen.SeedSynthetic).DS
 	m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))

@@ -146,8 +146,8 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 
 	// Level 1 candidates: every elementary condition, refining the empty
 	// intention. Its nil extension means the full dataset, which lets the
-	// evaluator score the level from its precomputed depth-1
-	// sufficient-statistics table with no bitset passes at all. The
+	// evaluator skip the intersection and score each candidate from its
+	// condition's extension and Language-cached target sum. The
 	// evaluator's one columnar batch is reused across all levels (and,
 	// through Release, across searches): its streams only ever grow to
 	// the high-water candidate count.

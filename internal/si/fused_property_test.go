@@ -120,6 +120,16 @@ func randomExt(rng *rand.Rand, n int) *bitset.Set {
 	return ext
 }
 
+// sparseExt draws an extension of 1–8 random points: small enough that
+// on a many-group model the label walk beats the AND-popcounts.
+func sparseExt(rng *rand.Rand, n int) *bitset.Set {
+	ext := bitset.New(n)
+	for k := 1 + rng.Intn(8); k > 0; k-- {
+		ext.Add(rng.Intn(n))
+	}
+	return ext
+}
+
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -129,14 +139,20 @@ func bitsEqual(a, b float64) bool {
 // path) and asserts that the fused single-pass scorer — through the
 // concurrent Score, the per-worker Score, and the sufficient-statistics
 // ScoreStats entry points — reproduces the naive multi-pass scorer's
-// SI, IC and subgroup mean exactly, bit for bit.
+// SI, IC and subgroup mean exactly, bit for bit. ScoreStats takes its
+// group counts from the extension in one of three ways (one group, the
+// AND-popcounts, or the label walk); the trials must reach all three.
 func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := Default()
+	var single, popcount, labelWalk int
 	for trial := 0; trial < 40; trial++ {
 		n := 96 + rng.Intn(160)
 		d := 1 + rng.Intn(4)
 		commits := rng.Intn(7)
+		if trial%4 == 3 {
+			commits = 7 + rng.Intn(6) // many groups: the label walk's regime
+		}
 		withSpread := trial%3 == 0 && commits > 0
 		m, y := randomModel(t, rng, n, d, commits, withSpread)
 
@@ -148,11 +164,21 @@ func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 			t.Fatal("spread commit should break the shared-Σ fast path")
 		}
 		worker := sc.newWorker()
-		labels := m.Labels()
 
 		for e := 0; e < 8; e++ {
 			ext := randomExt(rng, n)
+			if e%2 == 1 {
+				ext = sparseExt(rng, n)
+			}
 			numConds := 1 + rng.Intn(3)
+			switch cnt := ext.Count(); {
+			case m.NumGroups() == 1:
+				single++
+			case m.NumGroups()*len(ext.Words()) < 4*cnt:
+				popcount++
+			default:
+				labelWalk++
+			}
 
 			wantSI, wantIC, wantYhat, wantOK := referenceScore(
 				m, y, sc.shared, sc.logDetS, ext, numConds, p)
@@ -168,21 +194,18 @@ func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 					return worker.Score(ext, numConds)
 				}},
 				{"Worker.ScoreStats", func() (float64, float64, mat.Vec, bool) {
-					// Build the sufficient statistics the way the engine's
-					// depth-1 table does: counts via the labeling, the target
-					// sum in increasing point order.
-					counts := make([]int32, m.NumGroups())
+					// The target sum the Language caches per condition: rows
+					// added in increasing point order.
 					ysum := make(mat.Vec, d)
 					size := 0
 					ext.ForEach(func(i int) {
-						counts[labels[i]]++
 						row := y.Row(i)
 						for j, v := range row {
 							ysum[j] += v
 						}
 						size++
 					})
-					return worker.ScoreStats(counts, ysum, size, numConds)
+					return worker.ScoreStats(ext, ysum, size, numConds)
 				}},
 			}
 			for _, c := range checks {
@@ -206,6 +229,11 @@ func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 			}
 		}
 	}
+	if single == 0 || popcount == 0 || labelWalk == 0 {
+		t.Fatalf("count paths reached: single group %d, popcount %d, label walk %d; want all three",
+			single, popcount, labelWalk)
+	}
+	t.Logf("count paths reached: single group %d, popcount %d, label walk %d", single, popcount, labelWalk)
 }
 
 // TestFusedGeneralPathMatchesPublicLocationSI forces the general

@@ -313,12 +313,10 @@ type LocationScorer struct {
 }
 
 // Interface conformance with the evaluation engine: workers score from
-// pooled scratch, stat workers score depth-1 candidates from the
-// engine's precomputed sufficient statistics, and the labeling lets the
-// engine build that table.
+// pooled scratch, and stat workers score level-1 candidates from the
+// Language's cached per-condition target sums.
 var (
 	_ engine.WorkerScorer     = (*LocationScorer)(nil)
-	_ engine.GroupLabeler     = (*LocationScorer)(nil)
 	_ engine.BoundScorer      = (*LocationScorer)(nil)
 	_ engine.StatScorerWorker = (*LocationWorker)(nil)
 )
@@ -350,12 +348,6 @@ func NewLocationScorer(m background.Reader, y *mat.Dense, p Params) (*LocationSc
 	s.pool.New = func() any { return s.newWorker() }
 	return s, nil
 }
-
-// NumGroups implements engine.GroupLabeler.
-func (s *LocationScorer) NumGroups() int { return len(s.groups) }
-
-// Labels implements engine.GroupLabeler.
-func (s *LocationScorer) Labels() []int32 { return s.labels }
 
 // NewWorker implements engine.WorkerScorer.
 func (s *LocationScorer) NewWorker() engine.ScorerWorker { return s.newWorker() }
@@ -420,19 +412,27 @@ func (w *LocationWorker) Score(ext *bitset.Set, numConds int) (si, ic float64, y
 	if cnt == 0 {
 		return 0, 0, nil, false
 	}
-	return w.finish(w.counts, cnt, numConds, w.touched)
+	return w.finish(cnt, numConds)
 }
 
-// ScoreStats implements engine.StatScorerWorker: scoring from
-// precomputed sufficient statistics (depth-1 table), no bitset pass.
-// Results are bit-identical to Score on the matching extension because
-// the statistics accumulate in the same order the fused pass does.
-func (w *LocationWorker) ScoreStats(counts []int32, ysum mat.Vec, size, numConds int) (si, ic float64, yhat mat.Vec, ok bool) {
+// ScoreStats implements engine.StatScorerWorker: ysum is ext's target
+// sum, so only the group counts come from ext — the popcount or label
+// pass Score would pick, with no target row read. Results are
+// bit-identical to Score because the counts are the same integers and
+// ysum accumulated in the same member order the fused pass uses.
+func (w *LocationWorker) ScoreStats(ext *bitset.Set, ysum mat.Vec, size, numConds int) (si, ic float64, yhat mat.Vec, ok bool) {
 	if size == 0 {
 		return 0, 0, nil, false
 	}
+	switch {
+	case len(w.s.groups) == 1:
+		w.counts[0] = int32(size)
+		w.touched[0] = 1
+	case !w.popcountGroups(ext, size):
+		w.labelGroups(ext)
+	}
 	copy(w.yhat, ysum)
-	return w.finish(counts, size, numConds, nil)
+	return w.finish(size, numConds)
 }
 
 // accumulate runs the fused pass: one trailing-zeros walk over ext
@@ -462,15 +462,7 @@ func (w *LocationWorker) accumulate(ext *bitset.Set) int {
 		if cnt == 0 {
 			return 0
 		}
-		if len(s.groups)*len(ext.Words()) < cnt*4 {
-			plain = true
-			for gi, g := range s.groups {
-				if c := g.Members.IntersectCount(ext); c != 0 {
-					w.counts[gi] = int32(c)
-					w.touched[gi>>6] |= 1 << (uint(gi) & 63)
-				}
-			}
-		}
+		plain = w.popcountGroups(ext, cnt)
 	}
 	// Each walk variant is its own small function so the hot loops get
 	// clean register allocation instead of sharing one sprawling frame.
@@ -492,6 +484,42 @@ func (w *LocationWorker) accumulate(ext *bitset.Set) int {
 		w.touched[0] = 1
 	}
 	return cnt
+}
+
+// popcountGroups fills the group counts of ext, which has cnt members,
+// from AND-popcounts of the group membership bitsets when that
+// (#groups·n/64 word operations) beats per-member label bookkeeping, and
+// reports whether it did.
+func (w *LocationWorker) popcountGroups(ext *bitset.Set, cnt int) bool {
+	groups := w.s.groups
+	if len(groups)*len(ext.Words()) >= cnt*4 {
+		return false
+	}
+	for gi, g := range groups {
+		if c := g.Members.IntersectCount(ext); c != 0 {
+			w.counts[gi] = int32(c)
+			w.touched[gi>>6] |= 1 << (uint(gi) & 63)
+		}
+	}
+	return true
+}
+
+// labelGroups counts the members of ext per group through the labeling,
+// reading no target row.
+func (w *LocationWorker) labelGroups(ext *bitset.Set) {
+	labels := w.s.labels
+	counts := w.counts
+	touched := w.touched
+	for wi, word := range ext.Words() {
+		base := wi * 64
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			lab := labels[base+b]
+			counts[lab]++
+			touched[lab>>6] |= 1 << (uint(lab) & 63)
+		}
+	}
 }
 
 // sumD1Plain sums the single target column over ext into w.yhat.
@@ -680,19 +708,15 @@ func (w *LocationWorker) sumRowsSmallD(ext *bitset.Set) int {
 }
 
 // finish turns accumulated sufficient statistics (w.yhat holds the raw
-// target sum) into SI/IC. The per-group accumulation of µ_I (and Σ_I on
-// the general path) visits the intersected groups in ascending model
-// order skipping empty ones — the exact float operation sequence of the
-// naive SubgroupMeanMarginal-based path, so both agree bit-for-bit.
-//
-// With a touched bitmap (the worker path), only the groups the
-// extension intersects are visited — a trailing-zeros walk that yields
-// ascending order for free — and every visited count slot and bitmap
+// target sum, w.counts and w.touched the group counts) into SI/IC. The
+// per-group accumulation of µ_I (and Σ_I on the general path) visits
+// only the groups the extension intersects, in ascending model order —
+// a trailing-zeros walk over the touched bitmap — which is the exact
+// float operation sequence of the naive SubgroupMeanMarginal-based
+// path, so both agree bit-for-bit. Every visited count slot and bitmap
 // word is cleared on the way, maintaining the worker-scratch invariant
-// without a per-candidate O(#groups) memset. The stat-table path passes
-// touched=nil (caller-owned dense counts, must not be modified) and
-// scans all slots.
-func (w *LocationWorker) finish(counts []int32, cnt, numConds int, touched []uint64) (si, ic float64, yhat mat.Vec, ok bool) {
+// without a per-candidate O(#groups) memset.
+func (w *LocationWorker) finish(cnt, numConds int) (si, ic float64, yhat mat.Vec, ok bool) {
 	s := w.s
 	d := s.d
 	yhat = w.yhat
@@ -701,31 +725,25 @@ func (w *LocationWorker) finish(counts []int32, cnt, numConds int, touched []uin
 	muI := w.muI
 	cov := w.cov
 	mus := s.mus
+	counts := w.counts
+	touched := w.touched
 	if cov == nil && d == 1 {
 		// Shared-Σ single-target fast path: the group loop collapses to
 		// one fused multiply-add over the flat mean array.
 		var mu0 float64
-		if touched != nil {
-			for wi, word := range touched {
-				if word == 0 {
-					continue
-				}
-				base := wi * 64
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &= word - 1
-					gi := base + b
-					mu0 += float64(counts[gi]) * mus[gi]
-					counts[gi] = 0
-				}
-				touched[wi] = 0
+		for wi, word := range touched {
+			if word == 0 {
+				continue
 			}
-		} else {
-			for gi, c := range counts {
-				if c != 0 {
-					mu0 += float64(c) * mus[gi]
-				}
+			base := wi * 64
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				gi := base + b
+				mu0 += float64(counts[gi]) * mus[gi]
+				counts[gi] = 0
 			}
+			touched[wi] = 0
 		}
 		muI[0] = mu0
 	} else {
@@ -743,43 +761,32 @@ func (w *LocationWorker) finish(counts []int32, cnt, numConds int, touched []uin
 				}
 			}
 		}
-		acc := func(gi int, wt float64) {
-			mu := mus[gi*d : (gi+1)*d]
-			for j, v := range mu {
-				muI[j] += wt * v
+		for wi, word := range touched {
+			if word == 0 {
+				continue
 			}
-			if cov != nil {
-				sig := s.groups[gi].Sigma.Data
-				for r := 0; r < d; r++ {
-					src := sig[r*d : r*d+r+1]
-					dst := cov.Data[r*d : r*d+r+1]
-					for c, v := range src {
-						dst[c] += wt * v
+			base := wi * 64
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				gi := base + b
+				wt := float64(counts[gi])
+				counts[gi] = 0
+				for j, v := range mus[gi*d : (gi+1)*d] {
+					muI[j] += wt * v
+				}
+				if cov != nil {
+					sig := s.groups[gi].Sigma.Data
+					for r := 0; r < d; r++ {
+						src := sig[r*d : r*d+r+1]
+						dst := cov.Data[r*d : r*d+r+1]
+						for c, v := range src {
+							dst[c] += wt * v
+						}
 					}
 				}
 			}
-		}
-		if touched != nil {
-			for wi, word := range touched {
-				if word == 0 {
-					continue
-				}
-				base := wi * 64
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &= word - 1
-					gi := base + b
-					acc(gi, float64(counts[gi]))
-					counts[gi] = 0
-				}
-				touched[wi] = 0
-			}
-		} else {
-			for gi, c := range counts {
-				if c != 0 {
-					acc(gi, float64(c))
-				}
-			}
+			touched[wi] = 0
 		}
 	}
 	muI.Scale(1 / float64(cnt))
