@@ -17,6 +17,7 @@ package engine
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,8 +80,14 @@ type BoundScorer interface {
 // bound must be admissible up to float rounding — the evaluator inflates
 // it by a relative epsilon before comparing, and the search layer's
 // property tests verify that no true SI ever exceeds the inflated bound.
+//
+// Prepare keeps its per-parent tables in *scratch, growing it when it
+// is too small, and BoundSI reads them from there: the caller owns the
+// buffer and must not touch it between a Prepare and the BoundSI calls
+// that follow. The evaluator passes each goroutine's bound scratch from
+// its arena, so a warm search's Prepare allocates nothing.
 type BoundWorker interface {
-	Prepare(parent *bitset.Set) bool
+	Prepare(parent *bitset.Set, scratch *[]float64) bool
 	BoundSI(size, numConds int) float64
 }
 
@@ -318,15 +325,21 @@ type Evaluator struct {
 	stats EvalStats
 }
 
-// arena is the buffer set that grows with a level's candidate count: the
-// columnar Batch and EvaluateBatch's result buffers. Sets circulate
-// through a process-wide free list — NewEvaluator takes one, Release
-// parks it — so a warm search reuses the high-water buffers of earlier
-// searches instead of regrowing its own.
+// arena is the buffer set that grows with a search's size: the columnar
+// Batch, EvaluateBatch's result buffers and one bound scratch per
+// evaluation goroutine, where BoundWorker.Prepare keeps a parent's
+// sorted residual prefix sums. Sets circulate through a process-wide
+// free list — NewEvaluator takes one, Release parks it — so a warm
+// search, even one with a fresh scorer on another dataset, reuses the
+// high-water buffers of earlier searches instead of regrowing its own.
+// out grows with append-style headroom and valid follows its capacity,
+// so a level a little larger than the high-water mark does not
+// reallocate either.
 type arena struct {
-	batch Batch
-	out   []Scored
-	valid []bool
+	batch        Batch
+	out          []Scored
+	valid        []bool
+	boundScratch [][]float64
 }
 
 // arenas is the free list. It parks at most GOMAXPROCS sets, about as
@@ -469,6 +482,9 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 	}
 	if bs, ok := sc.(BoundScorer); ok && !opt.DisableBounds && opt.SelectTop > 0 {
 		if w0 := bs.NewBoundWorker(); w0 != nil {
+			if k := opt.Parallelism - len(e.boundScratch); k > 0 {
+				e.boundScratch = append(e.boundScratch, make([][]float64, k)...)
+			}
 			e.bounds = make([]BoundWorker, opt.Parallelism)
 			e.bounds[0] = w0
 			for i := 1; i < opt.Parallelism; i++ {
@@ -516,14 +532,12 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 	n := b.Len()
 	if cap(e.out) < n {
-		e.out = make([]Scored, n)
-		e.valid = make([]bool, n)
+		e.out = slices.Grow(e.out[:0], n)
+		e.valid = make([]bool, cap(e.out))
 	}
 	out := e.out[:n]
 	valid := e.valid[:n]
-	for i := range valid {
-		valid[i] = false
-	}
+	clear(valid)
 	checkDeadline := !e.opt.Deadline.IsZero()
 	var expired atomic.Bool
 
@@ -622,7 +636,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 								runLen++
 							}
 							if runLen >= minBoundRun {
-								boundReady = bw.Prepare(parent)
+								boundReady = bw.Prepare(parent, &e.boundScratch[w])
 							}
 						}
 					}

@@ -68,6 +68,43 @@ func benchBeamPrune(b *testing.B, noPrune bool) {
 func BenchmarkBeamPruned(b *testing.B)  { benchBeamPrune(b, false) }
 func BenchmarkBeamNoPrune(b *testing.B) { benchBeamPrune(b, true) }
 
+// BenchmarkBeamFreshScorerCrime is the server's mine shape: the paper's
+// beam (40×4, top-150) at Parallelism 2 with a new LocationScorer every
+// iteration, as every commit publishes a new model, alternating two
+// crime replicas as sessions on different seeds do. The models and
+// Languages are built, and the arenas grown, before the timer starts;
+// B/op is then the per-mine cost of the scorer, its residuals and the
+// survivors.
+func BenchmarkBeamFreshScorerCrime(b *testing.B) {
+	var sets [2]*dataset.Dataset
+	var models [2]*background.Model
+	for i := range sets {
+		ds := gen.CrimeLike(gen.SeedCrime + int64(i)).DS
+		m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets[i], models[i] = ds, m
+	}
+	p := Params{BeamWidth: 40, MaxDepth: 4, TopK: 150, Parallelism: 2}
+	mine := func(i int) *Results {
+		sc, err := si.NewLocationScorer(models[i], sets[i].Y, si.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return Beam(sets[i], sc, p)
+	}
+	mine(0)
+	mine(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mine(i%2).Top() == nil {
+			b.Fatal("no result")
+		}
+	}
+}
+
 func BenchmarkOptimalBranchAndBound(b *testing.B) {
 	ds := plantedDS(500, 8)
 	b.ResetTimer()

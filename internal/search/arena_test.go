@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"repro/internal/background"
+	"repro/internal/bitset"
+	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/mat"
+	"repro/internal/si"
 )
 
 // TestWarmBeamAllocatesOnlySurvivors pins the steady state of the
@@ -50,6 +57,114 @@ func TestWarmBeamAllocatesOnlySurvivors(t *testing.T) {
 	if perRun > maxBytes {
 		t.Errorf("warm Beam allocated %d bytes, want at most %d", perRun, maxBytes)
 	}
+}
+
+// TestFreshScorerBeamAllocatesOnlySurvivors pins the server's mine
+// shape. Every commit publishes a new background model, so each mine
+// builds a new LocationScorer and a new evaluator, often on another
+// session's replica. After one search on a first crime seed has grown
+// the arenas, a search with a fresh scorer on a second seed may
+// allocate only its survivors, its patterns, the scorer's one residual
+// vector and fixed set-up. In particular no bound preparation may
+// allocate (its scratch is the arena's), and the result buffer may not
+// regrow: one regrowth alone is larger than the whole budget.
+func TestFreshScorerBeamAllocatesOnlySurvivors(t *testing.T) {
+	warm := gen.CrimeLike(gen.SeedCrime + 1).DS
+	p := Params{BeamWidth: 40, MaxDepth: 4, TopK: 150, Parallelism: 2}
+	Beam(warm, scorerFor(t, warm), p)
+
+	// The second seed's model and Language are built before measuring:
+	// a server shares both across mines.
+	ds := gen.CrimeLike(gen.SeedCrime).DS
+	m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lang := engine.LanguageFor(ds, 4)
+	lang.CondTargetStats()
+	probe := &scratchProbe{}
+	mine := func() *Results {
+		sc, err := si.NewLocationScorer(m, ds.Y, si.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.LocationScorer = sc
+		return Beam(ds, probe, p)
+	}
+
+	const runs = 3
+	var res *Results
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		res = mine()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(lang)
+	if res.Levels != p.MaxDepth {
+		t.Fatalf("search stopped at level %d", res.Levels)
+	}
+	if probe.prepares.Load() == 0 {
+		t.Fatal("no parent was prepared for bounding")
+	}
+	if g := probe.regrown.Load(); g != 0 {
+		t.Errorf("%d of %d Prepare calls regrew their bound scratch; want every one to reuse the arena's",
+			g, probe.prepares.Load())
+	}
+
+	survivors := res.Levels*p.TopK + (res.Levels-1)*p.BeamWidth
+	cloneBytes := 32 + 8*((ds.N()+63)/64) + 8*p.MaxDepth + 8*ds.Dy()
+	patternBytes := 64 * p.MaxDepth
+	residualBytes := 8 * ds.N()
+	// Per-search set-up that does not grow with the candidates: the
+	// scorer, the evaluator, scorer workers and the top-k heap.
+	const setupAllocs, setupBytes = 64, 128 << 10
+	maxAllocs := uint64(4*survivors + len(res.Patterns) + 1 + setupAllocs)
+	maxBytes := uint64(survivors*cloneBytes + len(res.Patterns)*patternBytes + residualBytes + setupBytes)
+	if regrow := uint64(res.Evaluated/res.Levels) * uint64(unsafe.Sizeof(engine.Scored{})); maxBytes >= regrow {
+		t.Fatalf("budget %d bytes cannot tell a result-buffer regrowth (%d bytes) apart", maxBytes, regrow)
+	}
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d allocs (max %d), %d bytes (max %d) per fresh-scorer search of %d candidates, %d prepares",
+		allocs, maxAllocs, perRun, maxBytes, res.Evaluated, probe.prepares.Load()/runs)
+	if allocs > maxAllocs {
+		t.Errorf("fresh-scorer Beam made %d allocations, want at most %d", allocs, maxAllocs)
+	}
+	if perRun > maxBytes {
+		t.Errorf("fresh-scorer Beam allocated %d bytes, want at most %d", perRun, maxBytes)
+	}
+}
+
+// scratchProbe wraps a LocationScorer to watch its bound workers: it
+// counts the Prepare calls and those that had to reallocate the
+// caller's scratch.
+type scratchProbe struct {
+	*si.LocationScorer
+	prepares, regrown atomic.Int64
+}
+
+func (p *scratchProbe) NewBoundWorker() engine.BoundWorker {
+	bw := p.LocationScorer.NewBoundWorker()
+	if bw == nil {
+		return nil
+	}
+	return probedBound{bw, p}
+}
+
+type probedBound struct {
+	engine.BoundWorker
+	p *scratchProbe
+}
+
+func (b probedBound) Prepare(parent *bitset.Set, scratch *[]float64) bool {
+	data, c := unsafe.SliceData(*scratch), cap(*scratch)
+	ok := b.BoundWorker.Prepare(parent, scratch)
+	b.p.prepares.Add(1)
+	if unsafe.SliceData(*scratch) != data || cap(*scratch) != c {
+		b.p.regrown.Add(1)
+	}
+	return ok
 }
 
 // TestConcurrentBeamsShareArenas runs several searches at once, of

@@ -124,7 +124,7 @@ func TestBoundAdmissibility(t *testing.T) {
 
 			checked := 0
 			for _, parent := range parents {
-				if !bw.Prepare(parent) {
+				if !bw.Prepare(parent, new([]float64)) {
 					continue
 				}
 				for ci := range lang.Exts {

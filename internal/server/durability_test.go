@@ -462,6 +462,44 @@ func TestDegradedModeEntryAndHeal(t *testing.T) {
 	}
 }
 
+// TestCreateAgainstUnreachableStore: while the store cannot be read, a
+// create with a pinned id cannot know whether another shard owns the
+// id, so it answers 503 store_degraded with a retry hint instead of
+// claiming the id exists. A server-minted create makes one store probe,
+// keeps that id and starts the session with degraded persistence.
+func TestCreateAgainstUnreachableStore(t *testing.T) {
+	fs := faultstore.New[Snapshot](NewMemStore(), faultstore.Plan{})
+	srv := NewWithOptions(Options{Store: fs})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	fs.Break(nil)
+
+	var env struct {
+		Error errorBody `json:"error"`
+	}
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{ID: "pinned-1", Dataset: "synthetic", Seed: 31},
+		http.StatusServiceUnavailable, &env)
+	if env.Error.Code != errStoreDegraded || env.Error.RetryAfterMs != degradedRetryAfter.Milliseconds() {
+		t.Errorf("pinned create during outage = %+v, want code %q with a %v retry hint",
+			env.Error, errStoreDegraded, degradedRetryAfter)
+	}
+
+	// Each minted create makes one id probe, and its persist one
+	// stale-write fence read (storePut).
+	for i, want := range []string{"s0001", "s0002"} {
+		gets := fs.Stats().Gets
+		var info SessionInfo
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{Dataset: "synthetic", Seed: 31}, http.StatusCreated, &info)
+		if n := fs.Stats().Gets - gets; n != 2 {
+			t.Errorf("minted create %d made %d store Gets, want 2", i+1, n)
+		}
+		if info.ID != want || info.Persistence != PersistenceDegraded {
+			t.Errorf("minted create %d = id %q persistence %q, want %q %q",
+				i+1, info.ID, info.Persistence, want, PersistenceDegraded)
+		}
+	}
+}
+
 // TestCommitPutSingleAttempt: storePut makes exactly one store.Put per
 // persist — no retry loop and no back-off sleeps on the request path.
 // A failed Put answers persisted:false at once and enters degraded

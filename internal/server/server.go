@@ -306,9 +306,10 @@ type CreateRequest struct {
 	// ID, when set, requests a specific session id instead of a
 	// server-generated one (letters, digits, '-', '_'; max 64 chars). A
 	// taken id — live, recently deleted, or present in the store —
-	// answers 409 session_exists. This is the handle the cluster router
-	// uses: it must know a session's id *before* placing it on a shard,
-	// because the consistent-hash ring maps ids to shards.
+	// answers 409 session_exists; an id the store cannot check answers
+	// 503 store_degraded with a retry hint. This is the handle the
+	// cluster router uses: it must know a session's id *before* placing
+	// it on a shard, because the consistent-hash ring maps ids to shards.
 	ID string `json:"id,omitempty"`
 	// Dataset is a builtin name (synthetic|crime|mammals|socio|water) or
 	// "csv" with the data inline in CSV.
@@ -646,15 +647,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 		taken := live || dead
+		var probeErr error
 		if !taken {
-			if _, err := s.store.Get(id); !errors.Is(err, ErrNotFound) {
-				taken = true
+			if taken, probeErr = s.storeHolds(id); taken || probeErr != nil {
 				s.mu.Lock()
 				if s.sessions[id] == sess {
 					delete(s.sessions, id)
 				}
 				s.mu.Unlock()
 			}
+		}
+		if probeErr != nil {
+			// The store cannot say whether another shard owns the id, so
+			// neither a 409 nor a create would be true: ask for a retry.
+			WriteError(w, http.StatusServiceUnavailable, errStoreDegraded, degradedRetryAfter,
+				"checking whether session %q exists: %v", id, probeErr)
+			return
 		}
 		if taken {
 			WriteError(w, http.StatusConflict, errSessionExists, 0,
@@ -666,12 +674,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// Probe for a free id: another process sharing the store (or a
 		// restored set of sessions) may already own the next counter value,
 		// and a Put under a reused id would silently overwrite its snapshot.
-		// A store error counts as "taken" (conservative), with a bounded
-		// number of probes so a wholly broken store cannot spin forever.
-		// Two processes creating at the same instant can still race the
-		// probe — shared DirStores are for restart/failover continuity, not
-		// coordination-free concurrent writes (the cluster router avoids
-		// the race entirely by creating with explicit ids).
+		// The first store error ends the probe and keeps that id: a store
+		// that cannot answer cannot take the Put either, so the session
+		// starts with degraded persistence instead of probing on under
+		// s.mu. The probe count is bounded for a store that claims every
+		// id. Two processes creating at the same instant can still race
+		// the probe — shared DirStores are for restart/failover
+		// continuity, not coordination-free concurrent writes (the cluster
+		// router avoids the race entirely by creating with explicit ids).
 		for probes := 0; ; probes++ {
 			s.nextID++
 			id = fmt.Sprintf("s%04d", s.nextID)
@@ -684,7 +694,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			if _, dead := s.tombstones[id]; dead {
 				continue
 			}
-			if _, err := s.store.Get(id); !errors.Is(err, ErrNotFound) {
+			if taken, _ := s.storeHolds(id); taken {
 				continue
 			}
 			break
@@ -708,6 +718,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		inf.Persistence = PersistenceDegraded
 	}
 	WriteJSON(w, http.StatusCreated, inf)
+}
+
+// storeHolds reports whether the store holds a snapshot under id. A
+// corrupt snapshot holds its id too. Any other store error is returned,
+// since the store then cannot tell.
+func (s *Server) storeHolds(id string) (bool, error) {
+	_, err := s.store.Get(id)
+	switch {
+	case err == nil || errors.Is(err, ErrCorrupt):
+		return true, nil
+	case errors.Is(err, ErrNotFound):
+		return false, nil
+	}
+	return false, err
 }
 
 // lookup finds a live session or transparently restores it from the

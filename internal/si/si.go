@@ -302,9 +302,9 @@ type LocationScorer struct {
 	shared  *mat.Cholesky // non-nil → all groups share Sigma
 	logDetS float64       // log|Σ| of the shared matrix
 
-	// Bound-pruning state (see NewBoundWorker), built lazily once and
-	// shared read-only by all bound workers: per-point residual
-	// magnitudes against each point's own background group mean.
+	// Bound-pruning state (see NewBoundWorker), built by the first
+	// Prepare and shared read-only by all bound workers: per-point
+	// residual magnitudes against each point's own background group mean.
 	boundOnce   sync.Once
 	boundVals   []float64
 	boundInvVar float64 // d == 1 only: 1/Σ, the shared scalar precision
@@ -838,10 +838,21 @@ func (w *LocationWorker) finish(cnt, numConds int) (si, ic float64, yhat mat.Vec
 // Mahalanobis norms cost d² each to precompute), so bounds are offered
 // only for d ≤ 8; without a shared Σ the IC has no such form at all.
 // Both cases return nil and the evaluator scores everything.
+//
+// NewBoundWorker itself costs nothing per point: the residual vector
+// (8n bytes and n·d² flops) is built once, on the first Prepare of any
+// of the scorer's bound workers, so a search that never prepares a
+// parent never pays for it.
 func (s *LocationScorer) NewBoundWorker() engine.BoundWorker {
 	if s.shared == nil || s.d > 8 {
 		return nil
 	}
+	return &locationBoundWorker{s: s}
+}
+
+// residuals builds the scorer's per-point residual magnitudes once; bound
+// workers on several goroutines may race to the first call.
+func (s *LocationScorer) residuals() []float64 {
 	s.boundOnce.Do(func() {
 		n := len(s.labels)
 		d := s.d
@@ -866,28 +877,28 @@ func (s *LocationScorer) NewBoundWorker() engine.BoundWorker {
 		}
 		s.boundVals = vals
 	})
-	return &locationBoundWorker{s: s}
+	return s.boundVals
 }
 
-// locationBoundWorker prepares per-parent sorted residual prefix sums
-// and answers O(1) size-k SI bounds. Single-goroutine, engine-owned.
+// locationBoundWorker answers O(1) size-k SI bounds from the prefix sums
+// of a prepared parent's sorted residuals, which live in the caller's
+// scratch. Single-goroutine, engine-owned.
 type locationBoundWorker struct {
 	s      *LocationScorer
-	vals   []float64 // parent residuals, sorted ascending
-	prefix []float64 // prefix[i] = Σ vals[:i]
+	prefix []float64 // prefix[i] = Σ of the i smallest parent residuals
 	slack  float64   // summation-error allowance, see Prepare
 }
 
-// Prepare implements engine.BoundWorker: gathers the parent's
-// residuals, sorts them and builds prefix sums so BoundSI answers any
-// subset size in O(1). Reports false (no bound available) for a nil or
-// empty parent.
-func (w *locationBoundWorker) Prepare(parent *bitset.Set) bool {
+// Prepare implements engine.BoundWorker: gathers the parent's residuals
+// into *scratch after one leading zero, sorts them and turns them into
+// prefix sums in place, so BoundSI answers any subset size in O(1).
+// Reports false (no bound available) for a nil or empty parent.
+func (w *locationBoundWorker) Prepare(parent *bitset.Set, scratch *[]float64) bool {
 	if parent == nil {
 		return false
 	}
-	resid := w.s.boundVals
-	vals := w.vals[:0]
+	resid := w.s.residuals()
+	prefix := append((*scratch)[:0], 0)
 	absSum := 0.0
 	for wi, word := range parent.Words() {
 		base := wi * 64
@@ -895,27 +906,22 @@ func (w *locationBoundWorker) Prepare(parent *bitset.Set) bool {
 			b := bits.TrailingZeros64(word)
 			word &= word - 1
 			v := resid[base+b]
-			vals = append(vals, v)
+			prefix = append(prefix, v)
 			absSum += math.Abs(v)
 		}
 	}
-	w.vals = vals
-	m := len(vals)
+	*scratch = prefix
+	w.prefix = prefix
+	m := len(prefix) - 1
 	if m == 0 {
 		return false
 	}
-	sort.Float64s(vals)
-	if cap(w.prefix) < m+1 {
-		w.prefix = make([]float64, m+1)
-	}
-	prefix := w.prefix[:m+1]
-	prefix[0] = 0
+	sort.Float64s(prefix[1:])
 	run := 0.0
-	for i, v := range vals {
+	for i, v := range prefix[1:] {
 		run += v
 		prefix[i+1] = run
 	}
-	w.prefix = prefix
 	// Any subset sum recovered from the prefix array carries at most
 	// m·ε·Σ|vᵢ| of accumulated rounding; adding it keeps the extremal
 	// sums admissible. (The evaluator adds its own relative inflation on

@@ -3,10 +3,12 @@ package si
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/background"
 	"repro/internal/bitset"
+	"repro/internal/engine"
 	"repro/internal/mat"
 	"repro/internal/stats"
 )
@@ -344,5 +346,61 @@ func TestScoreEmptyExtension(t *testing.T) {
 	}
 	if _, _, _, ok := sc.Score(bitset.New(10), 1); ok {
 		t.Fatal("empty extension must not score")
+	}
+}
+
+// TestBoundResidualsBuiltOnFirstPrepare checks the bound workers' cost
+// model: NewBoundWorker builds nothing per point, the first Prepare of
+// any worker builds the scorer's residuals once (workers on several
+// goroutines may race to it, which -race checks), and a Prepare whose
+// scratch is already large enough allocates nothing.
+func TestBoundResidualsBuiltOnFirstPrepare(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []int{1, 3} {
+		y := mat.NewDense(n, d)
+		for i := range y.Data {
+			y.Data[i] = rng.NormFloat64()
+		}
+		s, err := NewLocationScorer(newModel(t, n, d), y, Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := []engine.BoundWorker{s.NewBoundWorker(), s.NewBoundWorker(), s.NewBoundWorker()}
+		if s.boundVals != nil {
+			t.Fatalf("d=%d: NewBoundWorker built the residuals", d)
+		}
+		parent := bitset.New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) != 0 {
+				parent.Add(i)
+			}
+		}
+		scratch := make([][]float64, len(workers))
+		var wg sync.WaitGroup
+		for i, w := range workers[:2] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !w.Prepare(parent, &scratch[i]) {
+					t.Errorf("d=%d: Prepare refused a non-empty parent", d)
+				}
+			}()
+		}
+		wg.Wait()
+		if len(s.boundVals) != n {
+			t.Fatalf("d=%d: first Prepare built %d residuals, want %d", d, len(s.boundVals), n)
+		}
+		scratch[2] = make([]float64, 0, n+1)
+		allocs := testing.AllocsPerRun(20, func() { workers[2].Prepare(parent, &scratch[2]) })
+		if allocs != 0 {
+			t.Errorf("d=%d: Prepare with a large enough scratch made %.0f allocations", d, allocs)
+		}
+		for k := 1; k <= parent.Count(); k++ {
+			b0, b1, b2 := workers[0].BoundSI(k, 2), workers[1].BoundSI(k, 2), workers[2].BoundSI(k, 2)
+			if b0 != b1 || b0 != b2 {
+				t.Fatalf("d=%d k=%d: workers disagree: %v %v %v", d, k, b0, b1, b2)
+			}
+		}
 	}
 }
