@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -46,5 +47,26 @@ func TestOptimalRejectsConstantTarget(t *testing.T) {
 	}
 	if strings.Contains(string(out), "panic") || !strings.Contains(string(out), "positive variance") {
 		t.Fatalf("want a positive-variance error, got:\n%s", out)
+	}
+}
+
+// TestNegativeGammaRejected: a negative γ makes the description length
+// shrink as conditions are added (and reach zero), so the command must
+// refuse it with exit status 1 instead of mining SI=+Inf patterns.
+func TestNegativeGammaRejected(t *testing.T) {
+	if args := os.Getenv("SISD_TEST_MAIN"); args != "" {
+		os.Args = append([]string{"sisd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeGammaRejected$")
+	cmd.Env = append(os.Environ(), "SISD_TEST_MAIN=-builtin crime -gamma -0.5 -iters 1 -depth 2")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sisd -gamma -0.5: %v, want exit status 1:\n%s", err, out)
+	}
+	if strings.Contains(string(out), "panic") || !strings.Contains(string(out), "gamma") {
+		t.Fatalf("want a gamma error, got:\n%s", out)
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	sisd "repro"
+	"repro/internal/background"
+	"repro/internal/mat"
+	"repro/internal/search"
+	"repro/internal/si"
 )
 
 func TestReadARFFViaFacade(t *testing.T) {
@@ -113,5 +117,46 @@ func TestMineOptimalLocation1DViaFacade(t *testing.T) {
 	if opt.Intention.Key() != loc.Intention.Key() {
 		t.Fatalf("B&B %v vs beam %v",
 			opt.Intention.Format(ds), loc.Intention.Format(ds))
+	}
+}
+
+// TestMineOptimalLocation1DBitIdenticalToExhaustive: the optimal search
+// is the exact search, so its optimum is the top of an unpruned
+// Exhaustive walk over the same fresh model bit for bit, on crime at
+// depth 1 and 2 (about 0.5 s of unpruned walking at depth 2).
+func TestMineOptimalLocation1DBitIdenticalToExhaustive(t *testing.T) {
+	ds := sisd.GenerateCrimeLike(1994)
+	col := ds.TargetColumn(0)
+	var mean, m2 float64
+	for i, v := range col {
+		d := v - mean
+		mean += d / float64(i+1)
+		m2 += d * (v - mean)
+	}
+	variance := m2 / float64(len(col))
+	m, err := background.New(ds.N(), mat.Vec{mean}, &mat.Dense{R: 1, C: 1, Data: []float64{variance}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := si.NewLocationScorer(m, ds.Y, si.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 2} {
+		opt := sisd.MineOptimalLocation1D(ds, mean, variance, sisd.DefaultSIParams(), depth, 4, 2)
+		top := search.Exhaustive(ds, sc, search.Params{
+			MaxDepth: depth, NumSplits: 4, MinSupport: 2, TopK: 1, NoPrune: true,
+		}).Top()
+		if top == nil || opt.Extension == nil {
+			t.Fatalf("depth %d: empty result", depth)
+		}
+		if opt.SI != top.SI || opt.IC != top.IC {
+			t.Fatalf("depth %d: optimal SI %.17g IC %.17g, exhaustive SI %.17g IC %.17g",
+				depth, opt.SI, opt.IC, top.SI, top.IC)
+		}
+		if opt.Intention.Key() != top.Intention.Key() || !opt.Extension.Equal(top.Extension) {
+			t.Fatalf("depth %d: optimal %v, exhaustive %v",
+				depth, opt.Intention.Format(ds), top.Intention.Format(ds))
+		}
 	}
 }

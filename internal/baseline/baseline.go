@@ -2,13 +2,15 @@
 // itself against (§IV): a classic single-target subgroup discovery
 // quality (the z-score / mean-shift test), binarized Weighted Relative
 // Accuracy, a dispersion-corrected quality in the spirit of Boley et
-// al. (ECML-PKDD 2017) together with their tight-optimistic-estimate
-// branch-and-bound search, and the random-subgroup SI baseline used in
-// the Fig. 3 noise experiment.
+// al. (ECML-PKDD 2017) together with their impact quality and its tight
+// optimistic estimate, and the random-subgroup SI baseline used in the
+// Fig. 3 noise experiment.
 //
 // All scorers implement search.Scorer, so they run on the same beam
-// engine as the SI measure; the exact searches enumerate through the
-// shared engine.Language chassis.
+// engine as the SI measure. The impact search is no loop of its own:
+// it is search.Exhaustive over ImpactScorer, whose BoundWorker is the
+// tight optimistic estimate, pruned (BranchAndBoundImpact) or not
+// (ExhaustiveImpact).
 package baseline
 
 import (
@@ -22,6 +24,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/pattern"
 	"repro/internal/randx"
+	"repro/internal/search"
 	"repro/internal/si"
 	"repro/internal/stats"
 )
@@ -132,7 +135,77 @@ func (s *DispersionCorrectedScorer) Score(ext *bitset.Set, numConds int) (float6
 	return q, q, mat.Vec{w.Mean()}, true
 }
 
-// ImpactResult is the outcome of the branch-and-bound search.
+// ImpactScorer scores subgroups by the impact quality of Boley et al.,
+// q(I) = (|I|/n)·(µ_I − µ₀), for one target column. Its BoundWorker is
+// their tight optimistic estimate: for fixed size k the quality grows
+// with the subgroup's target sum, which no k-subset of a parent can
+// push past the sum of the parent's k largest values.
+type ImpactScorer struct {
+	y   []float64
+	mu0 float64
+	n   int
+}
+
+// NewImpactScorer builds the scorer for target column j.
+func NewImpactScorer(ds *dataset.Dataset, j int) *ImpactScorer {
+	y := ds.TargetColumn(j)
+	return &ImpactScorer{y: y, mu0: stats.Mean(y), n: ds.N()}
+}
+
+// Score implements search.Scorer.
+func (s *ImpactScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
+	cnt := ext.Count()
+	if cnt == 0 {
+		return 0, 0, nil, false
+	}
+	var sum float64
+	ext.ForEach(func(i int) { sum += s.y[i] })
+	mean := sum / float64(cnt)
+	q := float64(cnt) / float64(s.n) * (mean - s.mu0)
+	return q, q, mat.Vec{mean}, true
+}
+
+// NewBoundWorker implements engine.BoundScorer.
+func (s *ImpactScorer) NewBoundWorker() engine.BoundWorker { return &impactBound{s: s} }
+
+// impactBound answers size-k quality bounds from the prefix sums of a
+// prepared parent's target values in descending order, kept in the
+// caller's scratch.
+type impactBound struct {
+	s      *ImpactScorer
+	prefix []float64 // prefix[k] = Σ of the parent's k largest values
+	slack  float64   // summation-error allowance on any prefix sum
+}
+
+// Prepare implements engine.BoundWorker.
+func (w *impactBound) Prepare(parent *bitset.Set, scratch *[]float64) bool {
+	prefix := append((*scratch)[:0], 0)
+	absSum := 0.0
+	parent.ForEach(func(i int) {
+		prefix = append(prefix, w.s.y[i])
+		absSum += math.Abs(w.s.y[i])
+	})
+	*scratch = prefix
+	w.prefix = prefix
+	vals := prefix[1:]
+	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+	for i := 1; i < len(vals); i++ {
+		vals[i] += vals[i-1]
+	}
+	// The scoring path sums in row order, the prefix in sorted order:
+	// each carries at most m·ε·Σ|y| of rounding.
+	w.slack = float64(len(vals)) * 4e-16 * absSum
+	return len(vals) > 0
+}
+
+// BoundSI implements engine.BoundWorker; the quality does not depend
+// on the number of conditions.
+func (w *impactBound) BoundSI(size, numConds int) float64 {
+	k := min(size, len(w.prefix)-1)
+	return (w.prefix[k] + w.slack - float64(k)*w.s.mu0) / float64(w.s.n)
+}
+
+// ImpactResult is the outcome of the exact impact search.
 type ImpactResult struct {
 	Intention pattern.Intention
 	Extension *bitset.Set
@@ -143,110 +216,31 @@ type ImpactResult struct {
 }
 
 // BranchAndBoundImpact finds the conjunction (up to maxDepth conditions)
-// maximizing the impact quality q(I) = (|I|/n)·(µ_I − µ₀) for target
-// column j, exactly, using the tight optimistic estimate of Boley et
-// al.: for any refinement J ⊆ I, q(J) ≤ max_k (k/n)·(top-k mean of y in
-// I − µ₀), evaluated by scanning I's target values in decreasing order.
+// maximizing the impact quality for target column j exactly: the exact
+// search over ImpactScorer, pruned by its tight optimistic estimate.
 // Non-positive arguments mean the paper defaults (depth 4, 4 splits,
 // support 2).
 func BranchAndBoundImpact(ds *dataset.Dataset, j, maxDepth, numSplits, minSupport int) *ImpactResult {
-	if maxDepth <= 0 {
-		maxDepth = 4
-	}
-	if numSplits <= 0 {
-		numSplits = 4
-	}
-	if minSupport <= 0 {
-		minSupport = 2
-	}
-	y := ds.TargetColumn(j)
-	mu0 := stats.Mean(y)
-	n := ds.N()
-	lang := engine.LanguageFor(ds, numSplits)
-
-	res := &ImpactResult{Quality: math.Inf(-1)}
-	// Reusable buffers for the optimistic estimate.
-	var idxBuf []int
-	var vals []float64
-	// Tight optimistic estimate: best over prefixes of the sorted values.
-	optimistic := func(ext *bitset.Set) float64 {
-		idxBuf = ext.IterateInto(idxBuf[:0])
-		vals = vals[:0]
-		for _, i := range idxBuf {
-			vals = append(vals, y[i])
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-		best := math.Inf(-1)
-		var sum float64
-		for k, v := range vals {
-			sum += v
-			q := float64(k+1) / float64(n) * (sum/float64(k+1) - mu0)
-			if q > best {
-				best = q
-			}
-		}
-		return best
-	}
-
-	lang.Enumerate(engine.EnumOptions{
-		MaxDepth:   maxDepth,
-		MinSupport: minSupport,
-	}, func(ids []engine.CondID, ext *bitset.Set, size int) bool {
-		res.Explored++
-		var sum float64
-		ext.ForEach(func(i int) { sum += y[i] })
-		q := float64(size) / float64(n) * (sum/float64(size) - mu0)
-		if q > res.Quality {
-			res.Quality = q
-			res.Intention = lang.Intention(ids)
-			res.Extension = ext.Clone()
-		}
-		if len(ids) >= maxDepth {
-			return false
-		}
-		if optimistic(ext) <= res.Quality {
-			res.Pruned++
-			return false
-		}
-		return true
-	})
-	return res
+	return impactSearch(ds, j, maxDepth, numSplits, minSupport, false)
 }
 
 // ExhaustiveImpact computes the same optimum without pruning, as the
 // test oracle for the branch-and-bound. Non-positive arguments mean the
 // same defaults as BranchAndBoundImpact.
 func ExhaustiveImpact(ds *dataset.Dataset, j, maxDepth, numSplits, minSupport int) *ImpactResult {
-	if maxDepth <= 0 {
-		maxDepth = 4
-	}
-	if numSplits <= 0 {
-		numSplits = 4
-	}
-	if minSupport <= 0 {
-		minSupport = 2
-	}
-	y := ds.TargetColumn(j)
-	mu0 := stats.Mean(y)
-	n := ds.N()
-	lang := engine.LanguageFor(ds, numSplits)
-	res := &ImpactResult{Quality: math.Inf(-1)}
-	lang.Enumerate(engine.EnumOptions{
-		MaxDepth:   maxDepth,
-		MinSupport: minSupport,
-	}, func(ids []engine.CondID, ext *bitset.Set, size int) bool {
-		res.Explored++
-		var sum float64
-		ext.ForEach(func(r int) { sum += y[r] })
-		q := float64(size) / float64(n) * (sum/float64(size) - mu0)
-		if q > res.Quality {
-			res.Quality = q
-			res.Intention = lang.Intention(ids)
-			res.Extension = ext.Clone()
-		}
-		return true
+	return impactSearch(ds, j, maxDepth, numSplits, minSupport, true)
+}
+
+func impactSearch(ds *dataset.Dataset, j, maxDepth, numSplits, minSupport int, noPrune bool) *ImpactResult {
+	res := search.Exhaustive(ds, NewImpactScorer(ds, j), search.Params{
+		MaxDepth: maxDepth, NumSplits: numSplits, MinSupport: minSupport,
+		TopK: 1, NoPrune: noPrune,
 	})
-	return res
+	out := &ImpactResult{Quality: math.Inf(-1), Explored: res.Evaluated, Pruned: res.Pruned}
+	if top := res.Top(); top != nil {
+		out.Intention, out.Extension, out.Quality = top.Intention, top.Extension, top.SI
+	}
+	return out
 }
 
 // RandomSubgroupSI estimates the SI a "meaningless" subgroup of the

@@ -179,3 +179,29 @@ func seqInts(lo, hi int) []int {
 	}
 	return out
 }
+
+// TestImpactQualityPinned pins the impact optimum, bit for bit, to the
+// value the hand-written branch-and-bound this search replaced found on
+// the same planted sets: the scorer sums in the same order, so the
+// exact search must agree with and without pruning.
+func TestImpactQualityPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, depth int
+		seed     int64
+		bits     uint64
+	}{
+		{60, 2, 4, 0x3fe2d2ca05eba512},
+		{200, 3, 5, 0x3fe2212d6df80a60},
+	} {
+		ds := plantedDS(c.n, c.seed)
+		for _, res := range []*ImpactResult{
+			BranchAndBoundImpact(ds, 0, c.depth, 4, 2),
+			ExhaustiveImpact(ds, 0, c.depth, 4, 2),
+		} {
+			if got := math.Float64bits(res.Quality); got != c.bits {
+				t.Fatalf("seed %d: quality %.17g (%#x), want %.17g (%#x)", c.seed,
+					res.Quality, got, math.Float64frombits(c.bits), c.bits)
+			}
+		}
+	}
+}

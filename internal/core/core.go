@@ -90,6 +90,9 @@ func NewMiner(ds *dataset.Dataset, cfg Config) (*Miner, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.SI.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	mu := cfg.PriorMean
 	if mu == nil {
 		mu = stats.MeanVec(ds.Y, nil)

@@ -1,7 +1,8 @@
 // Package engine owns the candidate-evaluation pipeline shared by
-// every subgroup search strategy: the beam search, the exhaustive
-// oracle, the optimal branch-and-bound and the baseline quality
-// searches all score candidates through this package.
+// every subgroup search strategy: the beam search and the exact search
+// (the beam's oracle, the optimal-SI search and the baseline impact
+// search), over the SI measure or a baseline quality, all score
+// candidates through this package.
 //
 // The pipeline is built to keep the steady-state hot path free of
 // allocations: condition extensions are precomputed per dataset and
@@ -80,6 +81,13 @@ type BoundScorer interface {
 // bound must be admissible up to float rounding — the evaluator inflates
 // it by a relative epsilon before comparing, and the search layer's
 // property tests verify that no true SI ever exceeds the inflated bound.
+//
+// Exact search bounds a whole subtree from one node, so it relies on
+// one more property: for c′ > c, BoundSI(size, c′) ≤ max(BoundSI(size,
+// c), 0). An IC/DL bound has it whenever DL is positive and does not
+// decrease as conditions are added (si.Params.Validate), since a larger
+// DL only moves the ratio towards zero; a bound that ignores numConds
+// has it trivially.
 //
 // Prepare keeps its per-parent tables in *scratch, growing it when it
 // is too small, and BoundSI reads them from there: the caller owns the
@@ -321,6 +329,10 @@ type Evaluator struct {
 	// ctrs is the reusable per-worker counter scratch (3 slots per
 	// worker: scored, bound evals, pruned).
 	ctrs []int64
+	// outUsed is the largest batch this evaluator has scored: every
+	// result slot it wrote lies in out[:outUsed], the prefix Release
+	// clears.
+	outUsed int
 
 	stats EvalStats
 }
@@ -364,8 +376,11 @@ func takeArena() *arena {
 
 // Release parks the evaluator's buffers on the free list. The evaluator,
 // its Batch and every slice EvaluateBatch returned are invalid after it.
-// The batch's parent column and every result slot are cleared first, so
-// a parked set keeps no extension, mean or intention alive.
+// The batch's parent column and the result slots this search wrote are
+// cleared first, so a parked set keeps no extension, mean or intention
+// alive. Slots past the search's largest batch were cleared by the
+// Release of whichever search wrote them, so a small search on a large
+// arena pays only for its own prefix.
 func (e *Evaluator) Release() {
 	a := e.arena
 	if a == nil {
@@ -373,7 +388,7 @@ func (e *Evaluator) Release() {
 	}
 	e.arena = nil
 	clear(a.batch.parents[:cap(a.batch.parents)])
-	clear(a.out[:cap(a.out)])
+	clear(a.out[:e.outUsed])
 	arenas.Lock()
 	if len(arenas.free) < runtime.GOMAXPROCS(0) {
 		arenas.free = append(arenas.free, a)
@@ -445,6 +460,12 @@ func (e *Evaluator) raiseFloor(f float64) {
 // differently from the scoring path by a few ulps, and the inflation
 // keeps the comparison admissible despite that.
 const boundSlack = 1e-9
+
+// InflateBound applies the engine's bound slack to an SI upper bound.
+// Every search that prunes on a BoundWorker compares the inflated value
+// strictly against its floor, so beam and exact search share one
+// rounding allowance.
+func InflateBound(ub float64) float64 { return ub + boundSlack*(math.Abs(ub)+1) }
 
 // minBoundRun is the smallest per-worker run of same-parent candidates
 // for which preparing a bound (a sort of the parent's residuals) is
@@ -535,6 +556,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 		e.out = slices.Grow(e.out[:0], n)
 		e.valid = make([]bool, cap(e.out))
 	}
+	e.outUsed = max(e.outUsed, n)
 	out := e.out[:n]
 	valid := e.valid[:n]
 	clear(valid)
@@ -647,9 +669,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 					}
 					if boundReady {
 						nBound++
-						ub := bw.BoundSI(size, depth)
-						ub += boundSlack * (math.Abs(ub) + 1)
-						if ub < keyFloat(e.floorKey.Load()) {
+						if InflateBound(bw.BoundSI(size, depth)) < keyFloat(e.floorKey.Load()) {
 							nPruned++
 							continue
 						}

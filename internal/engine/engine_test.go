@@ -387,3 +387,68 @@ func TestSortScoredDeterministicOnTies(t *testing.T) {
 		t.Fatalf("unexpected order: %v", a)
 	}
 }
+
+// meanScorer scores a subgroup by its size and returns a fresh mean, so
+// materialized results hold all three pointer fields.
+type meanScorer struct{}
+
+func (meanScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
+	s := float64(ext.Count())
+	return s, s, mat.Vec{s}, true
+}
+
+// TestReleaseClearsEveryWrittenSlot: Release clears only the result
+// prefix its own search wrote. A search whose large batch precedes a
+// small one, and then a small search on the arena the large batch grew,
+// must each leave no Ids, Ext or Mean pointer anywhere in the parked
+// result buffer.
+func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
+	arenas.Lock()
+	arenas.free = nil // the next takeArena returns the set parked last
+	arenas.Unlock()
+	ds := testDS(120, 9)
+	lang := LanguageFor(ds, 4)
+	search := func(batchParents ...int) *arena {
+		ev := NewEvaluator(lang, meanScorer{}, Options{Parallelism: 2, MinSupport: 1})
+		b := ev.Batch()
+		for _, parents := range batchParents {
+			b.Reset(2)
+			for p := 0; p < parents; p++ {
+				b.StartParent(lang.Exts[p])
+				for c := range lang.Conds {
+					if c != p {
+						b.Add(CondID(c), []CondID{CondID(p)})
+					}
+				}
+			}
+			got, _ := ev.EvaluateBatch(b)
+			if len(got) == 0 {
+				t.Fatal("batch scored nothing")
+			}
+			for i := range got {
+				ev.Materialize(b, &got[i])
+			}
+		}
+		a := ev.arena
+		ev.Release()
+		return a
+	}
+	checkParked := func(a *arena) {
+		t.Helper()
+		if cap(a.out) <= len(lang.Conds) {
+			t.Fatalf("arena result capacity %d: the large batch did not grow it", cap(a.out))
+		}
+		for i, s := range a.out[:cap(a.out)] {
+			if s.Ids != nil || s.Ext != nil || s.Mean != nil {
+				t.Fatalf("parked result slot %d still holds a pointer: %+v", i, s)
+			}
+		}
+	}
+	large := search(len(lang.Conds), 1)
+	checkParked(large)
+	small := search(1)
+	if small != large {
+		t.Fatal("the small search did not reuse the large search's arena")
+	}
+	checkParked(small)
+}

@@ -225,14 +225,14 @@ func (o EnumOptions) withDefaults() EnumOptions {
 
 // Enumerate walks every conjunction of up to MaxDepth distinct
 // conditions (each used at most once, order-free) in canonical
-// ascending-ID order, skipping nodes below MinSupport. It is the shared
-// chassis of the exact strategies: Exhaustive, the optimal-SI branch
-// and bound, and the baseline impact searches all differ only in their
-// visit callback.
+// ascending-ID order, skipping nodes below MinSupport. The walk's
+// pre-order is the engine's tie order (intention ascending). It is the
+// walk under search.Exhaustive, the one exact search; the optimal-SI
+// and baseline impact searches are that search with their own scorers.
 //
 // visit receives the node's canonical IDs, its extension and its size,
 // and returns whether to descend into the node's refinements (returning
-// false is how branch-and-bound prunes a subtree). Both ids and ext are
+// false is how the exact search prunes a subtree its bound rules out). Both ids and ext are
 // scratch storage owned by the enumeration — valid only during the
 // call; callers must copy (ext.Clone()) what they keep. The entire walk
 // performs no per-node allocations.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mat"
 	"repro/internal/si"
+	"repro/internal/stats"
 )
 
 // Ablation: parallel candidate evaluation versus serial, and the
@@ -105,8 +106,12 @@ func BenchmarkBeamFreshScorerCrime(b *testing.B) {
 	}
 }
 
+// The exact-search benchmarks run one untimed search first, which builds
+// the cached Language, so even a one-iteration run times the search.
 func BenchmarkOptimalBranchAndBound(b *testing.B) {
 	ds := plantedDS(500, 8)
+	OptimalLocation1D(ds, 0, 1, si.Default(), 3, 4, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if OptimalLocation1D(ds, 0, 1, si.Default(), 3, 4, 2).Extension == nil {
@@ -115,12 +120,34 @@ func BenchmarkOptimalBranchAndBound(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimalExhaustiveBaseline times the unpruned walk the
+// optimal search is compared against.
 func BenchmarkOptimalExhaustiveBaseline(b *testing.B) {
 	ds := plantedDS(500, 8)
 	sc := benchScorerFor(b, ds)
+	p := Params{MaxDepth: 3, NumSplits: 4, MinSupport: 2, TopK: 5, NoPrune: true}
+	Exhaustive(ds, sc, p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if Exhaustive(ds, sc, 3, 4, 2, 5).Top() == nil {
+		if Exhaustive(ds, sc, p).Top() == nil {
+			b.Fatal("no result")
+		}
+	}
+}
+
+// BenchmarkOptimalCrimeDepth2 is `sisd -builtin crime -optimal -depth
+// 2`: the exact search on the crime replica's ~970 conditions, where
+// the bound cuts all but 3 of the 976 depth-1 subtrees.
+func BenchmarkOptimalCrimeDepth2(b *testing.B) {
+	ds := gen.CrimeLike(gen.SeedCrime).DS
+	y := ds.TargetColumn(0)
+	mu, sigma2 := stats.Mean(y), stats.Variance(y)
+	OptimalLocation1D(ds, mu, sigma2, si.Default(), 2, 4, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if OptimalLocation1D(ds, mu, sigma2, si.Default(), 2, 4, 2).Extension == nil {
 			b.Fatal("no result")
 		}
 	}

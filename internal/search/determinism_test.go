@@ -119,7 +119,7 @@ func TestExhaustiveLevelsReportsReachedDepth(t *testing.T) {
 	// Generous depth limit, normal support: the planted dataset has few
 	// conditions, so depth is bounded by the number of distinct
 	// conditions that still meet MinSupport, not by maxDepth.
-	res := Exhaustive(ds, sc, 50, 4, 2, 10)
+	res := Exhaustive(ds, sc, Params{MaxDepth: 50, NumSplits: 4, MinSupport: 2, TopK: 10, NoPrune: true})
 	if res.Levels >= 50 {
 		t.Fatalf("Levels = %d parrots maxDepth instead of the reached depth", res.Levels)
 	}
@@ -138,7 +138,7 @@ func TestExhaustiveLevelsReportsReachedDepth(t *testing.T) {
 
 	// A support threshold above the largest condition extension blocks
 	// every candidate: nothing is scored, so no level completes.
-	blocked := Exhaustive(ds, sc, 3, 4, ds.N()+1, 10)
+	blocked := Exhaustive(ds, sc, Params{MaxDepth: 3, NumSplits: 4, MinSupport: ds.N() + 1, TopK: 10, NoPrune: true})
 	if blocked.Levels != 0 {
 		t.Fatalf("Levels = %d with nothing evaluated, want 0", blocked.Levels)
 	}

@@ -2,11 +2,11 @@ package search
 
 import (
 	"math"
-	"sort"
 
+	"repro/internal/background"
 	"repro/internal/bitset"
 	"repro/internal/dataset"
-	"repro/internal/engine"
+	"repro/internal/mat"
 	"repro/internal/pattern"
 	"repro/internal/si"
 )
@@ -17,121 +17,46 @@ type OptimalResult struct {
 	Extension *bitset.Set
 	SI, IC    float64
 	// Explored counts evaluated nodes; Pruned counts subtrees cut by the
-	// optimistic estimate.
+	// admissible bound.
 	Explored, Pruned int
 }
 
 // OptimalLocation1D finds the location pattern with globally maximal SI
 // for a single real-valued target under a fresh background model (every
-// point shares the prior N(mu, sigma2)), by branch-and-bound with a
-// tight optimistic estimate — the exact search the paper's conclusion
-// singles out as "the most relevant question to be addressed in the
-// future" (§V).
-//
-// For a subgroup J with k = |J| and mean shift δ = ȳ_J − µ, the
-// location IC under the fresh model is
-//
-//	IC(J) = ½·log(2πσ²/k) + k·δ²/(2σ²),
-//
-// so for any refinement J ⊆ I with |J| = k the shift is bounded by the
-// top-k or bottom-k mean of I's target values, both computable from
-// prefix sums of the sorted values. Any refinement also pays for at
-// least one extra condition, bounding its DL from below; the ratio of
-// the two bounds is an admissible optimistic SI for the whole subtree.
-//
-// The search enumerates condition sets through engine.Enumerate exactly
-// like Exhaustive (each condition used at most once, order-free), so
-// the returned optimum is exact for the same language.
+// point shares the prior N(mu, sigma2)) — the exact search the paper's
+// conclusion singles out as "the most relevant question to be addressed
+// in the future" (§V). It is Exhaustive with a one-entry log over the
+// SI scorer of that model, so its optimum is bit-identical to the top
+// of an unpruned Exhaustive run, and the scorer's own bound (DESIGN §9)
+// prunes the walk. Non-positive depth, splits and support mean 4, 4
+// and 2. It panics on a dataset with more than one target, a
+// non-positive prior variance or invalid DL parameters.
 func OptimalLocation1D(ds *dataset.Dataset, mu, sigma2 float64, p si.Params,
 	maxDepth, numSplits, minSupport int) *OptimalResult {
 	if ds.Dy() != 1 {
 		panic("search: OptimalLocation1D needs exactly one target")
 	}
-	if sigma2 <= 0 {
+	if !(sigma2 > 0) {
 		panic("search: OptimalLocation1D needs positive prior variance")
 	}
-	if numSplits <= 0 {
-		numSplits = 4
+	if err := p.Validate(); err != nil {
+		panic("search: OptimalLocation1D: " + err.Error())
 	}
-	if minSupport <= 0 {
-		minSupport = 2
+	m, err := background.New(ds.N(), mat.Vec{mu}, &mat.Dense{R: 1, C: 1, Data: []float64{sigma2}})
+	if err != nil {
+		panic("search: OptimalLocation1D: " + err.Error())
 	}
-	if maxDepth <= 0 {
-		maxDepth = 4
+	sc, err := si.NewLocationScorer(m, ds.Y, p)
+	if err != nil {
+		panic("search: OptimalLocation1D: " + err.Error())
 	}
-	y := ds.TargetColumn(0)
-	lang := engine.LanguageFor(ds, numSplits)
-
-	ic := func(k int, delta float64) float64 {
-		return 0.5*math.Log(2*math.Pi*sigma2/float64(k)) +
-			float64(k)*delta*delta/(2*sigma2)
-	}
-
-	res := &OptimalResult{SI: math.Inf(-1)}
-
-	// Reusable buffers for the optimistic estimate: the node's target
-	// values and their suffix sums. Zero allocations per node once grown.
-	var idxBuf []int
-	var vals, his []float64
-
-	// optimisticSI bounds the SI of every refinement of ext (which has
-	// numConds conditions and therefore refinements with ≥ numConds+1).
-	optimisticSI := func(ext *bitset.Set, numConds int) float64 {
-		idxBuf = ext.IterateInto(idxBuf[:0])
-		vals = vals[:0]
-		for _, i := range idxBuf {
-			vals = append(vals, y[i])
-		}
-		sort.Float64s(vals)
-		dlMin := p.DL(numConds+1, false)
-		best := math.Inf(-1)
-		// Prefix sums give the bottom-k means; suffix the top-k means.
-		var lo float64
-		if cap(his) < len(vals)+1 {
-			his = make([]float64, len(vals)+1)
-		}
-		his = his[:len(vals)+1]
-		his[len(vals)] = 0
-		for i := len(vals) - 1; i >= 0; i-- {
-			his[i] = his[i+1] + vals[i]
-		}
-		for k := 1; k <= len(vals); k++ {
-			lo += vals[k-1]
-			if k < minSupport {
-				continue
-			}
-			dBot := math.Abs(lo/float64(k) - mu)
-			dTop := math.Abs(his[len(vals)-k]/float64(k) - mu)
-			d := math.Max(dBot, dTop)
-			if v := ic(k, d) / dlMin; v > best {
-				best = v
-			}
-		}
-		return best
-	}
-
-	lang.Enumerate(engine.EnumOptions{
-		MaxDepth:   maxDepth,
-		MinSupport: minSupport,
-	}, func(ids []engine.CondID, ext *bitset.Set, size int) bool {
-		res.Explored++
-		var sum float64
-		ext.ForEach(func(i int) { sum += y[i] })
-		icv := ic(size, sum/float64(size)-mu)
-		sv := icv / p.DL(len(ids), false)
-		if sv > res.SI {
-			res.SI, res.IC = sv, icv
-			res.Intention = lang.Intention(ids)
-			res.Extension = ext.Clone()
-		}
-		if len(ids) >= maxDepth {
-			return false
-		}
-		if optimisticSI(ext, len(ids)) <= res.SI {
-			res.Pruned++
-			return false
-		}
-		return true
+	res := Exhaustive(ds, sc, Params{
+		MaxDepth: maxDepth, NumSplits: numSplits, MinSupport: minSupport, TopK: 1,
 	})
-	return res
+	out := &OptimalResult{SI: math.Inf(-1), Explored: res.Evaluated, Pruned: res.Pruned}
+	if top := res.Top(); top != nil {
+		out.Intention, out.Extension = top.Intention, top.Extension
+		out.SI, out.IC = top.SI, top.IC
+	}
+	return out
 }

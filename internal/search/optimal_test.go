@@ -32,14 +32,14 @@ func TestOptimalLocation1DMatchesExhaustive(t *testing.T) {
 		p := si.Default()
 		sc := freshScorer(t, ds.N(), ds.Y, 0, 1, p)
 		opt := OptimalLocation1D(ds, 0, 1, p, 2, 4, 2)
-		exh := Exhaustive(ds, sc, 2, 4, 2, 5)
+		exh := Exhaustive(ds, sc, Params{MaxDepth: 2, NumSplits: 4, MinSupport: 2, TopK: 5, NoPrune: true})
 		et := exh.Top()
 		if et == nil {
 			t.Fatal("exhaustive found nothing")
 		}
-		if math.Abs(opt.SI-et.SI) > 1e-9*(1+math.Abs(et.SI)) {
-			t.Fatalf("seed %d: B&B SI %v != exhaustive %v (%v vs %v)",
-				seed, opt.SI, et.SI,
+		if opt.SI != et.SI || opt.IC != et.IC {
+			t.Fatalf("seed %d: B&B SI %v IC %v != exhaustive %v %v (%v vs %v)",
+				seed, opt.SI, opt.IC, et.SI, et.IC,
 				opt.Intention.Format(ds), et.Intention.Format(ds))
 		}
 		if !opt.Extension.Equal(et.Extension) {
@@ -53,7 +53,7 @@ func TestOptimalLocation1DPrunes(t *testing.T) {
 	p := si.Default()
 	opt := OptimalLocation1D(ds, 0, 1, p, 3, 4, 2)
 	sc := freshScorer(t, ds.N(), ds.Y, 0, 1, p)
-	exh := Exhaustive(ds, sc, 3, 4, 2, 5)
+	exh := Exhaustive(ds, sc, Params{MaxDepth: 3, NumSplits: 4, MinSupport: 2, TopK: 5, NoPrune: true})
 	if opt.Explored >= exh.Evaluated {
 		t.Fatalf("no pruning savings: B&B %d nodes vs exhaustive %d",
 			opt.Explored, exh.Evaluated)

@@ -2,8 +2,9 @@
 // the paper: a level-wise beam search over conjunctions of conditions
 // (the strategy of the Cortana tool the paper builds on — beam width 40,
 // search depth 4, top-150 log, optional time budget in the paper's
-// experiments), and an exhaustive enumerator used as a test oracle and
-// for small datasets.
+// experiments), and the exact search: an enumeration of the whole
+// language, pruned by the scorer's admissible bound, that serves as the
+// beam's test oracle and as the exact optimum the paper's §V asks for.
 //
 // The strategies are thin drivers over the shared candidate-evaluation
 // pipeline of package engine: cached condition extensions, pooled
@@ -82,10 +83,11 @@ type Results struct {
 	Levels    int
 	// BoundEvals and Pruned count how many candidates had an admissible
 	// SI upper bound computed and how many of those were skipped without
-	// a scoring pass. Diagnostics only: which candidates get pruned
-	// depends on goroutine scheduling (the shared floor rises at
+	// a scoring pass. Diagnostics only: in Beam, which candidates get
+	// pruned depends on goroutine scheduling (the shared floor rises at
 	// different speeds run to run), so these vary across runs even
-	// though Patterns never does.
+	// though Patterns never does. Exhaustive is sequential: there they
+	// count the nodes whose subtree was bounded and the subtrees cut.
 	BoundEvals int
 	Pruned     int
 	// TimedOut reports whether the deadline cut the search short.
@@ -222,25 +224,29 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 	return res
 }
 
-// Exhaustive enumerates every conjunction of up to maxDepth distinct
-// conditions (each condition used at most once, order-free) and scores
-// all of them. Exponential — use only on small datasets and as the
-// oracle the beam is tested against. Non-positive arguments mean the
-// paper defaults (depth 4, 4 splits, support 2, top-150), matching
-// Beam's convention.
-func Exhaustive(ds *dataset.Dataset, sc Scorer, maxDepth, numSplits, minSupport, topK int) *Results {
-	return ExhaustiveP(ds, sc, Params{
-		MaxDepth:   maxDepth,
-		NumSplits:  numSplits,
-		MinSupport: minSupport,
-		TopK:       topK,
-	})
-}
-
-// ExhaustiveP is Exhaustive configured by Params (BeamWidth and
-// Parallelism are ignored; the enumeration is sequential and complete).
-// A Deadline marks the results TimedOut when the walk is cut short.
-func ExhaustiveP(ds *dataset.Dataset, sc Scorer, p Params) *Results {
+// Exhaustive is the exact search: it enumerates every conjunction of up
+// to MaxDepth distinct conditions (each used at most once, order-free)
+// into a TopK log, and returns the same log an unpruned walk would.
+// BeamWidth and Parallelism are ignored (the walk is sequential); a
+// Deadline marks the results TimedOut when the walk is cut short.
+// Exponential — the oracle the beam is tested against, the optimal
+// search of the paper's §V and the baselines' exact searches.
+//
+// Unless NoPrune is set, a scorer with a BoundWorker prunes the walk
+// with the beam's own admissible bound (DESIGN §9). Once the log is
+// full, each node that may still be refined is prepared and its
+// subtree bounded by
+//
+//	max(0, max over MinSupport ≤ k ≤ size of BoundSI(k, len(ids)+1)),
+//
+// inflated by the engine's bound slack; the subtree is cut only when
+// that is strictly below the log's floor. Every refinement then scores
+// strictly below the floor and could never enter the log, so pruning
+// changes the work done (Evaluated, BoundEvals, Pruned) but never the
+// Patterns. The log's tie order — SI descending, intention ascending —
+// is the walk's pre-order, so among equal scores the first visited
+// wins, as in a first-strictly-greater scan.
+func Exhaustive(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 	p = p.withDefaults()
 	lang := engine.LanguageFor(ds, p.NumSplits)
 	res := &Results{}
@@ -254,6 +260,14 @@ func ExhaustiveP(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 		score = ws.NewWorker().Score
 		usingWorker = true
 	}
+	var bw engine.BoundWorker
+	if bs, ok := sc.(engine.BoundScorer); ok && !p.NoPrune {
+		bw = bs.NewBoundWorker()
+	}
+	var boundScratch []float64
+	// The enumeration defaults an unset MinSupport; starting the size
+	// range at 1 instead only loosens the bound.
+	minSize := max(p.MinSupport, 1)
 	res.TimedOut = lang.Enumerate(engine.EnumOptions{
 		MaxDepth:   p.MaxDepth,
 		MinSupport: p.MinSupport,
@@ -275,6 +289,25 @@ func ExhaustiveP(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 				SI:   si, IC: ic,
 				Mean: mean,
 			})
+		}
+		if bw == nil || len(ids) >= p.MaxDepth {
+			return true
+		}
+		floor, full := top.Floor()
+		if !full || !bw.Prepare(ext, &boundScratch) {
+			return true
+		}
+		res.BoundEvals++
+		// Refinements have len(ids)+1 or more conditions. A deeper one's
+		// bound is at most the shallowest one's or, when that is
+		// negative, zero (see engine.BoundWorker).
+		ub := 0.0
+		for k := minSize; k <= size; k++ {
+			ub = max(ub, bw.BoundSI(k, len(ids)+1))
+		}
+		if engine.InflateBound(ub) < floor {
+			res.Pruned++
+			return false
 		}
 		return true
 	})

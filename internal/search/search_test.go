@@ -85,7 +85,7 @@ func TestBeamMatchesExhaustiveOnSmallData(t *testing.T) {
 	ds := plantedDS(40, 2)
 	sc := scorerFor(t, ds)
 	beam := Beam(ds, sc, Params{BeamWidth: 64, MaxDepth: 2, TopK: 10})
-	exh := Exhaustive(ds, sc, 2, 4, 2, 10)
+	exh := Exhaustive(ds, sc, Params{MaxDepth: 2, NumSplits: 4, MinSupport: 2, TopK: 10, NoPrune: true})
 	bt, et := beam.Top(), exh.Top()
 	if bt == nil || et == nil {
 		t.Fatal("empty results")

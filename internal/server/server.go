@@ -553,10 +553,8 @@ func buildDataset(req *CreateRequest) (*dataset.Dataset, error) {
 // so both apply identical clamping and defaults (which is what makes a
 // restored session behave exactly like the original).
 func newSession(req *CreateRequest) (*session, error) {
-	// DL = γ·|intention| + η must stay positive: a negative γ or η
-	// makes it zero or negative, and SI = IC/DL infinite or negative.
-	if req.Gamma < 0 || req.Eta < 0 {
-		return nil, fmt.Errorf("gamma and eta must be non-negative, got gamma=%g eta=%g", req.Gamma, req.Eta)
+	if err := (si.Params{Gamma: req.Gamma, Eta: req.Eta}).Validate(); err != nil {
+		return nil, err
 	}
 	ds, err := buildDataset(req)
 	if err != nil {

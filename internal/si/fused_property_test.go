@@ -18,7 +18,7 @@ import (
 // path moved from solve-then-dot to the forward-substitution
 // Cholesky.MahalanobisSq (the quadratic form is all either needs), so
 // the two remain the same float program.
-func referenceScore(m *background.Model, y *mat.Dense, shared *mat.Cholesky, logDetS float64,
+func referenceScore(m *background.Model, y *mat.Dense, shared *mat.Cholesky,
 	ext *bitset.Set, numConds int, p Params) (si, ic float64, yhat mat.Vec, ok bool) {
 	cnt := ext.Count()
 	if cnt == 0 {
@@ -55,7 +55,7 @@ func referenceScore(m *background.Model, y *mat.Dense, shared *mat.Cholesky, log
 	diff := yhat.Sub(muI)
 	if shared != nil {
 		mahal := float64(cnt) * shared.MahalanobisSq(make(mat.Vec, d), diff)
-		ic = 0.5 * (float64(d)*math.Log(2*math.Pi) + logDetS -
+		ic = 0.5 * (float64(d)*math.Log(2*math.Pi) + shared.LogDet() -
 			float64(d)*math.Log(float64(cnt)) + mahal)
 	} else {
 		cov.Scale(1 / float64(cnt*cnt))
@@ -181,7 +181,7 @@ func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 			}
 
 			wantSI, wantIC, wantYhat, wantOK := referenceScore(
-				m, y, sc.shared, sc.logDetS, ext, numConds, p)
+				m, y, sc.shared, ext, numConds, p)
 
 			checks := []struct {
 				name  string

@@ -15,6 +15,7 @@ package si
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -39,6 +40,20 @@ type Params struct {
 // Table I of the paper is reproducible only with γ=0.5 (see DESIGN.md
 // §2); the Table I experiment overrides Gamma accordingly.
 func Default() Params { return Params{Gamma: 0.1, Eta: 1} }
+
+// Validate reports whether the coefficients describe a usable
+// description length: γ and η finite and non-negative. A negative γ or
+// η makes DL zero or negative (SI infinite or sign-flipped), and a
+// negative γ also makes DL shrink as conditions are added, which breaks
+// the subtree bound of exact search: that bound divides by the DL of
+// the shallowest refinement.
+func (p Params) Validate() error {
+	ok := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
+	if !ok(p.Gamma) || !ok(p.Eta) {
+		return fmt.Errorf("si: gamma and eta must be finite and non-negative, got gamma=%g eta=%g", p.Gamma, p.Eta)
+	}
+	return nil
+}
 
 // DL returns the description length of a pattern with numConds
 // conditions; spread patterns pay one extra unit.
@@ -299,8 +314,10 @@ type LocationScorer struct {
 	// over it cache-linearly with no per-group pointer chase.
 	mus mat.Vec
 
-	shared  *mat.Cholesky // non-nil → all groups share Sigma
-	logDetS float64       // log|Σ| of the shared matrix
+	shared *mat.Cholesky // non-nil → all groups share Sigma
+	// icBase is d·log 2π + log|Σ| of the shared matrix: the part of the
+	// location IC that depends on neither the subgroup nor its size.
+	icBase float64
 
 	// Bound-pruning state (see NewBoundWorker), built by the first
 	// Prepare and shared read-only by all bound workers: per-point
@@ -343,7 +360,7 @@ func NewLocationScorer(m background.Reader, y *mat.Dense, p Params) (*LocationSc
 	}
 	if ok {
 		s.shared = chol
-		s.logDetS = chol.LogDet()
+		s.icBase = float64(s.d)*math.Log(2*math.Pi) + chol.LogDet()
 	}
 	s.pool.New = func() any { return s.newWorker() }
 	return s, nil
@@ -798,8 +815,7 @@ func (w *LocationWorker) finish(cnt, numConds int) (si, ic float64, yhat mat.Vec
 	if s.shared != nil {
 		// Σ_I = Σ/|I|: log|Σ_I| = log|Σ| − d·log|I|, Mahal scales by |I|.
 		mahal := float64(cnt) * s.shared.MahalanobisSq(w.sol, diff)
-		ic = 0.5 * (float64(d)*math.Log(2*math.Pi) + s.logDetS -
-			float64(d)*math.Log(float64(cnt)) + mahal)
+		ic = 0.5 * (s.icBase - float64(d)*math.Log(float64(cnt)) + mahal)
 	} else {
 		inv := 1 / float64(cnt*cnt)
 		for r := 0; r < d; r++ {
@@ -957,7 +973,6 @@ func (w *locationBoundWorker) BoundSI(size, numConds int) float64 {
 	} else {
 		mahal = mx * mx / float64(k)
 	}
-	ic := 0.5 * (float64(s.d)*math.Log(2*math.Pi) + s.logDetS -
-		float64(s.d)*math.Log(float64(k)) + mahal)
+	ic := 0.5 * (s.icBase - float64(s.d)*math.Log(float64(k)) + mahal)
 	return ic / s.P.DL(numConds, false)
 }

@@ -171,10 +171,13 @@ func DiverseTopK(res *SearchResults, k int, maxJaccard float64) []FoundPattern {
 
 // MineOptimalLocation1D finds the location pattern with globally
 // maximal SI for a dataset with a single real-valued target, under a
-// fresh background model with prior N(mu, sigma2), using branch-and-
-// bound with a tight optimistic estimate — the exact search the paper
-// leaves as future work (§V). Exponential in the worst case but heavily
-// pruned in practice; beam search remains the default for large data.
+// fresh background model with prior N(mu, sigma2) — the exact search
+// the paper leaves as future work (§V). It walks the whole condition
+// language, pruned by the SI scorer's admissible bound, and returns the
+// same optimum, bit for bit, as an unpruned walk. Exponential in the
+// worst case but heavily pruned in practice; beam search remains the
+// default for large data. It panics on more than one target, a
+// non-positive sigma2 or a negative γ or η.
 func MineOptimalLocation1D(ds *Dataset, mu, sigma2 float64, p SIParams,
 	maxDepth, numSplits, minSupport int) *OptimalResult {
 	return search.OptimalLocation1D(ds, mu, sigma2, p, maxDepth, numSplits, minSupport)
