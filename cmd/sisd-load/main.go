@@ -1,11 +1,12 @@
-// Command sisd-load is the serving-layer load harness: it drives N
-// concurrent simulated users through full interactive mining loops
-// (create session → [mine → commit]×k → delete) and reports latency
-// percentiles (p50/p95/p99) per operation and completed mine jobs per
-// second as JSON — the scalability artifact complementing the paper's
-// Table II runtime results.
+// Command sisd-load is the serving-layer load harness. Every mode
+// drives the same session loop (internal/loadgen): create a session,
+// then [mine → commit]×k over the /api/v1 API.
 //
-// Against a running server:
+// By default it runs N concurrent simulated users through that loop
+// (then delete) and reports latency percentiles (p50/p95/p99) per
+// operation and completed mine jobs per second as JSON — the
+// scalability artifact complementing the paper's Table II runtime
+// results. Against a running server or router:
 //
 //	sisd-load -addr http://localhost:8080 -users 32 -iters 3
 //
@@ -15,19 +16,21 @@
 //	sisd-load -users 16 -async            # exercise the job-polling API
 //	sisd-load -users 8 -dataset crime -timeout-ms 200   # budgeted mines
 //
-// With -chaos the harness instead runs the crash-safety scenario: it
-// starts a real sisd-server subprocess over -store-dir, SIGKILLs it
-// mid-commit-stream, restarts it over the same directory, and asserts
-// every surviving session restores and mines byte-identically to a
-// no-crash control run (plus corruption probes for the quarantine
-// paths). Exit status is non-zero unless the report says ok.
+// With -chaos it runs the crash-safety scenario against a real
+// sisd-server subprocess over -store-dir, as a sequence of steps: a
+// commit stream under a kill fuse (SIGKILL mid-stream), planted
+// snapshot corruption, a restart over the same directory with every
+// surviving session compared byte for byte against a no-crash control
+// replay, and the two corruption probes (startup quarantine and
+// serve-time snapshot_corrupt). Exit status is non-zero unless the
+// report says ok.
 //
 //	sisd-load -chaos -server-bin ./sisd-server -store-dir /tmp/chaos
 //
-// Adding -replicas N (N >= 3) turns the chaos run into the replica-kill
-// leg: the server persists through a quorum-replicated store over N
-// replica directories, one replica's disk dies mid-commit-stream and
-// stays dead across the SIGKILL/restart (restores must be
+// Adding -replicas N (N >= 3) swaps the corruption probes for the
+// replica ladder: the server persists through a quorum-replicated store
+// over N replica directories, one replica's disk dies at the first
+// commit and stays dead across the SIGKILL/restart (restores must be
 // byte-identical from the survivors), a second death must degrade the
 // server to serve-from-memory, and after healing both, anti-entropy
 // must converge every replica directory byte-identically.
@@ -35,15 +38,18 @@
 //	sisd-load -chaos -replicas 3 -server-bin ./sisd-server -store-dir /tmp/chaos
 //
 // With -cluster the harness measures horizontal scale-out (DESIGN.md
-// §12): the same workload against one sisd-server subprocess, then
-// against a consistent-hash router fronting -shards shard subprocesses
-// over a shared store, reporting the jobs/sec ratio, mine p95s, the
-// router's p50 overhead versus direct shard access, and a chaos leg
-// that SIGKILLs one shard mid-commit-stream and requires the affected
-// sessions to resume byte-identically on the survivors.
+// §12): the load run against one sisd-server subprocess, then against a
+// consistent-hash router fronting -shards shard subprocesses over a
+// shared store, reporting the jobs/sec ratio, mine p95s and the
+// router's p50 overhead versus direct shard access. Its chaos leg is
+// the same commit stream and survivor check with one shard SIGKILLed:
+// the affected sessions must resume byte-identically on the survivors.
 //
 //	sisd-load -cluster -server-bin ./sisd-server -store-dir /tmp/clu \
 //	    -shards 3 -users 32 -iters 2 > LOAD_CLUSTER.json
+//
+// -chaos and -cluster keep their own small fleets unless -users or
+// -iters is given.
 package main
 
 import (
@@ -62,7 +68,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sisd-load: ")
 	addr := flag.String("addr", "", "target server base URL (empty = run an in-process server)")
-	target := flag.String("target", "", "alias for -addr: base URL of an already-running server or router")
 	users := flag.Int("users", 32, "concurrent simulated users")
 	iters := flag.Int("iters", 3, "mine/commit loops per user")
 	dataset := flag.String("dataset", "synthetic", "builtin dataset per session (synthetic|crime|mammals|socio|water)")
@@ -83,57 +88,53 @@ func main() {
 	killAfterMS := flag.Int("kill-after-ms", 0, "with -chaos: SIGKILL delay after the first commit (0 = 50ms)")
 	replicas := flag.Int("replicas", 0, "with -chaos: run the replica-kill leg against a quorum-replicated store with this many replica dirs (0/1 = single DirStore; needs >= 3)")
 	flag.Parse()
-	if *target != "" {
-		*addr = *target
-	}
 
-	if *clusterRun {
+	if *clusterRun || *chaos {
+		// The load-run defaults (32 users × 3 iterations) are sized for
+		// throughput; the subprocess scenarios keep their own small
+		// fleets unless -users or -iters is given (0 = scenario default).
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		cfg := loadgen.ClusterConfig{
-			ServerBin:  *serverBin,
-			StoreDir:   *storeDir,
-			ShardCount: *shardCount,
-			Dataset:    *dataset,
-			SeedBase:   *seedBase,
-			Depth:      *depth,
-			BeamWidth:  *beam,
-			Workers:    *workers,
-			SkipChaos:  *skipShardKill,
+		explicit := func(name string, v int) int {
+			if set[name] {
+				return v
+			}
+			return 0
 		}
-		if set["users"] {
-			cfg.Users = *users
+		if *serverBin == "" || *storeDir == "" {
+			log.Fatal("-chaos and -cluster require -server-bin and -store-dir")
 		}
-		if set["iters"] {
-			cfg.Iterations = *iters
+		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
+			log.Fatal(err)
 		}
-		runCluster(cfg)
-		return
-	}
-
-	if *chaos {
-		// The load-run flag defaults (32 users × 3 iterations) are sized
-		// for throughput measurement; chaos wants a small deterministic
-		// fleet, so only explicitly-set values carry over.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		cfg := loadgen.ChaosConfig{
+		if *clusterRun {
+			runCluster(loadgen.ClusterConfig{
+				ServerBin:  *serverBin,
+				StoreDir:   *storeDir,
+				ShardCount: *shardCount,
+				Users:      explicit("users", *users),
+				Iterations: explicit("iters", *iters),
+				Dataset:    *dataset,
+				SeedBase:   *seedBase,
+				Depth:      *depth,
+				BeamWidth:  *beam,
+				Workers:    *workers,
+				SkipChaos:  *skipShardKill,
+			})
+			return
+		}
+		runChaos(loadgen.ChaosConfig{
 			ServerBin:   *serverBin,
 			StoreDir:    *storeDir,
+			Users:       explicit("users", *users),
+			Iterations:  explicit("iters", *iters),
 			Dataset:     *dataset,
 			SeedBase:    *seedBase,
 			Depth:       *depth,
 			BeamWidth:   *beam,
 			KillAfterMS: *killAfterMS,
 			Replicas:    *replicas,
-		}
-		if set["users"] {
-			cfg.Users = *users
-		}
-		if set["iters"] {
-			cfg.Iterations = *iters
-		}
-		runChaos(cfg)
+		})
 		return
 	}
 
@@ -165,37 +166,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		log.Fatal(err)
-	}
+	emit(rep)
 	if rep.FailedJobs > 0 {
 		os.Exit(1)
 	}
 }
 
-// runCluster executes the scale-out scenario and emits the report (the
-// LOAD_CLUSTER.json artifact when redirected) to stdout. Exit status
-// reflects only the correctness checks — the ≥2x throughput bar is
-// hardware-dependent and judged by CI on a multi-core runner.
-func runCluster(cfg loadgen.ClusterConfig) {
-	if cfg.ServerBin == "" || cfg.StoreDir == "" {
-		log.Fatal("-cluster requires -server-bin and -store-dir")
-	}
-	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("cluster run: %d shards, %d users (%d CPUs)", cfg.ShardCount, cfg.Users, runtime.NumCPU())
-	rep, err := loadgen.RunCluster(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+// emit writes a report to stdout as indented JSON (the LOAD*.json,
+// CHAOS*.json and LOAD_CLUSTER.json artifacts when redirected).
+func emit(rep any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// runCluster executes the scale-out scenario and emits its report. Exit
+// status reflects only the correctness checks — the ≥2x throughput bar
+// is hardware-dependent and judged by CI on a multi-core runner.
+func runCluster(cfg loadgen.ClusterConfig) {
+	log.Printf("cluster run: %d shards, %d users (%d CPUs)", cfg.ShardCount, cfg.Users, runtime.NumCPU())
+	rep, err := loadgen.RunCluster(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	emit(rep)
 	if !rep.OK {
 		log.Fatalf("cluster run failed: %v", rep.Errors)
 	}
@@ -204,24 +200,13 @@ func runCluster(cfg loadgen.ClusterConfig) {
 		rep.ClusterMine95, rep.SingleMineP95, rep.OverheadP50MS)
 }
 
-// runChaos executes the crash/restore scenario and emits the report
-// (the CHAOS.json artifact when redirected) to stdout.
+// runChaos executes the crash/restore scenario and emits its report.
 func runChaos(cfg loadgen.ChaosConfig) {
-	if cfg.ServerBin == "" || cfg.StoreDir == "" {
-		log.Fatal("-chaos requires -server-bin and -store-dir")
-	}
-	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
 	rep, err := loadgen.RunChaos(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		log.Fatal(err)
-	}
+	emit(rep)
 	if !rep.OK {
 		log.Fatalf("chaos run failed: %d mismatches, %d errors", len(rep.Mismatches), len(rep.Errors))
 	}

@@ -71,16 +71,18 @@ func main() {
 	}
 
 	if *optimal {
-		if ds.Dy() != 1 {
-			log.Fatalf("-optimal needs exactly one target, dataset has %d", ds.Dy())
-		}
-		mean, variance := meanVariance(ds.TargetColumn(0))
-		if !(variance > 0) {
-			log.Fatalf("-optimal needs a target with positive variance, got %v", variance)
+		// The search itself rejects anything but one target with positive
+		// variance; a dataset without targets has no column to summarise.
+		var mean, variance float64
+		if ds.Dy() > 0 {
+			mean, variance = meanVariance(ds.TargetColumn(0))
 		}
 		start := time.Now()
-		opt := sisd.MineOptimalLocation1D(ds, mean, variance,
+		opt, err := sisd.MineOptimalLocation1D(ds, mean, variance,
 			cfg.SI, *depth, *splits, *minsup)
+		if err != nil {
+			log.Fatalf("-optimal: %v", err)
+		}
 		fmt.Printf("\n=== globally optimal pattern (branch & bound, %v, %d nodes, %d pruned) ===\n",
 			time.Since(start).Round(time.Millisecond), opt.Explored, opt.Pruned)
 		fmt.Printf("%s  (size=%d, SI=%.4g, IC=%.4g)\n",

@@ -94,8 +94,11 @@ func TestMineOptimalLocation1DViaFacade(t *testing.T) {
 	}
 	variance := m2 / float64(len(col))
 
-	opt := sisd.MineOptimalLocation1D(ds, mean, variance,
+	opt, err := sisd.MineOptimalLocation1D(ds, mean, variance,
 		sisd.DefaultSIParams(), 1, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if opt.Extension == nil || opt.SI <= 0 {
 		t.Fatalf("optimal result = %+v", opt)
 	}
@@ -143,7 +146,10 @@ func TestMineOptimalLocation1DBitIdenticalToExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, depth := range []int{1, 2} {
-		opt := sisd.MineOptimalLocation1D(ds, mean, variance, sisd.DefaultSIParams(), depth, 4, 2)
+		opt, err := sisd.MineOptimalLocation1D(ds, mean, variance, sisd.DefaultSIParams(), depth, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		top := search.Exhaustive(ds, sc, search.Params{
 			MaxDepth: depth, NumSplits: 4, MinSupport: 2, TopK: 1, NoPrune: true,
 		}).Top()

@@ -23,16 +23,11 @@ type TableIIDataset struct {
 	DS   *dataset.Dataset
 }
 
-// TableIIDatasets builds the four datasets with the paper's dimensions:
+// tableIIDatasets builds the four datasets with the paper's dimensions:
 // German socio-economics (412×13×5), water quality (1060×14×16), crime
-// (1994×122×1) and mammals (2220×67×124).
-func TableIIDatasets() []TableIIDataset {
-	return tableIIDatasets(true)
-}
-
-// tableIIDatasets optionally skips the mammals replica — the most
-// expensive one to generate — so runs that do not time its column are
-// not charged for building it.
+// (1994×122×1) and mammals (2220×67×124). It optionally skips the
+// mammals replica — the most expensive one to generate — so runs that
+// do not time its column are not charged for building it.
 func tableIIDatasets(includeMammals bool) []TableIIDataset {
 	out := []TableIIDataset{
 		{Name: "GSE", DS: gen.SocioEconLike(gen.SeedSocio).DS},

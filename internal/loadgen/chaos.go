@@ -12,21 +12,14 @@
 package loadgen
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
+	"maps"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/repstore"
@@ -75,18 +68,10 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Iterations <= 0 {
 		c.Iterations = 2
 	}
-	if c.Dataset == "" {
-		c.Dataset = "synthetic"
-	}
-	if c.SeedBase == 0 {
-		c.SeedBase = 1000
-	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
-	if c.BeamWidth == 0 {
-		c.BeamWidth = 8
-	}
+	c.Dataset = orDefault(c.Dataset, "synthetic")
+	c.SeedBase = orDefault(c.SeedBase, 1000)
+	c.Depth = orDefault(c.Depth, 2)
+	c.BeamWidth = orDefault(c.BeamWidth, 8)
 	if c.KillAfterMS <= 0 {
 		c.KillAfterMS = 50
 	}
@@ -137,139 +122,6 @@ type ChaosReport struct {
 	OK     bool     `json:"ok"`
 }
 
-// chaosSession is the harness's pre-crash record of one session: what
-// created it and how many commits were acknowledged. The restored
-// history length is allowed to exceed Commits by one — a commit whose
-// Put landed but whose response the kill swallowed.
-type chaosSession struct {
-	id      string
-	create  server.CreateRequest
-	commits int
-}
-
-// chaosProc is a running sisd-server subprocess.
-type chaosProc struct {
-	cmd  *exec.Cmd
-	base string
-}
-
-// startChaosServer launches bin over storeDir on an ephemeral port and
-// parses the actual address from the "listening on" log line. Extra
-// args (e.g. -shard-id for cluster shards) are appended verbatim.
-func startChaosServer(bin, storeDir string, extra ...string) (*chaosProc, error) {
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-store-dir", storeDir,
-		"-drain-timeout", "10s"}
-	args = append(args, extra...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stdout = io.Discard
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				select {
-				case addrCh <- strings.TrimSpace(line[i+len("listening on "):]):
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return &chaosProc{cmd: cmd, base: "http://" + addr}, nil
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return nil, fmt.Errorf("chaos: server did not report a listen address")
-	}
-}
-
-func (p *chaosProc) kill() {
-	_ = p.cmd.Process.Kill()
-	_, _ = p.cmd.Process.Wait()
-}
-
-// stop shuts the server down gracefully (SIGTERM → drain → exit).
-func (p *chaosProc) stop() error {
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(30 * time.Second):
-		_ = p.cmd.Process.Kill()
-		return fmt.Errorf("chaos: graceful shutdown timed out")
-	}
-}
-
-// chaosCall is a minimal /api/v1 client: JSON in/out, envelope errors.
-func chaosCall(client *http.Client, method, base, path string, body, out any) (int, string, error) {
-	var rd io.Reader = strings.NewReader("")
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return 0, "", err
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, base+"/api/v1"+path, rd)
-	if err != nil {
-		return 0, "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, "", err
-	}
-	if resp.StatusCode >= 300 {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		_ = json.Unmarshal(raw, &env)
-		return resp.StatusCode, env.Error.Code,
-			fmt.Errorf("%s %s: HTTP %d %s: %s", method, path, resp.StatusCode, env.Error.Code, env.Error.Message)
-	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return resp.StatusCode, "", err
-		}
-	}
-	return resp.StatusCode, "", nil
-}
-
-// canonicalMine strips the scheduling-dependent fields of a mine
-// response — the job id and the SI-bound pruning diagnostics vary with
-// goroutine interleaving (DESIGN.md §6); everything else must be
-// byte-identical across crash/restore.
-func canonicalMine(m *server.MineResponse) []byte {
-	c := *m
-	c.Job = ""
-	c.BoundEvals = 0
-	c.Pruned = 0
-	raw, _ := json.Marshal(&c)
-	return raw
-}
-
 // corruptSnapshot flips bytes in the middle of a session's snapshot
 // file, simulating bit rot the CRC must catch.
 func corruptSnapshot(storeDir, id string) error {
@@ -287,28 +139,20 @@ func corruptSnapshot(storeDir, id string) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// replicaDirs lays out the replica directories under StoreDir.
-func replicaDirs(cfg ChaosConfig) []string {
-	dirs := make([]string, cfg.Replicas)
+// replicaLayout lays out the replica directories under StoreDir and
+// the extra sisd-server flags for the replicated store: the remaining
+// -store-dir replicas (the first rides in the positional startServer
+// arg), an explicit majority write quorum, and a fast anti-entropy
+// sweep so heal convergence fits a test run.
+func replicaLayout(cfg ChaosConfig) (dirs, args []string) {
+	dirs = make([]string, cfg.Replicas)
 	for i := range dirs {
 		dirs[i] = filepath.Join(cfg.StoreDir, fmt.Sprintf("r%d", i))
+		if i > 0 {
+			args = append(args, "-store-dir", dirs[i])
+		}
 	}
-	return dirs
-}
-
-// replicaArgs are the extra sisd-server flags for the replicated
-// store: the remaining -store-dir replicas (the first rides in the
-// positional startChaosServer arg), an explicit majority write quorum,
-// and a fast anti-entropy sweep so heal convergence fits a test run.
-func replicaArgs(dirs []string) []string {
-	args := []string{}
-	for _, d := range dirs[1:] {
-		args = append(args, "-store-dir", d)
-	}
-	args = append(args,
-		"-store-quorum", fmt.Sprint(len(dirs)/2+1),
-		"-store-sweep", "250ms")
-	return args
+	return dirs, append(args, "-store-quorum", fmt.Sprint(len(dirs)/2+1), "-store-sweep", "250ms")
 }
 
 // breakReplicaDir simulates losing a replica's disk from outside the
@@ -331,77 +175,44 @@ func healReplicaDir(dir string) error {
 }
 
 // replicaDirsConverged reports whether every replica dir holds the
-// same *.json file set with identical bytes (quarantined *.corrupt and
+// same *.json files with identical bytes (quarantined *.corrupt and
 // torn *.tmp files are ignored — they are not served state).
 func replicaDirsConverged(dirs []string) bool {
-	var refNames []string
-	refFiles := map[string][]byte{}
-	for i, dir := range dirs {
+	var ref map[string][]byte
+	for _, dir := range dirs {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			return false
 		}
-		var names []string
 		files := map[string][]byte{}
 		for _, e := range ents {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 				continue
 			}
-			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 				return false
 			}
-			names = append(names, e.Name())
-			files[e.Name()] = raw
 		}
-		sort.Strings(names)
-		if i == 0 {
-			refNames, refFiles = names, files
-			continue
-		}
-		if len(names) != len(refNames) {
+		if ref == nil {
+			ref = files
+		} else if !maps.EqualFunc(files, ref, bytes.Equal) {
 			return false
 		}
-		for j, n := range names {
-			if n != refNames[j] || !bytes.Equal(files[n], refFiles[n]) {
-				return false
-			}
-		}
 	}
-	return len(refNames) > 0
+	return len(ref) > 0
 }
 
-// replayControl rebuilds the no-crash reference for one session on an
-// in-process server: same create request, `commits` mine+commit loops,
-// then the observation mine. Returns the canonical mine bytes, the
-// history JSON, and the model export.
-func replayControl(ctrl *http.Client, base string, create server.CreateRequest, commits int) (mine, history, model []byte, err error) {
-	var info server.SessionInfo
-	if _, _, err = chaosCall(ctrl, "POST", base, "/sessions", create, &info); err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < commits; i++ {
-		var m server.MineResponse
-		if _, _, err = chaosCall(ctrl, "POST", base, "/sessions/"+info.ID+"/mine", server.MineRequest{}, &m); err != nil {
-			return nil, nil, nil, err
-		}
-		if _, _, err = chaosCall(ctrl, "POST", base, "/sessions/"+info.ID+"/commit", nil, nil); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var m server.MineResponse
-	if _, _, err = chaosCall(ctrl, "POST", base, "/sessions/"+info.ID+"/mine", server.MineRequest{}, &m); err != nil {
-		return nil, nil, nil, err
-	}
-	var hist json.RawMessage
-	if _, _, err = chaosCall(ctrl, "GET", base, "/sessions/"+info.ID+"/history", nil, &hist); err != nil {
-		return nil, nil, nil, err
-	}
-	var mdl json.RawMessage
-	if _, _, err = chaosCall(ctrl, "GET", base, "/sessions/"+info.ID+"/model", nil, &mdl); err != nil {
-		return nil, nil, nil, err
-	}
-	return canonicalMine(&m), hist, mdl, nil
+// chaosRun carries one chaos scenario through its steps.
+type chaosRun struct {
+	cfg    ChaosConfig
+	rep    *ChaosReport
+	client *http.Client
+	// storeDir is the server's first -store-dir: StoreDir itself, or the
+	// first replica of a replicated run, whose other replicas (plus the
+	// quorum and sweep flags) ride in extraArgs on every start.
+	storeDir  string
+	dirs      []string
+	extraArgs []string
 }
 
 // RunChaos executes the crash/restore scenario and returns the report.
@@ -409,7 +220,6 @@ func replayControl(ctrl *http.Client, base string, create server.CreateRequest, 
 // otherwise.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
-	rep := &ChaosReport{Config: cfg}
 	if cfg.ServerBin == "" || cfg.StoreDir == "" {
 		return nil, fmt.Errorf("chaos: ServerBin and StoreDir are required")
 	}
@@ -419,379 +229,267 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// (one dead = warn, two dead = degrade) collapses to one rung.
 		return nil, fmt.Errorf("chaos: Replicas must be 0, 1, or >= 3")
 	}
+	r := &chaosRun{
+		cfg:      cfg,
+		rep:      &ChaosReport{Config: cfg},
+		client:   &http.Client{Timeout: 2 * time.Minute},
+		storeDir: cfg.StoreDir,
+	}
+	if cfg.Replicas >= 2 {
+		r.dirs, r.extraArgs = replicaLayout(cfg)
+		r.storeDir = r.dirs[0]
+	}
 	wall := time.Now()
-	defer func() { rep.WallMS = float64(time.Since(wall)) / float64(time.Millisecond) }()
-	fail := func(format string, args ...any) (*ChaosReport, error) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(format, args...))
-		return rep, nil
+	if err := r.run(); err != nil {
+		r.rep.Errors = append(r.rep.Errors, err.Error())
 	}
+	r.rep.WallMS = float64(time.Since(wall)) / float64(time.Millisecond)
+	return r.rep, nil
+}
 
-	// Replicated runs persist to Replicas subdirectories of StoreDir;
-	// the first replica is the positional store arg, the rest (plus the
-	// quorum and sweep flags) ride in extraArgs on every start.
-	replicated := cfg.Replicas >= 2
-	storeDir := cfg.StoreDir
-	var dirs []string
-	var extraArgs []string
-	if replicated {
-		dirs = replicaDirs(cfg)
-		storeDir = dirs[0]
-		extraArgs = replicaArgs(dirs)
-	}
-
-	proc, err := startChaosServer(cfg.ServerBin, storeDir, extraArgs...)
+// run is the scenario: commit stream and kill, plant corruption,
+// restart and compare, the two corruption probes, the replica ladder.
+// A returned error is fatal and leaves rep.OK false.
+func (r *chaosRun) run() error {
+	sessions, err := r.streamAndKill()
 	if err != nil {
-		return fail("start: %v", err)
+		return err
 	}
-	client := &http.Client{Timeout: 2 * time.Minute}
-
-	// Phase 1: commit stream. Each user creates a session and loops
-	// mine→commit; the first acknowledged commit starts the kill fuse.
-	var (
-		mu       sync.Mutex
-		sessions []*chaosSession
-		commits  atomic.Int64
-	)
-	firstCommit := make(chan struct{})
-	var commitOnce sync.Once
-	var wg sync.WaitGroup
-	for u := 0; u < cfg.Users; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			create := server.CreateRequest{
-				Dataset:   cfg.Dataset,
-				Seed:      cfg.SeedBase + int64(u),
-				Depth:     cfg.Depth,
-				BeamWidth: cfg.BeamWidth,
-			}
-			var info server.SessionInfo
-			if _, _, err := chaosCall(client, "POST", proc.base, "/sessions", create, &info); err != nil {
-				return // racing the kill; acceptable for late users
-			}
-			cs := &chaosSession{id: info.ID, create: create}
-			mu.Lock()
-			sessions = append(sessions, cs)
-			mu.Unlock()
-			for i := 0; i < cfg.Iterations; i++ {
-				var m server.MineResponse
-				if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+info.ID+"/mine", server.MineRequest{}, &m); err != nil {
-					return
-				}
-				if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+info.ID+"/commit", nil, nil); err != nil {
-					return
-				}
-				mu.Lock()
-				cs.commits++
-				mu.Unlock()
-				commits.Add(1)
-				commitOnce.Do(func() { close(firstCommit) })
-			}
-		}(u)
-	}
-
-	// The kill fuse: SIGKILL KillAfterMS after the first commit landed —
-	// mid-stream, while other commits and Puts are in flight.
-	select {
-	case <-firstCommit:
-	case <-time.After(2 * time.Minute):
-		proc.kill()
-		wg.Wait()
-		return fail("no commit landed within 2m; cannot crash mid-stream")
-	}
-	if replicated {
-		// Break one replica mid-commit-stream: commits must keep
-		// persisting through the surviving quorum, and this replica
-		// stays dead across the kill and restart.
-		victim := dirs[len(dirs)-1]
-		if err := breakReplicaDir(victim); err != nil {
-			proc.kill()
-			wg.Wait()
-			return fail("break replica: %v", err)
-		}
-		rep.ReplicaKilled = victim
-	}
-	time.Sleep(time.Duration(cfg.KillAfterMS) * time.Millisecond)
-	proc.kill()
-	wg.Wait()
-
-	mu.Lock()
-	rep.Sessions = len(sessions)
-	rep.CommitsBeforeKill = int(commits.Load())
-	mu.Unlock()
-	if rep.Sessions == 0 {
-		return fail("no session created before the kill")
-	}
-
-	// Sacrifice up to two sessions to the corruption probes; the rest
-	// are compared byte-for-byte against the control run. With a
-	// replicated store the single-file probes don't apply — corruption
-	// of one replica must be *transparent* instead: a bit-flipped copy
-	// on a surviving replica is excluded from the quorum vote and
-	// repaired, so its session still restores byte-identical and stays
-	// in the compared set.
-	compared := sessions
-	var sweepVictim, serveVictim *chaosSession
-	if !replicated && len(sessions) >= 3 {
-		sweepVictim = sessions[len(sessions)-1]
-		serveVictim = sessions[len(sessions)-2]
-		compared = sessions[:len(sessions)-2]
-	}
-	if sweepVictim != nil {
-		// Corrupt while the server is down: the restart's recovery sweep
-		// must quarantine the file before anything serves from it.
-		if err := corruptSnapshot(cfg.StoreDir, sweepVictim.id); err != nil {
-			return fail("sweep probe: %v", err)
-		}
-	}
-	if replicated {
-		// Bit-flip the first session's copy on a surviving replica while
-		// the server is down. The quorum read must exclude it from the
-		// freshness vote and read-repair it — the session stays in the
-		// compared set and must still restore byte-identical. (Skipped if
-		// the kill tore that replica's write and no file exists; rare,
-		// and the byte-identity checks still cover the quorum path.)
-		if err := corruptSnapshot(dirs[0], sessions[0].id); err == nil {
-			rep.ReplicaCorrupt = sessions[0].id
-		} else if !os.IsNotExist(err) {
-			return fail("replica corruption plant: %v", err)
-		}
-	}
-
-	// Phase 2: restart over the same store (a broken replica is still
-	// broken) and interrogate survivors.
-	proc, err = startChaosServer(cfg.ServerBin, storeDir, extraArgs...)
+	compared, sweepVictim, serveVictim, err := r.plantCorruption(sessions)
 	if err != nil {
-		return fail("restart: %v", err)
+		return err
+	}
+	proc, err := startServer(r.cfg.ServerBin, r.storeDir, r.extraArgs...)
+	if err != nil {
+		return fmt.Errorf("restart: %w", err)
 	}
 	defer proc.kill()
-
-	// In-process control server: the no-crash reference.
-	ctrl := server.New()
-	defer ctrl.Close()
-	ctrlSrv, err := newCtrlServer(ctrl)
+	d := driver{client: r.client, base: proc.base}
+	rep := r.rep
+	rep.Compared = len(compared)
+	rep.Restored, rep.Identical, rep.Mismatches, err = checkSurvivors(d, compared, r.cfg.Iterations)
 	if err != nil {
-		return fail("control server: %v", err)
+		return err
 	}
-	defer ctrlSrv.close()
-
-	for _, cs := range compared {
-		rep.Compared++
-		var hist []server.PatternJSON
-		if _, _, err := chaosCall(client, "GET", proc.base, "/sessions/"+cs.id+"/history", nil, &hist); err != nil {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: restore failed: %v", cs.id, err))
-			continue
-		}
-		rep.Restored++
-		// The durable history may be one ahead of the acknowledged
-		// commits (a Put that landed just before the kill swallowed the
-		// response) but never behind, and never past what was attempted.
-		if len(hist) < cs.commits || len(hist) > cfg.Iterations {
-			rep.Mismatches = append(rep.Mismatches,
-				fmt.Sprintf("%s: restored history %d outside [%d,%d]", cs.id, len(hist), cs.commits, cfg.Iterations))
-			continue
-		}
-		var m server.MineResponse
-		if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+cs.id+"/mine", server.MineRequest{}, &m); err != nil {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: mine after restore: %v", cs.id, err))
-			continue
-		}
-		var histRaw, mdlRaw json.RawMessage
-		if _, _, err := chaosCall(client, "GET", proc.base, "/sessions/"+cs.id+"/history", nil, &histRaw); err != nil {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: history: %v", cs.id, err))
-			continue
-		}
-		if _, _, err := chaosCall(client, "GET", proc.base, "/sessions/"+cs.id+"/model", nil, &mdlRaw); err != nil {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: model: %v", cs.id, err))
-			continue
-		}
-		ctrlMine, ctrlHist, ctrlMdl, err := replayControl(client, ctrlSrv.base, cs.create, len(hist))
-		if err != nil {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: control replay: %v", cs.id, err))
-			continue
-		}
-		switch {
-		case !bytes.Equal(canonicalMine(&m), ctrlMine):
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: mine diverged from control", cs.id))
-		case !bytes.Equal(histRaw, ctrlHist):
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: history diverged from control", cs.id))
-		case !bytes.Equal(mdlRaw, ctrlMdl):
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("%s: model export diverged from control", cs.id))
-		default:
-			rep.Identical++
-		}
-	}
-
-	// Probe 1: the snapshot corrupted while the server was down must
-	// have been quarantined by the startup sweep — the session is gone
-	// (404), not a panic or a garbage restore.
 	if sweepVictim != nil {
-		code, errCode, _ := chaosCall(client, "GET", proc.base, "/sessions/"+sweepVictim.id+"/history", nil, nil)
-		rep.SweepProbeOK = code == http.StatusNotFound && errCode == "not_found" &&
-			quarantined(cfg.StoreDir, sweepVictim.id)
-		if !rep.SweepProbeOK {
-			rep.Errors = append(rep.Errors,
-				fmt.Sprintf("sweep probe: HTTP %d code %q (want 404 not_found + quarantine)", code, errCode))
-		}
+		// Corrupted while the server was down: the startup sweep must have
+		// quarantined it, so the session is gone (404), not a panic or a
+		// garbage restore.
+		rep.SweepProbeOK = r.probeCorrupt(d, "sweep probe", sweepVictim.id, http.StatusNotFound, "not_found")
 	}
-	// Probe 2: corrupt a not-yet-touched session behind the running
-	// server; first touch must answer snapshot_corrupt (500) and
-	// quarantine the file — never crash.
 	if serveVictim != nil {
-		if err := corruptSnapshot(cfg.StoreDir, serveVictim.id); err != nil {
+		// Corrupt a not-yet-touched session behind the running server:
+		// first touch must answer snapshot_corrupt (500) and quarantine
+		// the file, never crash.
+		if err := corruptSnapshot(r.cfg.StoreDir, serveVictim.id); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("serve probe: %v", err))
 		} else {
-			code, errCode, _ := chaosCall(client, "GET", proc.base, "/sessions/"+serveVictim.id+"/history", nil, nil)
-			rep.ServeProbeOK = code == http.StatusInternalServerError && errCode == "snapshot_corrupt" &&
-				quarantined(cfg.StoreDir, serveVictim.id)
-			if !rep.ServeProbeOK {
-				rep.Errors = append(rep.Errors,
-					fmt.Sprintf("serve probe: HTTP %d code %q (want 500 snapshot_corrupt + quarantine)", code, errCode))
-			}
+			rep.ServeProbeOK = r.probeCorrupt(d, "serve probe", serveVictim.id, http.StatusInternalServerError, "snapshot_corrupt")
 		}
 	}
-
-	// Replica probes (Replicas >= 3): walk the failure ladder from one
-	// dead replica (ready + warning) through quorum loss
-	// (serve-from-memory per DESIGN.md §11) to heal (anti-entropy
-	// converges every replica directory byte-identically).
-	if replicated {
-		probe := compared[0]
-		// Rung 1: one replica dead, quorum intact. Two mine+commit loops
-		// must still persist (each commit costs the dead replica a
-		// fence-Get and a Put failure, tripping its breaker past the
-		// threshold), after which readyz stays ready but warns
-		// store_replica_degraded and reports the tripped replica.
-		for i := 0; i < 2; i++ {
-			var m server.MineResponse
-			if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/mine", server.MineRequest{}, &m); err != nil {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("mine with one replica dead: %v", err))
-				break
-			}
-			var commit struct {
-				Persisted   bool   `json:"persisted"`
-				Persistence string `json:"persistence"`
-			}
-			if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/commit", nil, &commit); err != nil {
-				rep.Errors = append(rep.Errors, fmt.Sprintf("commit with one replica dead: %v", err))
-				break
-			}
-			if !commit.Persisted {
-				rep.Errors = append(rep.Errors,
-					fmt.Sprintf("commit with one replica dead not persisted (%+v): quorum should survive one death", commit))
-				break
-			}
-		}
-		var ready server.Readiness
-		if code, _, err := chaosCall(client, "GET", proc.base, "/readyz", nil, &ready); err != nil || code != http.StatusOK {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("readyz with one replica dead: HTTP %d: %v", code, err))
-		} else {
-			warned := false
-			for _, w := range ready.Warnings {
-				if w == server.ReasonReplicaDegraded {
-					warned = true
-				}
-			}
-			unhealthy := 0
-			for _, r := range ready.Replicas {
-				if r.State != repstore.StateHealthy {
-					unhealthy++
-				}
-			}
-			rep.ReplicaDegradedSeen = ready.Ready && warned && unhealthy >= 1
-			if !rep.ReplicaDegradedSeen {
-				rep.Errors = append(rep.Errors,
-					fmt.Sprintf("readyz with one replica dead: ready=%v warnings=%v unhealthy=%d (want ready + %s warning + >=1 unhealthy replica)",
-						ready.Ready, ready.Warnings, unhealthy, server.ReasonReplicaDegraded))
-			}
-		}
-
-		// Rung 2: a second replica dies — the write quorum is gone.
-		// Commits must degrade to serve-from-memory (persisted=false),
-		// explicit snapshot persistence 503s with store_degraded, reads
-		// keep answering from memory, and readyz goes 503.
-		if err := breakReplicaDir(dirs[1]); err != nil {
-			return fail("break second replica: %v", err)
-		}
-		if err := func() error {
-			var m server.MineResponse
-			if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/mine", server.MineRequest{}, &m); err != nil {
-				return fmt.Errorf("mine under quorum loss: %w", err)
-			}
-			var commit struct {
-				Persisted   bool   `json:"persisted"`
-				Persistence string `json:"persistence"`
-			}
-			if _, _, err := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/commit", nil, &commit); err != nil {
-				return fmt.Errorf("commit under quorum loss: %w", err)
-			}
-			if commit.Persisted || commit.Persistence != "degraded" {
-				return fmt.Errorf("commit under quorum loss = %+v (want persisted=false persistence=degraded)", commit)
-			}
-			if code, errCode, _ := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/snapshot", nil, nil); code != http.StatusServiceUnavailable || errCode != "store_degraded" {
-				return fmt.Errorf("snapshot under quorum loss: HTTP %d code %q (want 503 store_degraded)", code, errCode)
-			}
-			if code, _, err := chaosCall(client, "GET", proc.base, "/sessions/"+probe.id+"/history", nil, nil); code != http.StatusOK {
-				return fmt.Errorf("history under quorum loss: HTTP %d: %v (reads must keep serving from memory)", code, err)
-			}
-			if code, _, _ := chaosCall(client, "GET", proc.base, "/readyz", nil, nil); code != http.StatusServiceUnavailable {
-				return fmt.Errorf("readyz under quorum loss: HTTP %d (want 503)", code)
-			}
-			return nil
-		}(); err != nil {
-			rep.Errors = append(rep.Errors, err.Error())
-		} else {
-			rep.QuorumLossOK = true
-		}
-
-		// Rung 3: heal both dead replicas. The degraded store recovers on
-		// the next persistence attempt, then the anti-entropy sweep
-		// (forced fast via -store-sweep) plus breaker reintegration must
-		// converge every replica directory to a byte-identical snapshot
-		// set and clear the readyz warning.
-		if err := healReplicaDir(dirs[1]); err != nil {
-			return fail("heal replica: %v", err)
-		}
-		if err := healReplicaDir(dirs[len(dirs)-1]); err != nil {
-			return fail("heal replica: %v", err)
-		}
-		recovered := false
-		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
-			if code, _, _ := chaosCall(client, "POST", proc.base, "/sessions/"+probe.id+"/snapshot", nil, nil); code == http.StatusOK {
-				recovered = true
-				break
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-		if !recovered {
-			rep.Errors = append(rep.Errors, "store did not recover within 30s of healing the replicas")
-		} else {
-			for deadline := time.Now().Add(90 * time.Second); time.Now().Before(deadline); {
-				var rd server.Readiness
-				code, _, _ := chaosCall(client, "GET", proc.base, "/readyz", nil, &rd)
-				if code == http.StatusOK && len(rd.Warnings) == 0 && replicaDirsConverged(dirs) {
-					rep.ConvergedOK = true
-					break
-				}
-				time.Sleep(500 * time.Millisecond)
-			}
-			if !rep.ConvergedOK {
-				rep.Errors = append(rep.Errors, "replicas did not converge byte-identically within 90s of healing")
-			}
+	if r.dirs != nil {
+		if err := r.replicaLadder(d, compared[0]); err != nil {
+			return err
 		}
 	}
-
 	// Graceful teardown exercises the SIGTERM → drain → shutdown path.
 	if err := proc.stop(); err != nil {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("graceful stop: %v", err))
 	}
-
 	rep.OK = len(rep.Errors) == 0 && len(rep.Mismatches) == 0 &&
 		rep.Restored == rep.Compared && rep.Identical == rep.Compared &&
 		(sweepVictim == nil || rep.SweepProbeOK) &&
 		(serveVictim == nil || rep.ServeProbeOK) &&
-		(!replicated || (rep.ReplicaDegradedSeen && rep.QuorumLossOK && rep.ConvergedOK))
-	return rep, nil
+		(r.dirs == nil || (rep.ReplicaDegradedSeen && rep.QuorumLossOK && rep.ConvergedOK))
+	return nil
+}
+
+// streamAndKill starts the server and runs the commit stream: each
+// user creates a session and loops mine → commit, and the server is
+// SIGKILLed KillAfterMS after the first acknowledged commit. A
+// replicated run also breaks its last replica at that first commit:
+// commits must keep persisting through the surviving quorum, and that
+// replica stays dead across the kill and restart.
+func (r *chaosRun) streamAndKill() ([]*session, error) {
+	proc, err := startServer(r.cfg.ServerBin, r.storeDir, r.extraArgs...)
+	if err != nil {
+		return nil, fmt.Errorf("start: %w", err)
+	}
+	fleet := newFleet(r.cfg.Users, r.cfg.Dataset, r.cfg.SeedBase, r.cfg.Depth, r.cfg.BeamWidth)
+	var arm func() error
+	if r.dirs != nil {
+		arm = func() error {
+			victim := r.dirs[len(r.dirs)-1]
+			if err := breakReplicaDir(victim); err != nil {
+				return fmt.Errorf("break replica: %w", err)
+			}
+			r.rep.ReplicaKilled = victim
+			return nil
+		}
+	}
+	sessions, commits, err := commitStream(driver{client: r.client, base: proc.base}, fleet,
+		r.cfg.Iterations, time.Duration(r.cfg.KillAfterMS)*time.Millisecond, arm, proc.kill)
+	r.rep.Sessions, r.rep.CommitsBeforeKill = len(sessions), commits
+	if err == nil && len(sessions) == 0 {
+		err = fmt.Errorf("no session created before the kill")
+	}
+	return sessions, err
+}
+
+// plantCorruption damages snapshots while the server is down. A
+// single-store run with at least three sessions sacrifices the last two
+// to the corruption probes and compares the rest: the sweep victim is
+// corrupted now, the serve victim after the restart. A replicated run
+// instead bit-flips the first session's copy on a surviving replica,
+// which must be transparent: the quorum read excludes the corrupt copy
+// from the freshness vote and read-repairs it, so that session stays
+// compared and must still restore byte-identical. (If the kill tore
+// that replica's write and no file exists, the flip is skipped; the
+// byte-identity checks still cover the quorum path.)
+func (r *chaosRun) plantCorruption(sessions []*session) (compared []*session, sweepVictim, serveVictim *session, err error) {
+	if r.dirs != nil {
+		if err := corruptSnapshot(r.storeDir, sessions[0].id); err == nil {
+			r.rep.ReplicaCorrupt = sessions[0].id
+		} else if !os.IsNotExist(err) {
+			return nil, nil, nil, fmt.Errorf("replica corruption plant: %w", err)
+		}
+		return sessions, nil, nil, nil
+	}
+	if len(sessions) < 3 {
+		return sessions, nil, nil, nil
+	}
+	n := len(sessions)
+	sweepVictim, serveVictim = sessions[n-1], sessions[n-2]
+	if err := corruptSnapshot(r.cfg.StoreDir, sweepVictim.id); err != nil {
+		return nil, nil, nil, fmt.Errorf("sweep probe: %w", err)
+	}
+	return sessions[:n-2], sweepVictim, serveVictim, nil
+}
+
+// probeCorrupt reads the history of a session whose snapshot was
+// corrupted and reports whether the server answered wantStatus with
+// wantCode and quarantined the file.
+func (r *chaosRun) probeCorrupt(d driver, name, id string, wantStatus int, wantCode string) bool {
+	code, errCode, _ := d.call("GET", "/sessions/"+id+"/history", nil, nil)
+	ok := code == wantStatus && errCode == wantCode && quarantined(r.cfg.StoreDir, id)
+	if !ok {
+		r.rep.Errors = append(r.rep.Errors, fmt.Sprintf("%s: HTTP %d code %q (want %d %s + quarantine)",
+			name, code, errCode, wantStatus, wantCode))
+	}
+	return ok
+}
+
+// replicaLadder walks the failure ladder on the probe session, from one
+// dead replica (ready + warning) through quorum loss (serve-from-memory
+// per DESIGN.md §11) to heal (anti-entropy converges every replica
+// directory byte-identically).
+func (r *chaosRun) replicaLadder(d driver, probe *session) error {
+	rep := r.rep
+	// Rung 1: one replica dead, quorum intact. Two mine → commit rounds
+	// must still persist (each commit costs the dead replica a fence-Get
+	// and a Put failure, tripping its breaker past the threshold), after
+	// which readyz stays ready but warns store_replica_degraded and
+	// reports the tripped replica.
+	persisted := loopHooks{committed: func(c commitAnswer) error {
+		if !c.Persisted {
+			return fmt.Errorf("commit not persisted (%+v): quorum should survive one death", c)
+		}
+		return nil
+	}}
+	if err := d.loop(probe, 2, server.MineRequest{}, persisted); err != nil {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("one replica dead: %v", err))
+	}
+	var ready server.Readiness
+	if code, _, err := d.call("GET", "/readyz", nil, &ready); err != nil || code != http.StatusOK {
+		rep.Errors = append(rep.Errors, fmt.Sprintf("readyz with one replica dead: HTTP %d: %v", code, err))
+	} else {
+		unhealthy := 0
+		for _, rp := range ready.Replicas {
+			if rp.State != repstore.StateHealthy {
+				unhealthy++
+			}
+		}
+		rep.ReplicaDegradedSeen = ready.Ready && slices.Contains(ready.Warnings, server.ReasonReplicaDegraded) && unhealthy >= 1
+		if !rep.ReplicaDegradedSeen {
+			rep.Errors = append(rep.Errors,
+				fmt.Sprintf("readyz with one replica dead: ready=%v warnings=%v unhealthy=%d (want ready + %s warning + >=1 unhealthy replica)",
+					ready.Ready, ready.Warnings, unhealthy, server.ReasonReplicaDegraded))
+		}
+	}
+
+	// Rung 2: a second replica dies and the write quorum is gone.
+	// Commits must degrade to serve-from-memory (persisted=false),
+	// explicit snapshot persistence 503s with store_degraded, reads keep
+	// answering from memory, and readyz goes 503.
+	if err := breakReplicaDir(r.dirs[1]); err != nil {
+		return fmt.Errorf("break second replica: %w", err)
+	}
+	if err := quorumLoss(d, probe); err != nil {
+		rep.Errors = append(rep.Errors, err.Error())
+	} else {
+		rep.QuorumLossOK = true
+	}
+
+	// Rung 3: heal both dead replicas. The degraded store recovers on the
+	// next persistence attempt, then the anti-entropy sweep (forced fast
+	// via -store-sweep) plus breaker reintegration must converge every
+	// replica directory to a byte-identical snapshot set and clear the
+	// readyz warning.
+	for _, dir := range []string{r.dirs[1], r.dirs[len(r.dirs)-1]} {
+		if err := healReplicaDir(dir); err != nil {
+			return fmt.Errorf("heal replica: %w", err)
+		}
+	}
+	recovered := poll(30*time.Second, 200*time.Millisecond, func() bool {
+		code, _, _ := d.call("POST", "/sessions/"+probe.id+"/snapshot", nil, nil)
+		return code == http.StatusOK
+	})
+	if !recovered {
+		rep.Errors = append(rep.Errors, "store did not recover within 30s of healing the replicas")
+		return nil
+	}
+	rep.ConvergedOK = poll(90*time.Second, 500*time.Millisecond, func() bool {
+		var rd server.Readiness
+		code, _, _ := d.call("GET", "/readyz", nil, &rd)
+		return code == http.StatusOK && len(rd.Warnings) == 0 && replicaDirsConverged(r.dirs)
+	})
+	if !rep.ConvergedOK {
+		rep.Errors = append(rep.Errors, "replicas did not converge byte-identically within 90s of healing")
+	}
+	return nil
+}
+
+// quorumLoss checks rung 2 of the replica ladder on the probe session.
+func quorumLoss(d driver, probe *session) error {
+	degraded := loopHooks{committed: func(c commitAnswer) error {
+		if c.Persisted || c.Persistence != "degraded" {
+			return fmt.Errorf("commit = %+v (want persisted=false persistence=degraded)", c)
+		}
+		return nil
+	}}
+	if err := d.loop(probe, 1, server.MineRequest{}, degraded); err != nil {
+		return fmt.Errorf("mine → commit under quorum loss: %w", err)
+	}
+	if code, errCode, _ := d.call("POST", "/sessions/"+probe.id+"/snapshot", nil, nil); code != http.StatusServiceUnavailable || errCode != "store_degraded" {
+		return fmt.Errorf("snapshot under quorum loss: HTTP %d code %q (want 503 store_degraded)", code, errCode)
+	}
+	if code, _, err := d.call("GET", "/sessions/"+probe.id+"/history", nil, nil); code != http.StatusOK {
+		return fmt.Errorf("history under quorum loss: HTTP %d: %v (reads must keep serving from memory)", code, err)
+	}
+	if code, _, _ := d.call("GET", "/readyz", nil, nil); code != http.StatusServiceUnavailable {
+		return fmt.Errorf("readyz under quorum loss: HTTP %d (want 503)", code)
+	}
+	return nil
+}
+
+// poll calls ok every interval until it reports true or timeout passes.
+func poll(timeout, interval time.Duration, ok func() bool) bool {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(interval) {
+		if ok() {
+			return true
+		}
+	}
+	return false
 }
 
 // quarantined reports whether the session's snapshot was moved aside
@@ -802,26 +500,4 @@ func quarantined(storeDir, id string) bool {
 	}
 	_, err := os.Stat(filepath.Join(storeDir, id+".json"))
 	return os.IsNotExist(err)
-}
-
-// ctrlServer is a minimal in-process HTTP front for the control server
-// (net/http/httptest is test-only by convention; this keeps the
-// harness importable from main packages without that dependency).
-type ctrlServer struct {
-	base  string
-	inner *http.Server
-}
-
-func newCtrlServer(api *server.Server) (*ctrlServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: api.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return &ctrlServer{base: "http://" + ln.Addr().String(), inner: srv}, nil
-}
-
-func (c *ctrlServer) close() {
-	_ = c.inner.Close()
 }

@@ -1,10 +1,6 @@
 package loadgen
 
-import (
-	"os/exec"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestChaosSmoke runs the full crash/restore scenario end-to-end: it
 // builds the real sisd-server binary, SIGKILLs it mid-commit-stream,
@@ -15,12 +11,7 @@ func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos smoke builds and crashes a real server binary")
 	}
-	bin := filepath.Join(t.TempDir(), "sisd-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sisd-server")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sisd-server: %v\n%s", err, out)
-	}
+	bin := sisdServerBin(t)
 	rep, err := RunChaos(ChaosConfig{
 		ServerBin:  bin,
 		StoreDir:   t.TempDir(),
@@ -53,12 +44,7 @@ func TestChaosReplicaSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replica chaos smoke builds and crashes a real server binary")
 	}
-	bin := filepath.Join(t.TempDir(), "sisd-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sisd-server")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sisd-server: %v\n%s", err, out)
-	}
+	bin := sisdServerBin(t)
 	rep, err := RunChaos(ChaosConfig{
 		ServerBin:  bin,
 		StoreDir:   t.TempDir(),

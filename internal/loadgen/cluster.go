@@ -11,16 +11,12 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -68,18 +64,10 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Iterations <= 0 {
 		c.Iterations = 2
 	}
-	if c.Dataset == "" {
-		c.Dataset = "synthetic"
-	}
-	if c.SeedBase == 0 {
-		c.SeedBase = 1000
-	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
-	if c.BeamWidth == 0 {
-		c.BeamWidth = 8
-	}
+	c.Dataset = orDefault(c.Dataset, "synthetic")
+	c.SeedBase = orDefault(c.SeedBase, 1000)
+	c.Depth = orDefault(c.Depth, 2)
+	c.BeamWidth = orDefault(c.BeamWidth, 8)
 	if c.OverheadProbes <= 0 {
 		c.OverheadProbes = 300
 	}
@@ -95,7 +83,8 @@ type ClusterChaosReport struct {
 	CommitsBeforeKill int `json:"commitsBeforeKill"`
 	// Affected counts sessions homed on the killed shard; Resumed how
 	// many answered on a surviving shard afterwards; Identical how many
-	// mined byte-identically to the no-crash control replay.
+	// then mined, and exported history and model, byte-identically to
+	// the no-crash control replay.
 	Affected  int      `json:"affected"`
 	Resumed   int      `json:"resumed"`
 	Identical int      `json:"identical"`
@@ -130,45 +119,7 @@ type ClusterReport struct {
 // clusterShard pairs a shard subprocess with its identity.
 type clusterShard struct {
 	id   string
-	proc *chaosProc
-}
-
-// routerFront serves an in-process cluster.Router on a real listener —
-// the shards are real processes; the router shares the harness process
-// so the chaos leg can force deterministic probe sweeps instead of
-// sleeping through the probe interval.
-type routerFront struct {
-	rt   *cluster.Router
-	srv  *http.Server
-	base string
-}
-
-func newRouterFront(shards []*clusterShard) (*routerFront, error) {
-	cfgs := make([]cluster.Shard, len(shards))
-	for i, sh := range shards {
-		cfgs[i] = cluster.Shard{ID: sh.id, URL: sh.proc.base}
-	}
-	rt, err := cluster.NewRouter(cluster.Options{
-		Shards:        cfgs,
-		ProbeInterval: 250 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	srv := &http.Server{Handler: rt.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return &routerFront{rt: rt, srv: srv, base: "http://" + ln.Addr().String()}, nil
-}
-
-func (f *routerFront) close() {
-	_ = f.srv.Close()
-	f.rt.Close()
+	proc *serverProc
 }
 
 // RunCluster executes the full scenario: baseline, cluster, overhead
@@ -208,16 +159,23 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 		Client:     client,
 	}
 
+	// startShard starts one shard with its own -shard-id over
+	// StoreDir/dir; the baseline passes the same -workers as the shards,
+	// so the comparison isolates process count, not pool size.
+	startShard := func(dir, id string) (*serverProc, error) {
+		dir = filepath.Join(cfg.StoreDir, dir)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		args := []string{"-shard-id", id}
+		if cfg.Workers > 0 {
+			args = append(args, "-workers", fmt.Sprint(cfg.Workers))
+		}
+		return startServer(cfg.ServerBin, dir, args...)
+	}
+
 	// Leg 1: single shard, same binary, own store.
-	singleDir := filepath.Join(cfg.StoreDir, "single")
-	if err := os.MkdirAll(singleDir, 0o755); err != nil {
-		return fail("mkdir: %v", err)
-	}
-	singleArgs := []string{"-shard-id", "single"}
-	if cfg.Workers > 0 {
-		singleArgs = append(singleArgs, "-workers", fmt.Sprint(cfg.Workers))
-	}
-	single, err := startChaosServer(cfg.ServerBin, singleDir, singleArgs...)
+	single, err := startShard("single", "single")
 	if err != nil {
 		return fail("start single shard: %v", err)
 	}
@@ -229,11 +187,11 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	}
 
 	// Leg 2: N shards over one shared store behind the router.
-	clusterDir := filepath.Join(cfg.StoreDir, "cluster")
-	if err := os.MkdirAll(clusterDir, 0o755); err != nil {
-		return fail("mkdir: %v", err)
-	}
+	// The shards are real processes; the router runs in the harness
+	// process, so the chaos leg can force a deterministic probe sweep
+	// instead of sleeping through the probe interval.
 	shards := make([]*clusterShard, cfg.ShardCount)
+	routes := make([]cluster.Shard, cfg.ShardCount)
 	defer func() {
 		for _, sh := range shards {
 			if sh != nil {
@@ -243,23 +201,26 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	}()
 	for i := range shards {
 		id := fmt.Sprintf("shard-%d", i)
-		args := []string{"-shard-id", id}
-		if cfg.Workers > 0 {
-			args = append(args, "-workers", fmt.Sprint(cfg.Workers))
-		}
-		proc, err := startChaosServer(cfg.ServerBin, clusterDir, args...)
+		proc, err := startShard("cluster", id)
 		if err != nil {
 			return fail("start %s: %v", id, err)
 		}
 		shards[i] = &clusterShard{id: id, proc: proc}
+		routes[i] = cluster.Shard{ID: id, URL: proc.base}
 	}
-	front, err := newRouterFront(shards)
+	rt, err := cluster.NewRouter(cluster.Options{Shards: routes, ProbeInterval: 250 * time.Millisecond})
 	if err != nil {
 		return fail("router: %v", err)
 	}
-	defer front.close()
+	rt.Start()
+	defer rt.Close()
+	front, routerBase, err := serveLocal(rt.Handler())
+	if err != nil {
+		return fail("router: %v", err)
+	}
+	defer front.Close()
 
-	load.BaseURL = front.base
+	load.BaseURL = routerBase
 	load.SeedBase = cfg.SeedBase + 10_000 // fresh sessions, same workload shape
 	rep.Cluster, err = Run(load)
 	if err != nil {
@@ -271,12 +232,12 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	rep.SingleMineP95 = rep.Single.Ops["mine"].P95MS
 	rep.ClusterMine95 = rep.Cluster.Ops["mine"].P95MS
 
-	if err := rep.probeOverhead(client, front, shards); err != nil {
+	if err := rep.probeOverhead(client, routerBase, shards); err != nil {
 		return fail("overhead probe: %v", err)
 	}
 
 	if !cfg.SkipChaos {
-		rep.Chaos = runClusterChaos(cfg, client, front, shards)
+		rep.Chaos = runClusterChaos(cfg, client, rt, routerBase, shards)
 	}
 
 	rep.OK = len(rep.Errors) == 0 &&
@@ -289,52 +250,44 @@ func RunCluster(cfg ClusterConfig) (*ClusterReport, error) {
 // cheap session read sampled direct-to-shard and via the router,
 // interleaved (so machine noise hits both series equally), compared at
 // the median.
-func (rep *ClusterReport) probeOverhead(client *http.Client, front *routerFront, shards []*clusterShard) error {
-	var info server.SessionInfo
-	if _, _, err := chaosCall(client, "POST", front.base, "/sessions", server.CreateRequest{
-		Dataset: rep.Config.Dataset, Seed: 1, Depth: rep.Config.Depth, BeamWidth: rep.Config.BeamWidth,
-	}, &info); err != nil {
+func (rep *ClusterReport) probeOverhead(client *http.Client, routerBase string, shards []*clusterShard) error {
+	cfg := rep.Config
+	s := newFleet(1, cfg.Dataset, 1, cfg.Depth, cfg.BeamWidth)[0]
+	if err := (driver{client: client, base: routerBase}).loop(s, 0, server.MineRequest{}, loopHooks{}); err != nil { // create only
 		return err
 	}
 	var ownerBase string
 	for _, sh := range shards {
-		if sh.id == info.Shard {
+		if sh.id == s.shard {
 			ownerBase = sh.proc.base
 		}
 	}
 	if ownerBase == "" {
-		return fmt.Errorf("probe session %s landed on unknown shard %q", info.ID, info.Shard)
+		return fmt.Errorf("probe session %s landed on unknown shard %q", s.id, s.shard)
 	}
-	path := "/sessions/" + info.ID + "/history"
+	path := "/sessions/" + s.id + "/history"
 	probe := func(base string) (float64, error) {
 		start := time.Now()
-		if _, _, err := chaosCall(client, "GET", base, path, nil, nil); err != nil {
+		if _, _, err := (driver{client: client, base: base}).call("GET", path, nil, nil); err != nil {
 			return 0, err
 		}
 		return float64(time.Since(start)) / float64(time.Millisecond), nil
 	}
-	// Warm both connection pools before sampling.
-	for i := 0; i < 8; i++ {
-		if _, err := probe(ownerBase); err != nil {
-			return err
-		}
-		if _, err := probe(front.base); err != nil {
-			return err
-		}
-	}
-	direct := make([]float64, 0, rep.Config.OverheadProbes)
-	routed := make([]float64, 0, rep.Config.OverheadProbes)
-	for i := 0; i < rep.Config.OverheadProbes; i++ {
+	// The first 8 rounds only warm both connection pools.
+	var direct, routed []float64
+	for i := -8; i < rep.Config.OverheadProbes; i++ {
 		d, err := probe(ownerBase)
 		if err != nil {
 			return err
 		}
-		r, err := probe(front.base)
+		r, err := probe(routerBase)
 		if err != nil {
 			return err
 		}
-		direct = append(direct, d)
-		routed = append(routed, r)
+		if i >= 0 {
+			direct = append(direct, d)
+			routed = append(routed, r)
+		}
 	}
 	sort.Float64s(direct)
 	sort.Float64s(routed)
@@ -344,147 +297,64 @@ func (rep *ClusterReport) probeOverhead(client *http.Client, front *routerFront,
 	return nil
 }
 
-// runClusterChaos is the shard-kill leg: a small fleet of sessions
-// commits through the router, one shard that owns at least one of them
-// is SIGKILLed mid-stream, the router is forced through a probe sweep,
-// and every affected session must resume on a surviving shard with
-// history inside the acknowledged window and a mine byte-identical to
-// the no-crash control replay (same comparison as the PR-8 chaos run).
-func runClusterChaos(cfg ClusterConfig, client *http.Client, front *routerFront, shards []*clusterShard) *ClusterChaosReport {
+// runClusterChaos is the shard-kill leg: a fleet of six sessions is
+// created through the router, the shard that owns the most of them is
+// SIGKILLed in the middle of their commit stream, the router is forced
+// through a probe sweep, and every affected session must resume on a
+// surviving shard and pass the same survivor check as the
+// single-process chaos run.
+func runClusterChaos(cfg ClusterConfig, client *http.Client, rt *cluster.Router, routerBase string, shards []*clusterShard) *ClusterChaosReport {
 	rep := &ClusterChaosReport{}
 	failf := func(format string, args ...any) *ClusterChaosReport {
 		rep.Errors = append(rep.Errors, fmt.Sprintf(format, args...))
 		return rep
 	}
-
-	type chaosSess struct {
-		cs    *chaosSession
-		shard string
-	}
+	d := driver{client: client, base: routerBase}
 	// Create the fleet through the router, recording each session's home
 	// shard from the placement the create response carries.
-	fleet := make([]*chaosSess, 0, 6)
+	fleet := newFleet(6, cfg.Dataset, cfg.SeedBase+20_000, cfg.Depth, cfg.BeamWidth)
 	byShard := map[string]int{}
-	for u := 0; len(fleet) < 6 && u < 48; u++ {
-		create := server.CreateRequest{
-			Dataset:   cfg.Dataset,
-			Seed:      cfg.SeedBase + 20_000 + int64(u),
-			Depth:     cfg.Depth,
-			BeamWidth: cfg.BeamWidth,
-		}
-		var info server.SessionInfo
-		if _, _, err := chaosCall(client, "POST", front.base, "/sessions", create, &info); err != nil {
+	for _, s := range fleet {
+		if err := d.loop(s, 0, server.MineRequest{}, loopHooks{}); err != nil { // create only
 			return failf("create: %v", err)
 		}
-		fleet = append(fleet, &chaosSess{
-			cs:    &chaosSession{id: info.ID, create: create},
-			shard: info.Shard,
-		})
-		byShard[info.Shard]++
+		byShard[s.shard]++
 	}
 	rep.Sessions = len(fleet)
 	// Kill the shard owning the most sessions — maximum blast radius.
-	for _, sh := range shards {
-		if rep.KilledShard == "" || byShard[sh.id] > byShard[rep.KilledShard] {
-			rep.KilledShard = sh.id
-		}
-	}
-	if byShard[rep.KilledShard] == 0 {
-		return failf("no session landed on any shard; placement broken")
-	}
-
-	// Commit stream; the first acknowledged commit lights the kill fuse.
-	var (
-		mu      sync.Mutex
-		commits atomic.Int64
-	)
-	firstCommit := make(chan struct{})
-	var commitOnce sync.Once
-	var wg sync.WaitGroup
-	for _, s := range fleet {
-		wg.Add(1)
-		go func(s *chaosSess) {
-			defer wg.Done()
-			for i := 0; i < cfg.Iterations; i++ {
-				var m server.MineResponse
-				if _, _, err := chaosCall(client, "POST", front.base, "/sessions/"+s.cs.id+"/mine", server.MineRequest{}, &m); err != nil {
-					return // racing the kill — the resume check below decides
-				}
-				if _, _, err := chaosCall(client, "POST", front.base, "/sessions/"+s.cs.id+"/commit", nil, nil); err != nil {
-					return
-				}
-				mu.Lock()
-				s.cs.commits++
-				mu.Unlock()
-				commits.Add(1)
-				commitOnce.Do(func() { close(firstCommit) })
-			}
-		}(s)
-	}
-	select {
-	case <-firstCommit:
-	case <-time.After(2 * time.Minute):
-		wg.Wait()
-		return failf("no commit landed within 2m")
-	}
-	time.Sleep(50 * time.Millisecond)
 	var killed *clusterShard
 	for _, sh := range shards {
-		if sh.id == rep.KilledShard {
+		if killed == nil || byShard[sh.id] > byShard[killed.id] {
 			killed = sh
 		}
 	}
-	killed.proc.kill()
-	wg.Wait()
-	rep.CommitsBeforeKill = int(commits.Load())
+	rep.KilledShard = killed.id
+	if byShard[killed.id] == 0 {
+		return failf("no session landed on any shard; placement broken")
+	}
+	_, commits, err := commitStream(d, fleet, cfg.Iterations, 50*time.Millisecond, nil, killed.proc.kill)
+	rep.CommitsBeforeKill = commits
+	if err != nil {
+		return failf("%v", err)
+	}
 
 	// Force the router to notice the corpse instead of sleeping through
 	// the probe interval; one sweep is the deterministic equivalent.
-	front.rt.ProbeOnce(context.Background())
+	rt.ProbeOnce(context.Background())
 
-	// Control server for the no-crash reference.
-	ctrl := server.New()
-	defer ctrl.Close()
-	ctrlSrv, err := newCtrlServer(ctrl)
-	if err != nil {
-		return failf("control server: %v", err)
-	}
-	defer ctrlSrv.close()
-
+	var affected []*session
 	for _, s := range fleet {
-		if s.shard != rep.KilledShard {
-			continue
+		if s.shard == killed.id {
+			affected = append(affected, s)
 		}
-		rep.Affected++
-		var hist []server.PatternJSON
-		if _, _, err := chaosCall(client, "GET", front.base, "/sessions/"+s.cs.id+"/history", nil, &hist); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: resume failed: %v", s.cs.id, err))
-			continue
-		}
-		rep.Resumed++
-		// Same durable window as the single-process chaos run: never
-		// behind the acked commits, never past what was attempted.
-		if len(hist) < s.cs.commits || len(hist) > cfg.Iterations {
-			rep.Errors = append(rep.Errors,
-				fmt.Sprintf("%s: resumed history %d outside [%d,%d]", s.cs.id, len(hist), s.cs.commits, cfg.Iterations))
-			continue
-		}
-		var m server.MineResponse
-		if _, _, err := chaosCall(client, "POST", front.base, "/sessions/"+s.cs.id+"/mine", server.MineRequest{}, &m); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: mine after resume: %v", s.cs.id, err))
-			continue
-		}
-		ctrlMine, _, _, err := replayControl(client, ctrlSrv.base, s.cs.create, len(hist))
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: control replay: %v", s.cs.id, err))
-			continue
-		}
-		if !bytes.Equal(canonicalMine(&m), ctrlMine) {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: mine diverged from control after shard kill", s.cs.id))
-			continue
-		}
-		rep.Identical++
 	}
+	rep.Affected = len(affected)
+	resumed, identical, mismatches, err := checkSurvivors(d, affected, cfg.Iterations)
+	if err != nil {
+		return failf("%v", err)
+	}
+	rep.Resumed, rep.Identical = resumed, identical
+	rep.Errors = append(rep.Errors, mismatches...)
 	rep.OK = len(rep.Errors) == 0 && rep.Affected > 0 &&
 		rep.Resumed == rep.Affected && rep.Identical == rep.Affected
 	return rep

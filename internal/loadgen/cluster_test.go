@@ -1,10 +1,6 @@
 package loadgen
 
-import (
-	"os/exec"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestClusterSmoke runs the full scale-out scenario end-to-end with
 // real shard subprocesses: baseline leg, router leg, router-overhead
@@ -17,12 +13,7 @@ func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster smoke builds a real server binary and spawns shards")
 	}
-	bin := filepath.Join(t.TempDir(), "sisd-server")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/sisd-server")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sisd-server: %v\n%s", err, out)
-	}
+	bin := sisdServerBin(t)
 	rep, err := RunCluster(ClusterConfig{
 		ServerBin:  bin,
 		StoreDir:   t.TempDir(),

@@ -7,7 +7,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -58,13 +57,18 @@ func (c Config) withDefaults() Config {
 	if c.Iterations <= 0 {
 		c.Iterations = 3
 	}
-	if c.Dataset == "" {
-		c.Dataset = "synthetic"
-	}
-	if c.SeedBase == 0 {
-		c.SeedBase = 1000
-	}
+	c.Dataset = orDefault(c.Dataset, "synthetic")
+	c.SeedBase = orDefault(c.SeedBase, 1000)
 	return c
+}
+
+// orDefault returns v, or def when v is the zero value.
+func orDefault[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
 }
 
 // OpStats summarizes one operation type's latencies.
@@ -100,15 +104,15 @@ type sample struct {
 	ok bool
 }
 
+// user is one simulated user of a load run: its latency samples, its
+// first errors and its spread-preview count.
 type user struct {
-	client  *http.Client
-	base    string
 	samples []sample
 	errs    []string
 	spreads int // mines that returned a spread preview
 }
 
-func (u *user) record(op string, start time.Time, err error) error {
+func (u *user) record(op string, start time.Time, err error) {
 	u.samples = append(u.samples, sample{
 		op: op,
 		ms: float64(time.Since(start)) / float64(time.Millisecond),
@@ -117,132 +121,50 @@ func (u *user) record(op string, start time.Time, err error) error {
 	if err != nil && len(u.errs) < 3 {
 		u.errs = append(u.errs, fmt.Sprintf("%s: %v", op, err))
 	}
-	return err
 }
 
-func (u *user) call(method, path string, body, out any) error {
-	var rd *strings.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = strings.NewReader(string(raw))
-	} else {
-		rd = strings.NewReader("")
-	}
-	req, err := http.NewRequest(method, u.base+path, rd)
-	if err != nil {
-		return err
-	}
-	resp, err := u.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&env)
-		return fmt.Errorf("%s %s: HTTP %d %s: %s", method, path, resp.StatusCode, env.Error.Code, env.Error.Message)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
-type jobStatusView struct {
-	ID     string              `json:"id"`
-	Status string              `json:"status"`
-	Error  string              `json:"error"`
-	Result server.MineResponse `json:"result"`
-}
-
-// mineOnce performs one mine, sync or async, and returns the outcome.
-func (u *user) mineOnce(cfg Config, sessionID string) (server.MineResponse, error) {
-	req := server.MineRequest{Spread: cfg.Spread, TimeoutMS: cfg.TimeoutMS, Async: cfg.Async}
-	path := "/api/v1/sessions/" + sessionID + "/mine"
-	if !cfg.Async {
-		var resp server.MineResponse
-		err := u.call("POST", path, req, &resp)
-		return resp, err
-	}
-	var accepted jobStatusView
-	if err := u.call("POST", path, req, &accepted); err != nil {
-		return server.MineResponse{}, err
-	}
-	deadline := time.Now().Add(5 * time.Minute)
-	for time.Now().Before(deadline) {
-		var jv jobStatusView
-		if err := u.call("GET", "/api/v1/jobs/"+accepted.ID+"?waitMs=1000", nil, &jv); err != nil {
-			return server.MineResponse{}, err
-		}
-		switch jv.Status {
-		case "done":
-			return jv.Result, nil
-		case "failed", "cancelled":
-			return server.MineResponse{}, fmt.Errorf("job %s %s: %s", jv.ID, jv.Status, jv.Error)
-		}
-	}
-	return server.MineResponse{}, fmt.Errorf("job %s: poll deadline exceeded", accepted.ID)
-}
-
-// loop runs one user's full session lifecycle.
-func (u *user) loop(cfg Config, uid int) {
-	var info server.SessionInfo
-	start := time.Now()
-	err := u.call("POST", "/api/v1/sessions", server.CreateRequest{
+// loop runs one user's full session lifecycle: create, the session
+// loop, delete.
+func (u *user) loop(d driver, cfg Config, uid int) {
+	s := &session{create: server.CreateRequest{
 		Dataset:    cfg.Dataset,
 		Seed:       cfg.SeedBase + int64(uid),
 		Depth:      cfg.Depth,
 		BeamWidth:  cfg.BeamWidth,
 		PairSparse: cfg.PairSparse,
-	}, &info)
-	if u.record("create", start, err) != nil {
+	}}
+	req := server.MineRequest{Spread: cfg.Spread, TimeoutMS: cfg.TimeoutMS, Async: cfg.Async}
+	err := d.loop(s, cfg.Iterations, req, loopHooks{
+		call: u.record,
+		mined: func(m server.MineResponse) bool {
+			if m.Location == nil {
+				// A budget expiring before anything scored is the one
+				// legitimate null: it counts as a completed job and the
+				// loop goes on. Any other null counts as a failed job.
+				u.samples[len(u.samples)-1].ok = m.Status == server.MineStatusTimeout
+				return false
+			}
+			if m.Spread != nil {
+				u.spreads++
+			}
+			return true
+		},
+	})
+	if err != nil {
 		return
 	}
-	for i := 0; i < cfg.Iterations; i++ {
-		start = time.Now()
-		mined, err := u.mineOnce(cfg, info.ID)
-		if u.record("mine", start, err) != nil {
-			return
-		}
-		if mined.Location == nil {
-			// A budget expiring before anything scored is the one
-			// legitimate null; count it as a failed job, keep looping.
-			u.samples[len(u.samples)-1].ok = mined.Status == server.MineStatusTimeout
-			continue
-		}
-		if mined.Spread != nil {
-			u.spreads++
-		}
-		start = time.Now()
-		err = u.call("POST", "/api/v1/sessions/"+info.ID+"/commit", nil, nil)
-		if u.record("commit", start, err) != nil {
-			return
-		}
-	}
-	start = time.Now()
-	_ = u.record("delete", start, u.call("DELETE", "/api/v1/sessions/"+info.ID, nil, nil))
+	start := time.Now()
+	_, _, err = d.call("DELETE", "/sessions/"+s.id, nil, nil)
+	u.record("delete", start, err)
 }
 
+// percentile is the nearest-rank q-quantile (0 < q <= 1) of sorted,
+// or 0 for no samples.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
 }
 
 // Run executes the load run and aggregates the report.
@@ -263,16 +185,17 @@ func Run(cfg Config) (*Report, error) {
 		defer transport.CloseIdleConnections()
 		client = &http.Client{Transport: transport}
 	}
+	d := driver{client: client, base: strings.TrimSuffix(cfg.BaseURL, "/")}
 
 	users := make([]*user, cfg.Users)
 	var wg sync.WaitGroup
 	wall := time.Now()
 	for uid := 0; uid < cfg.Users; uid++ {
-		users[uid] = &user{client: client, base: strings.TrimSuffix(cfg.BaseURL, "/")}
+		users[uid] = &user{}
 		wg.Add(1)
 		go func(uid int) {
 			defer wg.Done()
-			users[uid].loop(cfg, uid)
+			users[uid].loop(d, cfg, uid)
 		}(uid)
 	}
 	wg.Wait()
@@ -283,45 +206,37 @@ func Run(cfg Config) (*Report, error) {
 		WallMS: wallMS,
 		Ops:    map[string]OpStats{},
 	}
-	byOp := map[string][]float64{}
-	failedByOp := map[string]int{}
+	lats := map[string][]float64{}
+	failed := map[string]int{}
 	for _, u := range users {
 		rep.Errors = append(rep.Errors, u.errs...)
 		rep.SpreadPreviews += u.spreads
 		for _, s := range u.samples {
 			if s.ok {
-				byOp[s.op] = append(byOp[s.op], s.ms)
+				lats[s.op] = append(lats[s.op], s.ms)
 			} else {
-				failedByOp[s.op]++
-			}
-			if s.op == "mine" {
-				if s.ok {
-					rep.Jobs++
-				} else {
-					rep.FailedJobs++
-				}
+				failed[s.op]++
 			}
 		}
 	}
-	for op, lats := range byOp {
-		sort.Float64s(lats)
+	rep.Jobs, rep.FailedJobs = len(lats["mine"]), failed["mine"]
+	for op, n := range failed {
+		rep.Ops[op] = OpStats{Count: n, Failed: n}
+	}
+	for op, l := range lats {
+		sort.Float64s(l)
 		var sum float64
-		for _, v := range lats {
+		for _, v := range l {
 			sum += v
 		}
 		rep.Ops[op] = OpStats{
-			Count:  len(lats) + failedByOp[op],
-			Failed: failedByOp[op],
-			MeanMS: sum / float64(len(lats)),
-			P50MS:  percentile(lats, 0.50),
-			P95MS:  percentile(lats, 0.95),
-			P99MS:  percentile(lats, 0.99),
-			MaxMS:  lats[len(lats)-1],
-		}
-	}
-	for op, n := range failedByOp {
-		if _, ok := rep.Ops[op]; !ok {
-			rep.Ops[op] = OpStats{Count: n, Failed: n}
+			Count:  len(l) + failed[op],
+			Failed: failed[op],
+			MeanMS: sum / float64(len(l)),
+			P50MS:  percentile(l, 0.50),
+			P95MS:  percentile(l, 0.95),
+			P99MS:  percentile(l, 0.99),
+			MaxMS:  l[len(l)-1],
 		}
 	}
 	if wallMS > 0 {

@@ -1,8 +1,11 @@
 package loadgen
 
 import (
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/server"
@@ -97,5 +100,50 @@ func TestLoadReportsErrorEnvelope(t *testing.T) {
 	}
 	if got := rep.Errors[0]; !strings.Contains(got, "HTTP 400 bad_request: unknown dataset") {
 		t.Fatalf("error %q lacks the envelope's status, code and message", got)
+	}
+}
+
+// TestLoadNullLocationAccounting: a mine that answers a null location
+// is never committed; it counts as a completed job when its status is
+// timeout (the budget expired before anything scored) and as a failed
+// job otherwise.
+func TestLoadNullLocationAccounting(t *testing.T) {
+	var mines, commits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == "POST" && r.URL.Path == "/api/v1/sessions":
+			fmt.Fprint(w, `{"id":"s1"}`)
+		case r.URL.Path == "/api/v1/sessions/s1/mine":
+			if mines.Add(1) <= 2 {
+				fmt.Fprint(w, `{"location":null,"status":"timeout","timedOut":true}`)
+			} else {
+				fmt.Fprint(w, `{"location":null,"status":"complete"}`)
+			}
+		case r.URL.Path == "/api/v1/sessions/s1/commit":
+			commits.Add(1)
+			fmt.Fprint(w, `{}`)
+		case r.Method == "DELETE" && r.URL.Path == "/api/v1/sessions/s1":
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+
+	rep, err := Run(Config{BaseURL: ts.URL, Users: 1, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 2 || rep.FailedJobs != 1 {
+		t.Fatalf("jobs %d, failed %d; want 2 completed (timeout nulls) and 1 failed (other null)", rep.Jobs, rep.FailedJobs)
+	}
+	if st := rep.Ops["mine"]; st.Count != 3 || st.Failed != 1 {
+		t.Fatalf("mine stats %+v", st)
+	}
+	if n := commits.Load(); n != 0 {
+		t.Fatalf("%d commits of a null location", n)
+	}
+	if st := rep.Ops["delete"]; st.Count != 1 || st.Failed != 0 {
+		t.Fatalf("delete stats %+v (errors %v)", st, rep.Errors)
 	}
 }

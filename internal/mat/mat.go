@@ -26,9 +26,6 @@ var ErrNotSPD = errors.New("mat: matrix is not symmetric positive definite")
 // Vec is a dense column vector.
 type Vec []float64
 
-// NewVec returns a zero vector of length n.
-func NewVec(n int) Vec { return make(Vec, n) }
-
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
@@ -140,14 +137,6 @@ func (m *Dense) Clone() *Dense {
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) Vec { return Vec(m.Data[i*m.C : (i+1)*m.C]) }
-
-// CopyFrom copies the contents of src into m. Dimensions must match.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.R != src.R || m.C != src.C {
-		panic("mat: CopyFrom dimension mismatch")
-	}
-	copy(m.Data, src.Data)
-}
 
 // AddScaled sets m = m + a*b in place. Dimensions must match.
 func (m *Dense) AddScaled(a float64, b *Dense) {

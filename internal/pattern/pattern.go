@@ -55,24 +55,6 @@ type Condition struct {
 	Level     int     // used by EQ
 }
 
-// Matches reports whether row i of the dataset satisfies the condition.
-func (c Condition) Matches(ds *dataset.Dataset, i int) bool {
-	col := &ds.Descriptors[c.Attr]
-	v := col.Values[i]
-	switch c.Op {
-	case LE:
-		return v <= c.Threshold
-	case GE:
-		return v >= c.Threshold
-	case EQ:
-		return int(v) == c.Level
-	case NE:
-		return int(v) != c.Level
-	default:
-		panic("pattern: unknown operator")
-	}
-}
-
 // Extension returns the bitset of rows matching the condition. The
 // per-operator loops build each 64-bit word in a register from one
 // 64-value block of the column and store it once — a language build

@@ -110,11 +110,11 @@ func BenchmarkBeamFreshScorerCrime(b *testing.B) {
 // the cached Language, so even a one-iteration run times the search.
 func BenchmarkOptimalBranchAndBound(b *testing.B) {
 	ds := plantedDS(500, 8)
-	OptimalLocation1D(ds, 0, 1, si.Default(), 3, 4, 2)
+	mustOptimal(b, ds, 0, 1, si.Default(), 3, 4, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if OptimalLocation1D(ds, 0, 1, si.Default(), 3, 4, 2).Extension == nil {
+		if mustOptimal(b, ds, 0, 1, si.Default(), 3, 4, 2).Extension == nil {
 			b.Fatal("no result")
 		}
 	}
@@ -143,11 +143,11 @@ func BenchmarkOptimalCrimeDepth2(b *testing.B) {
 	ds := gen.CrimeLike(gen.SeedCrime).DS
 	y := ds.TargetColumn(0)
 	mu, sigma2 := stats.Mean(y), stats.Variance(y)
-	OptimalLocation1D(ds, mu, sigma2, si.Default(), 2, 4, 2)
+	mustOptimal(b, ds, mu, sigma2, si.Default(), 2, 4, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if OptimalLocation1D(ds, mu, sigma2, si.Default(), 2, 4, 2).Extension == nil {
+		if mustOptimal(b, ds, mu, sigma2, si.Default(), 2, 4, 2).Extension == nil {
 			b.Fatal("no result")
 		}
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/background"
@@ -29,26 +30,26 @@ type OptimalResult struct {
 // SI scorer of that model, so its optimum is bit-identical to the top
 // of an unpruned Exhaustive run, and the scorer's own bound (DESIGN §9)
 // prunes the walk. Non-positive depth, splits and support mean 4, 4
-// and 2. It panics on a dataset with more than one target, a
-// non-positive prior variance or invalid DL parameters.
+// and 2. It returns an error for a dataset with more than one target,
+// a non-positive prior variance or invalid DL parameters.
 func OptimalLocation1D(ds *dataset.Dataset, mu, sigma2 float64, p si.Params,
-	maxDepth, numSplits, minSupport int) *OptimalResult {
+	maxDepth, numSplits, minSupport int) (*OptimalResult, error) {
 	if ds.Dy() != 1 {
-		panic("search: OptimalLocation1D needs exactly one target")
+		return nil, fmt.Errorf("search: OptimalLocation1D needs exactly one target, dataset has %d", ds.Dy())
 	}
 	if !(sigma2 > 0) {
-		panic("search: OptimalLocation1D needs positive prior variance")
+		return nil, fmt.Errorf("search: OptimalLocation1D needs a positive variance, got %v", sigma2)
 	}
 	if err := p.Validate(); err != nil {
-		panic("search: OptimalLocation1D: " + err.Error())
+		return nil, fmt.Errorf("search: OptimalLocation1D: %w", err)
 	}
 	m, err := background.New(ds.N(), mat.Vec{mu}, &mat.Dense{R: 1, C: 1, Data: []float64{sigma2}})
 	if err != nil {
-		panic("search: OptimalLocation1D: " + err.Error())
+		return nil, fmt.Errorf("search: OptimalLocation1D: %w", err)
 	}
 	sc, err := si.NewLocationScorer(m, ds.Y, p)
 	if err != nil {
-		panic("search: OptimalLocation1D: " + err.Error())
+		return nil, fmt.Errorf("search: OptimalLocation1D: %w", err)
 	}
 	res := Exhaustive(ds, sc, Params{
 		MaxDepth: maxDepth, NumSplits: numSplits, MinSupport: minSupport, TopK: 1,
@@ -58,5 +59,5 @@ func OptimalLocation1D(ds *dataset.Dataset, mu, sigma2 float64, p si.Params,
 		out.Intention, out.Extension = top.Intention, top.Extension
 		out.SI, out.IC = top.SI, top.IC
 	}
-	return out
+	return out, nil
 }

@@ -2,9 +2,11 @@ package search
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/background"
+	"repro/internal/dataset"
 	"repro/internal/mat"
 	"repro/internal/si"
 )
@@ -31,7 +33,7 @@ func TestOptimalLocation1DMatchesExhaustive(t *testing.T) {
 		ds := plantedDS(50, seed)
 		p := si.Default()
 		sc := freshScorer(t, ds.N(), ds.Y, 0, 1, p)
-		opt := OptimalLocation1D(ds, 0, 1, p, 2, 4, 2)
+		opt := mustOptimal(t, ds, 0, 1, p, 2, 4, 2)
 		exh := Exhaustive(ds, sc, Params{MaxDepth: 2, NumSplits: 4, MinSupport: 2, TopK: 5, NoPrune: true})
 		et := exh.Top()
 		if et == nil {
@@ -51,7 +53,7 @@ func TestOptimalLocation1DMatchesExhaustive(t *testing.T) {
 func TestOptimalLocation1DPrunes(t *testing.T) {
 	ds := plantedDS(150, 4)
 	p := si.Default()
-	opt := OptimalLocation1D(ds, 0, 1, p, 3, 4, 2)
+	opt := mustOptimal(t, ds, 0, 1, p, 3, 4, 2)
 	sc := freshScorer(t, ds.N(), ds.Y, 0, 1, p)
 	exh := Exhaustive(ds, sc, Params{MaxDepth: 3, NumSplits: 4, MinSupport: 2, TopK: 5, NoPrune: true})
 	if opt.Explored >= exh.Evaluated {
@@ -69,7 +71,7 @@ func TestOptimalLocation1DPrunes(t *testing.T) {
 
 func TestOptimalLocation1DFindsPlanted(t *testing.T) {
 	ds := plantedDS(80, 5)
-	opt := OptimalLocation1D(ds, 0, 1, si.Default(), 2, 4, 2)
+	opt := mustOptimal(t, ds, 0, 1, si.Default(), 2, 4, 2)
 	if opt.Extension == nil {
 		t.Fatal("no result")
 	}
@@ -92,19 +94,28 @@ func TestOptimalLocation1DFindsPlanted(t *testing.T) {
 
 func TestOptimalLocation1DValidation(t *testing.T) {
 	ds := plantedDS(20, 6)
-	mustPanic := func(fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic")
-			}
-		}()
-		fn()
+	if _, err := OptimalLocation1D(ds, 0, -1, si.Default(), 2, 4, 2); err == nil || !strings.Contains(err.Error(), "positive variance") {
+		t.Fatalf("negative variance: err = %v", err)
 	}
-	mustPanic(func() { OptimalLocation1D(ds, 0, -1, si.Default(), 2, 4, 2) })
+	if _, err := OptimalLocation1D(ds, 0, 1, si.Params{Gamma: -0.5, Eta: 1}, 2, 4, 2); err == nil {
+		t.Fatal("negative gamma accepted")
+	}
 	ds2 := plantedDS(20, 7)
 	ds2.TargetNames = append(ds2.TargetNames, "extra")
 	y2 := mat.NewDense(20, 2)
 	ds2.Y = y2
-	mustPanic(func() { OptimalLocation1D(ds2, 0, 1, si.Default(), 2, 4, 2) })
+	if _, err := OptimalLocation1D(ds2, 0, 1, si.Default(), 2, 4, 2); err == nil || !strings.Contains(err.Error(), "exactly one target") {
+		t.Fatalf("two targets: err = %v", err)
+	}
+}
+
+// mustOptimal runs the exact search on valid input.
+func mustOptimal(tb testing.TB, ds *dataset.Dataset, mu, sigma2 float64, p si.Params,
+	maxDepth, numSplits, minSupport int) *OptimalResult {
+	tb.Helper()
+	opt, err := OptimalLocation1D(ds, mu, sigma2, p, maxDepth, numSplits, minSupport)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return opt
 }

@@ -176,10 +176,10 @@ func DiverseTopK(res *SearchResults, k int, maxJaccard float64) []FoundPattern {
 // language, pruned by the SI scorer's admissible bound, and returns the
 // same optimum, bit for bit, as an unpruned walk. Exponential in the
 // worst case but heavily pruned in practice; beam search remains the
-// default for large data. It panics on more than one target, a
-// non-positive sigma2 or a negative γ or η.
+// default for large data. It returns an error for more than one
+// target, a non-positive sigma2 or a negative γ or η.
 func MineOptimalLocation1D(ds *Dataset, mu, sigma2 float64, p SIParams,
-	maxDepth, numSplits, minSupport int) *OptimalResult {
+	maxDepth, numSplits, minSupport int) (*OptimalResult, error) {
 	return search.OptimalLocation1D(ds, mu, sigma2, p, maxDepth, numSplits, minSupport)
 }
 
