@@ -65,7 +65,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port; the actual address is logged)")
 	var shards shardFlags
 	flag.Var(&shards, "shard", "shard as id=url (repeatable); url without a scheme defaults to http://")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "health probe sweep interval")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-shard probe timeout")
 	debugAddr := flag.String("debug-addr", "", "optional separate listen address for /debug/pprof (empty = disabled)")
@@ -73,7 +72,6 @@ func main() {
 
 	rt, err := cluster.NewRouter(cluster.Options{
 		Shards:        shards,
-		VNodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		Logf:          log.Printf,

@@ -70,3 +70,28 @@ func TestNegativeGammaRejected(t *testing.T) {
 		t.Fatalf("want a gamma error, got:\n%s", out)
 	}
 }
+
+// TestNoTargetColumnRejected: a CSV with only description columns must
+// make the command exit with status 1 and an error, not panic on the
+// first mine.
+func TestNoTargetColumnRejected(t *testing.T) {
+	if args := os.Getenv("SISD_TEST_MAIN"); args != "" {
+		os.Args = append([]string{"sisd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	path := filepath.Join(t.TempDir(), "notarget.csv")
+	if err := os.WriteFile(path, []byte("x:d:num,c:d:cat\n1,a\n2,b\n3,a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNoTargetColumnRejected$")
+	cmd.Env = append(os.Environ(), "SISD_TEST_MAIN=-data "+path+" -iters 1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sisd on a CSV without targets: %v, want exit status 1:\n%s", err, out)
+	}
+	if strings.Contains(string(out), "panic") || !strings.Contains(string(out), "no target column") {
+		t.Fatalf("want a no-target-column error, got:\n%s", out)
+	}
+}

@@ -444,27 +444,16 @@ func decimalLen(u uint64) int {
 	return n
 }
 
-// LoadJSON reconstructs a model saved with SaveJSON, replaying the
-// constraints to re-enforce every expectation (guards against drift in
-// hand-edited files).
-func LoadJSON(r io.Reader) (*Model, error) {
-	return loadJSON(r, true)
-}
-
 // LoadJSONExact reconstructs a model saved with SaveJSON without
 // replaying the constraints. The saved group parameters are taken
 // verbatim (they are still validated: SPD covariances, disjoint groups
 // covering all points), so a snapshot of a live model restores to the
 // exact same float64 parameters — the property session persistence
 // needs for restored sessions to reproduce byte-identical mine
-// results. Replay (LoadJSON) can nudge parameters within tolerance:
-// a commit leaves violations ≤ Tol, but each projection re-applies
-// whenever the violation exceeds Tol/2.
+// results. A replay could nudge parameters within tolerance: a commit
+// leaves violations ≤ Tol, but each projection re-applies whenever the
+// violation exceeds Tol/2.
 func LoadJSONExact(r io.Reader) (*Model, error) {
-	return loadJSON(r, false)
-}
-
-func loadJSON(r io.Reader, replay bool) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, corrupt("decoding model: %v", err)
@@ -577,13 +566,6 @@ func loadJSON(r io.Reader, replay bool) (*Model, error) {
 			})
 		default:
 			return nil, corrupt("constraint %d has unknown kind %q", ci, c.Kind)
-		}
-	}
-	// Re-enforce: saved parameters should already satisfy everything,
-	// but replaying guards against drift and validates the file.
-	if replay && len(m.cons) > 0 {
-		if err := m.refit(); err != nil {
-			return nil, err
 		}
 	}
 	// Restore the version stamp; files from before versioning carry no

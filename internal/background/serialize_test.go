@@ -3,7 +3,6 @@ package background
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -27,9 +26,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.SaveJSON(&buf); err != nil {
 		t.Fatalf("SaveJSON: %v", err)
 	}
-	got, err := LoadJSON(&buf)
+	got, err := LoadJSONExact(&buf)
 	if err != nil {
-		t.Fatalf("LoadJSON: %v", err)
+		t.Fatalf("LoadJSONExact: %v", err)
 	}
 	if got.N() != m.N() || got.D() != m.D() {
 		t.Fatal("dimensions changed")
@@ -211,10 +210,8 @@ func TestLoadJSONRejectsCorruptInput(t *testing.T) {
 		  {"members":[1],"mu":[0],"sigma":[1]}],"constraints":[]}`,
 	}
 	for i, c := range cases {
-		for _, load := range []func(io.Reader) (*Model, error){LoadJSON, LoadJSONExact} {
-			if _, err := load(strings.NewReader(c)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("case %d: err = %v, want ErrCorrupt", i, err)
-			}
+		if _, err := LoadJSONExact(strings.NewReader(c)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("case %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
 }
@@ -225,7 +222,7 @@ func TestSaveLoadFreshModel(t *testing.T) {
 	if err := m.SaveJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSON(&buf)
+	got, err := LoadJSONExact(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,11 +104,6 @@ type Shard struct {
 // Options configures a Router.
 type Options struct {
 	Shards []Shard
-	// VNodes per shard on the ring (<=0 → default).
-	VNodes int
-	// Client used for probes and proxied requests. Nil builds one on a
-	// pooled keep-alive transport sized for the shard fan-out.
-	Client *http.Client
 	// ProbeInterval between health sweeps (<=0 → 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one readyz probe (<=0 → 2s).
@@ -179,15 +175,13 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	sort.Strings(ids)
 	rt.ids = ids
-	rt.ring = NewRing(ids, opts.VNodes)
-	rt.client = opts.Client
-	if rt.client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 64 * len(ids)
-		tr.MaxIdleConnsPerHost = 64
-		tr.IdleConnTimeout = 90 * time.Second
-		rt.client = &http.Client{Transport: tr}
-	}
+	rt.ring = NewRing(ids, 0)
+	// A pooled keep-alive transport sized for the shard fan-out.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 64 * len(ids)
+	tr.MaxIdleConnsPerHost = 64
+	tr.IdleConnTimeout = 90 * time.Second
+	rt.client = &http.Client{Transport: tr}
 	empty := map[string]bool{}
 	rt.eligible.Store(&empty)
 	return rt, nil
@@ -233,25 +227,14 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 	rt.probeMu.Lock()
 	defer rt.probeMu.Unlock()
 
-	states := make(map[string]State, len(rt.ids))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range rt.ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			st := rt.probe(ctx, rt.byID[id].cfg)
-			mu.Lock()
-			states[id] = st
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
+	states := make([]State, len(rt.ids))
+	rt.each(rt.ids, func(i int, sh Shard) { states[i] = rt.probe(ctx, sh) })
 
 	next := make(map[string]bool, len(states))
 	var joiners []string
 	old := *rt.eligible.Load()
-	for id, st := range states {
+	for i, id := range rt.ids {
+		st := states[i]
 		if prev := rt.state(id); prev != st {
 			rt.logf("cluster: shard %s %s -> %s", id, prev, st)
 		}
@@ -270,21 +253,64 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 	if len(joiners) > 0 {
 		rt.reconcile(ctx, old, next)
 	}
-	for id, st := range states {
-		rt.byID[id].state.Store(int32(st))
+	for i, id := range rt.ids {
+		rt.byID[id].state.Store(int32(states[i]))
 	}
 	rt.eligible.Store(&next)
 }
+
+// each runs f concurrently for every shard in ids and waits for all of
+// them. i indexes ids, so f can fill its own result slot without a lock.
+func (rt *Router) each(ids []string, f func(i int, sh Shard)) {
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, rt.byID[id].cfg)
+		}()
+	}
+	wg.Wait()
+}
+
+// servingIDs returns the shards that answer reads, in id order.
+func (rt *Router) servingIDs() []string {
+	var ids []string
+	for _, id := range rt.ids {
+		if rt.state(id).serving() {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// upstream sends one request to shard sh: its URL plus path, plus
+// "?"+query when query is non-empty. Content-Type is the only header
+// it forwards. The caller closes the response body.
+func (rt *Router) upstream(ctx context.Context, sh Shard, method, path, query, contentType string, body io.Reader) (*http.Response, error) {
+	url := sh.URL + path
+	if query != "" {
+		url += "?" + query
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadTarget, err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return rt.client.Do(req)
+}
+
+// errBadTarget marks a request upstream could not build, as opposed to
+// a shard that could not be reached.
+var errBadTarget = errors.New("proxy")
 
 // probe classifies one shard from its readyz response.
 func (rt *Router) probe(ctx context.Context, sh Shard) State {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", sh.URL+server.APIPrefix+"/readyz", nil)
-	if err != nil {
-		return StateDown
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.upstream(ctx, sh, "GET", server.APIPrefix+"/readyz", "", "", nil)
 	if err != nil {
 		return StateDown
 	}
@@ -345,7 +371,7 @@ func (rt *Router) reconcile(ctx context.Context, old, next map[string]bool) {
 		rejoining := !old[id]
 		sh := rt.byID[id].cfg
 		var infos []server.SessionInfo
-		if err := rt.getJSON(ctx, sh.URL+server.APIPrefix+"/sessions", &infos); err != nil {
+		if err := rt.fetch(ctx, sh, "GET", "/sessions", &infos); err != nil {
 			rt.logf("cluster: reconcile: list %s: %v", id, err)
 			continue
 		}
@@ -357,7 +383,7 @@ func (rt *Router) reconcile(ctx context.Context, old, next map[string]bool) {
 			if !rejoining && (!ok || owner == id) {
 				continue
 			}
-			if err := rt.postHandoff(ctx, sh, inf.ID); err != nil {
+			if err := rt.fetch(ctx, sh, "POST", "/sessions/"+inf.ID+"/handoff", nil); err != nil {
 				rt.logf("cluster: handoff %s from %s to %s: %v", inf.ID, id, owner, err)
 				continue
 			}
@@ -366,32 +392,13 @@ func (rt *Router) reconcile(ctx context.Context, old, next map[string]bool) {
 	}
 }
 
-func (rt *Router) getJSON(ctx context.Context, url string, out any) error {
+// fetch makes one router-side call to path under server.APIPrefix on
+// sh, bounded by ProbeTimeout. A 200 answer is decoded into out unless
+// out is nil; any other status is an error quoting the answer.
+func (rt *Router) fetch(ctx context.Context, sh Shard, method, path string, out any) error {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(out)
-}
-
-func (rt *Router) postHandoff(ctx context.Context, sh Shard, id string) error {
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", sh.URL+server.APIPrefix+"/sessions/"+id+"/handoff", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.upstream(ctx, sh, method, server.APIPrefix+path, "", "", nil)
 	if err != nil {
 		return err
 	}
@@ -400,7 +407,10 @@ func (rt *Router) postHandoff(ctx context.Context, sh Shard, id string) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
-	return nil
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(out)
 }
 
 // owner resolves the shard currently owning a session id, or false when
@@ -442,35 +452,29 @@ func writeNoShard(w http.ResponseWriter) {
 		"no shard available for this session")
 }
 
-// proxy forwards the request as-is to sh, streaming the body both ways
-// and stamping X-Sisd-Shard so clients and the load harness can see
-// placement. The shard's response — including its 503 back-pressure
-// envelope — passes through untouched.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, sh Shard) {
-	rt.proxyBody(w, r, sh, r.Body)
-}
-
-func (rt *Router) proxyBody(w http.ResponseWriter, r *http.Request, sh Shard, body io.Reader) {
-	url := sh.URL + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
+// proxy forwards the client's request to sh with body, streaming it
+// both ways. The shard's answer, including its 503 back-pressure
+// envelope, is relayed untouched.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, sh Shard, body io.Reader) {
+	resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
+	switch {
+	case errors.Is(err, errBadTarget):
+		server.WriteError(w, http.StatusInternalServerError, "internal", 0, "%v", err)
+	case err != nil:
 		// The shard died between probe sweeps. Surface it as a retryable
 		// 502; the next sweep will fail it over.
 		server.WriteError(w, http.StatusBadGateway, "shard_unreachable", noShardRetry,
 			"shard %s: %v", sh.ID, err)
-		return
+	default:
+		relay(w, sh, resp)
 	}
+}
+
+// relay copies a shard's answer to the client and closes it: its
+// Content-Type, an X-Sisd-Shard stamp naming the shard (so clients and
+// the load harness can see placement), its status and its streamed
+// body.
+func relay(w http.ResponseWriter, sh Shard, resp *http.Response) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -479,10 +483,6 @@ func (rt *Router) proxyBody(w http.ResponseWriter, r *http.Request, sh Shard, bo
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
 }
-
-// createRetries bounds fresh-id retries when a generated id collides
-// (or races another create).
-const createRetries = 3
 
 // newSessionID generates a router-side session id. Ids must exist
 // before placement — the ring maps id → shard — so the router, not the
@@ -497,9 +497,8 @@ func newSessionID() (string, error) {
 }
 
 // handleCreate places a new session: parse the body, mint an id when
-// the client didn't pin one, route by id, and forward. A collision on a
-// router-minted id retries with a fresh one (a client-pinned id's 409
-// passes through — the client chose the name, it owns the conflict).
+// the client didn't pin one, route by id, and forward. A taken id's 409
+// passes through, minted or pinned.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
@@ -513,56 +512,24 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	minted := req.ID == ""
-	tries := 1
-	if minted {
-		tries = createRetries
+	if req.ID == "" {
+		if req.ID, err = newSessionID(); err != nil {
+			server.WriteError(w, http.StatusInternalServerError, "internal", 0, "mint id: %v", err)
+			return
+		}
 	}
-	for attempt := 0; attempt < tries; attempt++ {
-		if minted {
-			id, err := newSessionID()
-			if err != nil {
-				server.WriteError(w, http.StatusInternalServerError, "internal", 0, "mint id: %v", err)
-				return
-			}
-			req.ID = id
-		}
-		body, err := json.Marshal(&req)
-		if err != nil {
-			server.WriteError(w, http.StatusInternalServerError, "internal", 0, "marshal: %v", err)
-			return
-		}
-		sh, ok := rt.owner(req.ID)
-		if !ok {
-			writeNoShard(w)
-			return
-		}
-		url := sh.URL + r.URL.Path
-		preq, err := http.NewRequestWithContext(r.Context(), "POST", url, bytes.NewReader(body))
-		if err != nil {
-			server.WriteError(w, http.StatusInternalServerError, "internal", 0, "proxy: %v", err)
-			return
-		}
-		preq.Header.Set("Content-Type", "application/json")
-		resp, err := rt.client.Do(preq)
-		if err != nil {
-			server.WriteError(w, http.StatusBadGateway, "shard_unreachable", noShardRetry,
-				"shard %s: %v", sh.ID, err)
-			return
-		}
-		if minted && resp.StatusCode == http.StatusConflict && attempt < tries-1 {
-			resp.Body.Close()
-			continue
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.Header().Set("X-Sisd-Shard", sh.ID)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		resp.Body.Close()
+	body, err := json.Marshal(&req)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, "internal", 0, "marshal: %v", err)
 		return
 	}
+	sh, ok := rt.owner(req.ID)
+	if !ok {
+		writeNoShard(w)
+		return
+	}
+	r.Header.Set("Content-Type", "application/json")
+	rt.proxy(w, r, sh, bytes.NewReader(body))
 }
 
 // handleSession routes every session-scoped call by its id.
@@ -573,7 +540,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeNoShard(w)
 		return
 	}
-	rt.proxy(w, r, sh)
+	rt.proxy(w, r, sh, r.Body)
 }
 
 // handleList fans the listing out to every serving shard and merges:
@@ -581,39 +548,17 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 // entries for the same id, and persisted-only duplicates (every shard
 // sees the shared store) collapse to one.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	type result struct {
-		infos []server.SessionInfo
-		err   error
-	}
-	results := make(map[string]*result, len(rt.ids))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, id := range rt.ids {
-		if !rt.state(id).serving() {
-			continue
+	ids := rt.servingIDs()
+	lists := make([][]server.SessionInfo, len(ids))
+	rt.each(ids, func(i int, sh Shard) {
+		if err := rt.fetch(r.Context(), sh, "GET", "/sessions", &lists[i]); err != nil {
+			rt.logf("cluster: list %s: %v", sh.ID, err)
+			lists[i] = nil
 		}
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			res := &result{}
-			res.err = rt.getJSON(r.Context(), rt.byID[id].cfg.URL+server.APIPrefix+"/sessions", &res.infos)
-			mu.Lock()
-			results[id] = res
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
+	})
 	merged := map[string]server.SessionInfo{}
-	for _, id := range rt.ids {
-		res := results[id]
-		if res == nil {
-			continue
-		}
-		if res.err != nil {
-			rt.logf("cluster: list %s: %v", id, res.err)
-			continue
-		}
-		for _, inf := range res.infos {
+	for _, infos := range lists {
+		for _, inf := range infos {
 			prev, seen := merged[inf.ID]
 			if !seen || (prev.Persisted && !inf.Persisted) {
 				merged[inf.ID] = inf
@@ -628,23 +573,21 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, out)
 }
 
-// handleJobList merges every serving shard's job listing. Job ids are
-// scoped to their pool, so concatenation is the correct merge.
+// handleJobList merges every serving shard's job listing in shard-id
+// order. Job ids are scoped to their pool, so concatenation is the
+// correct merge.
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
-	var all []json.RawMessage
-	for _, id := range rt.ids {
-		if !rt.state(id).serving() {
-			continue
+	ids := rt.servingIDs()
+	lists := make([][]json.RawMessage, len(ids))
+	rt.each(ids, func(i int, sh Shard) {
+		if err := rt.fetch(r.Context(), sh, "GET", "/jobs", &lists[i]); err != nil {
+			rt.logf("cluster: jobs %s: %v", sh.ID, err)
+			lists[i] = nil
 		}
-		var jobs []json.RawMessage
-		if err := rt.getJSON(r.Context(), rt.byID[id].cfg.URL+server.APIPrefix+"/jobs", &jobs); err != nil {
-			rt.logf("cluster: jobs %s: %v", id, err)
-			continue
-		}
+	})
+	all := []json.RawMessage{}
+	for _, jobs := range lists {
 		all = append(all, jobs...)
-	}
-	if all == nil {
-		all = []json.RawMessage{}
 	}
 	server.WriteJSON(w, http.StatusOK, all)
 }
@@ -653,20 +596,9 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 // non-404 answer — jobs are not ring-keyed, their pool is wherever the
 // mine ran.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	for _, id := range rt.ids {
-		if !rt.state(id).serving() {
-			continue
-		}
+	for _, id := range rt.servingIDs() {
 		sh := rt.byID[id].cfg
-		url := sh.URL + r.URL.Path
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, url, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
+		resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.Path, r.URL.RawQuery, "", nil)
 		if err != nil {
 			continue
 		}
@@ -674,13 +606,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.Header().Set("X-Sisd-Shard", sh.ID)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-		resp.Body.Close()
+		relay(w, sh, resp)
 		return
 	}
 	server.WriteError(w, http.StatusNotFound, "not_found", 0, "no job %q on any shard", r.PathValue("id"))
@@ -717,42 +643,24 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleDrain fans the drain out to every serving shard and returns the
 // per-shard reports keyed by shard id.
 func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
-	q := ""
-	if r.URL.RawQuery != "" {
-		q = "?" + r.URL.RawQuery
-	}
-	reports := map[string]json.RawMessage{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range rt.ids {
-		if !rt.state(id).serving() {
-			continue
+	ids := rt.servingIDs()
+	raws := make([]json.RawMessage, len(ids))
+	rt.each(ids, func(i int, sh Shard) {
+		resp, err := rt.upstream(r.Context(), sh, "POST", r.URL.Path, r.URL.RawQuery, "", nil)
+		if err != nil {
+			raws[i], _ = json.Marshal(map[string]string{"error": err.Error()})
+			return
 		}
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			sh := rt.byID[id].cfg
-			req, err := http.NewRequestWithContext(r.Context(), "POST", sh.URL+server.APIPrefix+"/drain"+q, nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				mu.Lock()
-				reports[id], _ = json.Marshal(map[string]string{"error": err.Error()})
-				mu.Unlock()
-				return
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			reports[id] = raw
-			mu.Unlock()
-		}(id)
+		defer resp.Body.Close()
+		if raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20)); err == nil {
+			raws[i] = raw
+		}
+	})
+	reports := map[string]json.RawMessage{}
+	for i, id := range ids {
+		if raws[i] != nil {
+			reports[id] = raws[i]
+		}
 	}
-	wg.Wait()
 	server.WriteJSON(w, http.StatusOK, map[string]any{"shards": reports})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -353,5 +354,206 @@ func TestRouterDrainFanout(t *testing.T) {
 		if got := rt.state(sh.id); got != StateDraining {
 			t.Fatalf("post-drain state of %s: %v, want draining", sh.id, got)
 		}
+	}
+}
+
+// envelope is the v1 error body the router and the shards both write.
+type envelope struct {
+	Error struct {
+		Code         string `json:"code"`
+		RetryAfterMs int64  `json:"retryAfterMs"`
+	} `json:"error"`
+}
+
+// idOn returns a session id with the given prefix that the full ring
+// places on shard.
+func idOn(t *testing.T, rt *Router, prefix, shard string) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if id := fmt.Sprintf("%s-%d", prefix, i); rt.ring.Owner(id) == shard {
+			return id
+		}
+	}
+	t.Fatalf("no %s-* id lands on %s", prefix, shard)
+	return ""
+}
+
+// createOn creates a synthetic session pinned to an id the ring places
+// on shard and returns the id.
+func createOn(t *testing.T, rt *Router, h http.Handler, prefix, shard string) string {
+	t.Helper()
+	id := idOn(t, rt, prefix, shard)
+	rec := call(t, h, "POST", "/api/v1/sessions",
+		server.CreateRequest{ID: id, Dataset: "synthetic", Seed: 3, Depth: 2, BeamWidth: 8})
+	decode(t, rec, http.StatusCreated, nil)
+	if got := rec.Header().Get("X-Sisd-Shard"); got != shard {
+		t.Fatalf("session %s created on %s, want %s", id, got, shard)
+	}
+	return id
+}
+
+// TestRouterJobListMergesInShardOrder: the merged job listing is every
+// serving shard's listing concatenated in shard-id order, not in the
+// order the jobs ran.
+func TestRouterJobListMergesInShardOrder(t *testing.T) {
+	rt, _ := newTestCluster(t, 3)
+	h := rt.Handler()
+	late := createOn(t, rt, h, "late", "shard-2")
+	early := createOn(t, rt, h, "early", "shard-0")
+	// shard-2's jobs run first; shard-1 runs none.
+	for _, id := range []string{late, late, early} {
+		decode(t, call(t, h, "POST", "/api/v1/sessions/"+id+"/mine", nil), http.StatusOK, nil)
+	}
+	var jobs []struct {
+		ID    string `json:"id"`
+		Label string `json:"label"`
+	}
+	decode(t, call(t, h, "GET", "/api/v1/jobs", nil), http.StatusOK, &jobs)
+	var labels []string
+	for _, j := range jobs {
+		labels = append(labels, j.Label)
+	}
+	want := []string{"mine " + early, "mine " + late, "mine " + late}
+	if fmt.Sprint(labels) != fmt.Sprint(want) {
+		t.Fatalf("merged job labels %v, want %v", labels, want)
+	}
+}
+
+// TestRouterJobOnSecondShard: a job id only the second shard knows is
+// found by GET and DELETE, and an id no shard knows answers 404.
+func TestRouterJobOnSecondShard(t *testing.T) {
+	rt, _ := newTestCluster(t, 2)
+	h := rt.Handler()
+	id := createOn(t, rt, h, "job", "shard-1")
+	var mine server.MineResponse
+	decode(t, call(t, h, "POST", "/api/v1/sessions/"+id+"/mine", nil), http.StatusOK, &mine)
+	if mine.Job == "" {
+		t.Fatal("mine response names no job")
+	}
+	for _, method := range []string{"GET", "DELETE"} {
+		var job struct {
+			ID     string `json:"id"`
+			Status string `json:"status"`
+		}
+		rec := call(t, h, method, "/api/v1/jobs/"+mine.Job, nil)
+		decode(t, rec, http.StatusOK, &job)
+		if job.ID != mine.Job || job.Status != "done" {
+			t.Fatalf("%s job %s: got %+v", method, mine.Job, job)
+		}
+		if got := rec.Header().Get("X-Sisd-Shard"); got != "shard-1" {
+			t.Fatalf("%s job %s served by %q, want shard-1", method, mine.Job, got)
+		}
+	}
+	var env envelope
+	decode(t, call(t, h, "GET", "/api/v1/jobs/j999999", nil), http.StatusNotFound, &env)
+	if env.Error.Code != "not_found" {
+		t.Fatalf("unknown job code %q, want not_found", env.Error.Code)
+	}
+}
+
+// TestRouterShardDiesBetweenSweeps: a shard that stops answering before
+// the next probe sweep turns its sessions' calls into a retryable 502.
+func TestRouterShardDiesBetweenSweeps(t *testing.T) {
+	rt, shards := newTestCluster(t, 2)
+	h := rt.Handler()
+	id := createOn(t, rt, h, "dead", "shard-1")
+	shards[1].ts.Close()
+	var env envelope
+	decode(t, call(t, h, "GET", "/api/v1/sessions/"+id+"/history", nil), http.StatusBadGateway, &env)
+	if env.Error.Code != "shard_unreachable" || env.Error.RetryAfterMs <= 0 {
+		t.Fatalf("dead shard envelope: %+v", env.Error)
+	}
+}
+
+// TestRouterPinnedCreateCollision: creating a pinned id twice passes the
+// owning shard's 409 session_exists through, stamped with its shard.
+func TestRouterPinnedCreateCollision(t *testing.T) {
+	rt, _ := newTestCluster(t, 3)
+	h := rt.Handler()
+	id := createOn(t, rt, h, "dup", "shard-1")
+	var env envelope
+	rec := call(t, h, "POST", "/api/v1/sessions", server.CreateRequest{ID: id, Dataset: "synthetic"})
+	decode(t, rec, http.StatusConflict, &env)
+	if env.Error.Code != "session_exists" {
+		t.Fatalf("collision code %q, want session_exists", env.Error.Code)
+	}
+	if got := rec.Header().Get("X-Sisd-Shard"); got != "shard-1" {
+		t.Fatalf("collision answered by %q, want shard-1", got)
+	}
+}
+
+// TestRouterListPrefersLiveEntry: a committed session is live on its
+// owner and persisted-only on every other shard (they share the store);
+// the merged listing keeps the live entry, even though a shard earlier
+// in id order listed the persisted one.
+func TestRouterListPrefersLiveEntry(t *testing.T) {
+	rt, shards := newTestCluster(t, 3)
+	h := rt.Handler()
+	id := createOn(t, rt, h, "live", "shard-2")
+	decode(t, call(t, h, "POST", "/api/v1/sessions/"+id+"/mine", nil), http.StatusOK, nil)
+	decode(t, call(t, h, "POST", "/api/v1/sessions/"+id+"/commit", nil), http.StatusOK, nil)
+	var direct []server.SessionInfo
+	decode(t, call(t, shards[0].srv.Handler(), "GET", "/api/v1/sessions", nil), http.StatusOK, &direct)
+	if len(direct) != 1 || direct[0].ID != id || !direct[0].Persisted {
+		t.Fatalf("shard-0 listing %+v, want %s persisted-only", direct, id)
+	}
+	var merged []server.SessionInfo
+	decode(t, call(t, h, "GET", "/api/v1/sessions", nil), http.StatusOK, &merged)
+	if len(merged) != 1 || merged[0].ID != id || merged[0].Persisted || merged[0].Shard != "shard-2" {
+		t.Fatalf("merged listing %+v, want %s live on shard-2", merged, id)
+	}
+}
+
+// BenchmarkRouterProxy measures the router hop alone: one small JSON
+// mine request through Router.Handler to a stub shard that answers a
+// fixed ~1 KB body, so the cost is the router's request build, upstream
+// round trip over a pooled connection and relay.
+func BenchmarkRouterProxy(b *testing.B) {
+	answer := bytes.Repeat([]byte("x"), 1000)
+	answer = append(append([]byte(`{"pad":"`), answer...), `"}`...)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == server.APIPrefix+"/readyz" {
+			_, _ = w.Write([]byte(`{"ready":true}`))
+			return
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write(answer)
+	}))
+	defer shard.Close()
+	rt, err := NewRouter(Options{Shards: []Shard{{ID: "s", URL: shard.URL}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.ProbeOnce(context.Background())
+	h := rt.Handler()
+	body := []byte(`{"spread":false,"timeoutMs":1000}`)
+	mine := func() {
+		req := httptest.NewRequest("POST", server.APIPrefix+"/sessions/r0123456789abcdef/mine", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Body.Len() != len(answer) {
+			b.Fatalf("proxied mine: status %d, %d bytes", rec.Code, rec.Body.Len())
+		}
+	}
+	mine() // warm the pooled connection
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mine()
+	}
+}
+
+// TestRouterUnbuildableTarget: a session path the router cannot turn
+// into a shard URL (its decoded id holds a bad %-escape) is the
+// router's own 500, not a retryable shard_unreachable.
+func TestRouterUnbuildableTarget(t *testing.T) {
+	rt, _ := newTestCluster(t, 2)
+	var env envelope
+	decode(t, call(t, rt.Handler(), "GET", "/api/v1/sessions/a%25zz/history", nil),
+		http.StatusInternalServerError, &env)
+	if env.Error.Code != "internal" {
+		t.Fatalf("unbuildable target code %q, want internal", env.Error.Code)
 	}
 }

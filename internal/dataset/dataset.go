@@ -124,10 +124,13 @@ func (d *Dataset) Descriptor(name string) *Column {
 	return nil
 }
 
-// Validate checks internal consistency: equal column lengths, level
-// indices in range, finite target values.
+// Validate checks internal consistency: at least one target column,
+// equal column lengths, level indices in range, finite target values.
 func (d *Dataset) Validate() error {
 	n := d.N()
+	if d.Dy() == 0 {
+		return fmt.Errorf("dataset %q: no target column", d.Name)
+	}
 	if len(d.TargetNames) != d.Dy() {
 		return fmt.Errorf("dataset %q: %d target names for %d target columns",
 			d.Name, len(d.TargetNames), d.Dy())

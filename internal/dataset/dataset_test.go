@@ -58,6 +58,16 @@ func TestValidateCatchesLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestNoTargetColumnRejected: a CSV whose header names only description
+// columns has nothing to mine; it must be refused at load time, not
+// reach the scorer.
+func TestNoTargetColumnRejected(t *testing.T) {
+	_, err := ReadCSV(strings.NewReader("x:d:num,c:d:cat\n1,a\n2,b\n3,a\n"))
+	if err == nil || !strings.Contains(err.Error(), "no target column") {
+		t.Fatalf("ReadCSV without a target column: err = %v", err)
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	ds := sample()
 	if ds.N() != 4 || ds.Dy() != 2 || ds.Dx() != 4 {

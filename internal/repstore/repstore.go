@@ -400,6 +400,31 @@ func (s *Replicated[S]) Stats() Stats {
 	return s.stats
 }
 
+// count adds n to the counter *c, one of s.stats' fields.
+func (s *Replicated[S]) count(c *int, n int) {
+	if n == 0 {
+		return
+	}
+	s.statsMu.Lock()
+	*c += n
+	s.statsMu.Unlock()
+}
+
+// each runs f concurrently for every replica and waits for all of
+// them. i indexes s.replicas, so f can fill its own result slot
+// without a lock.
+func (s *Replicated[S]) each(f func(i int, r *replica[S])) {
+	var wg sync.WaitGroup
+	for i, r := range s.replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, r)
+		}()
+	}
+	wg.Wait()
+}
+
 func (s *Replicated[S]) lockFor(id string) *sync.Mutex {
 	h := fnv.New32a()
 	h.Write([]byte(id))
@@ -436,17 +461,11 @@ func (s *Replicated[S]) replicaFailed(r *replica[S], err error) {
 func (s *Replicated[S]) fanout(op func(Inner[S]) error) (acks int, firstErr error) {
 	errs := make([]error, len(s.replicas))
 	oks := make([]bool, len(s.replicas))
-	var wg sync.WaitGroup
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r *replica[S]) {
-			defer wg.Done()
-			err, _ := s.attempt(r, op)
-			errs[i] = err
-			oks[i] = err == nil
-		}(i, r)
-	}
-	wg.Wait()
+	s.each(func(i int, r *replica[S]) {
+		err, _ := s.attempt(r, op)
+		errs[i] = err
+		oks[i] = err == nil
+	})
 	for i := range oks {
 		if oks[i] {
 			acks++
@@ -465,9 +484,7 @@ func (s *Replicated[S]) Put(snap *S) error {
 	l := s.lockFor(id)
 	l.Lock()
 	defer l.Unlock()
-	s.statsMu.Lock()
-	s.stats.Puts++
-	s.statsMu.Unlock()
+	s.count(&s.stats.Puts, 1)
 	s.delMu.Lock()
 	delete(s.deleted, id) // a new write supersedes any tombstone
 	s.delMu.Unlock()
@@ -475,9 +492,7 @@ func (s *Replicated[S]) Put(snap *S) error {
 	if acks >= s.w {
 		return nil
 	}
-	s.statsMu.Lock()
-	s.stats.PutQuorumFailures++
-	s.statsMu.Unlock()
+	s.count(&s.stats.PutQuorumFailures, 1)
 	return fmt.Errorf("%w: put %s: %d/%d acks (need %d): %v",
 		ErrNoQuorum, id, acks, len(s.replicas), s.w, firstErr)
 }
@@ -500,9 +515,7 @@ func (s *Replicated[S]) Get(id string) (*S, error) {
 	l := s.lockFor(id)
 	l.Lock()
 	defer l.Unlock()
-	s.statsMu.Lock()
-	s.stats.Gets++
-	s.statsMu.Unlock()
+	s.count(&s.stats.Gets, 1)
 	snap, _, err := s.getRepairLocked(id)
 	return snap, err
 }
@@ -533,37 +546,31 @@ func (s *Replicated[S]) getRepairLocked(id string) (*S, int, error) {
 		return nil, s.propagateDeleteLocked(id), s.cfg.NotFound
 	}
 	res := make([]readResult[S], len(s.replicas))
-	var wg sync.WaitGroup
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r *replica[S]) {
-			defer wg.Done()
-			now := s.now()
-			if !r.allow(now) {
-				res[i] = readResult[S]{skipped: true, err: r.lastError()}
-				return
-			}
-			snap, err := r.store.Get(id)
-			if err == nil && s.cfg.Verify != nil {
-				err = s.cfg.Verify(snap)
-			}
-			switch {
-			case err == nil:
-				r.success()
-				res[i] = readResult[S]{snap: snap}
-			case errors.Is(err, s.cfg.NotFound):
-				r.success() // the replica answered; absence is an answer
-				res[i] = readResult[S]{absent: true, err: err}
-			case s.cfg.Corrupt != nil && errors.Is(err, s.cfg.Corrupt):
-				r.success() // alive, but its copy is bad — repairable
-				res[i] = readResult[S]{corrupt: true, err: err}
-			default:
-				s.replicaFailed(r, err)
-				res[i] = readResult[S]{err: err}
-			}
-		}(i, r)
-	}
-	wg.Wait()
+	s.each(func(i int, r *replica[S]) {
+		now := s.now()
+		if !r.allow(now) {
+			res[i] = readResult[S]{skipped: true, err: r.lastError()}
+			return
+		}
+		snap, err := r.store.Get(id)
+		if err == nil && s.cfg.Verify != nil {
+			err = s.cfg.Verify(snap)
+		}
+		switch {
+		case err == nil:
+			r.success()
+			res[i] = readResult[S]{snap: snap}
+		case errors.Is(err, s.cfg.NotFound):
+			r.success() // the replica answered; absence is an answer
+			res[i] = readResult[S]{absent: true, err: err}
+		case s.cfg.Corrupt != nil && errors.Is(err, s.cfg.Corrupt):
+			r.success() // alive, but its copy is bad — repairable
+			res[i] = readResult[S]{corrupt: true, err: err}
+		default:
+			s.replicaFailed(r, err)
+			res[i] = readResult[S]{err: err}
+		}
+	})
 
 	// Freshness vote: only version-bearing replies (found or absent)
 	// count toward R. A corrupt reply must not — the replica can no
@@ -591,9 +598,7 @@ func (s *Replicated[S]) getRepairLocked(id string) (*S, int, error) {
 		}
 	}
 	if answered < s.r {
-		s.statsMu.Lock()
-		s.stats.GetQuorumFailures++
-		s.statsMu.Unlock()
+		s.count(&s.stats.GetQuorumFailures, 1)
 		return nil, 0, fmt.Errorf("%w: get %s: %d/%d version-bearing replies (need %d): %v",
 			ErrNoQuorum, id, answered, len(s.replicas), s.r, firstErr)
 	}
@@ -614,11 +619,7 @@ func (s *Replicated[S]) getRepairLocked(id string) (*S, int, error) {
 				cleaned++
 			}
 		}
-		if cleaned > 0 {
-			s.statsMu.Lock()
-			s.stats.Repairs += cleaned
-			s.statsMu.Unlock()
-		}
+		s.count(&s.stats.Repairs, cleaned)
 		return nil, cleaned, s.cfg.NotFound
 	}
 
@@ -641,43 +642,30 @@ func (s *Replicated[S]) getRepairLocked(id string) (*S, int, error) {
 			repaired++
 		}
 	}
-	if repaired > 0 {
-		s.statsMu.Lock()
-		s.stats.Repairs += repaired
-		s.statsMu.Unlock()
-	}
+	s.count(&s.stats.Repairs, repaired)
 	return freshest, repaired, nil
 }
 
 // propagateDeleteLocked re-deletes id on every replica (best-effort)
 // and returns how many deletions actually removed a copy.
 func (s *Replicated[S]) propagateDeleteLocked(id string) int {
+	gone := make([]bool, len(s.replicas))
+	s.each(func(i int, r *replica[S]) {
+		var existed bool
+		err, skipped := s.attempt(r, func(in Inner[S]) error {
+			var derr error
+			existed, derr = in.Delete(id)
+			return derr
+		})
+		gone[i] = err == nil && !skipped && existed
+	})
 	removed := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, r := range s.replicas {
-		wg.Add(1)
-		go func(r *replica[S]) {
-			defer wg.Done()
-			var existed bool
-			err, skipped := s.attempt(r, func(in Inner[S]) error {
-				var derr error
-				existed, derr = in.Delete(id)
-				return derr
-			})
-			if err == nil && !skipped && existed {
-				mu.Lock()
-				removed++
-				mu.Unlock()
-			}
-		}(r)
+	for _, g := range gone {
+		if g {
+			removed++
+		}
 	}
-	wg.Wait()
-	if removed > 0 {
-		s.statsMu.Lock()
-		s.stats.Repairs += removed
-		s.statsMu.Unlock()
-	}
+	s.count(&s.stats.Repairs, removed)
 	return removed
 }
 
@@ -689,9 +677,7 @@ func (s *Replicated[S]) Delete(id string) (bool, error) {
 	l := s.lockFor(id)
 	l.Lock()
 	defer l.Unlock()
-	s.statsMu.Lock()
-	s.stats.Deletes++
-	s.statsMu.Unlock()
+	s.count(&s.stats.Deletes, 1)
 	s.delMu.Lock()
 	s.deleted[id] = s.now()
 	s.delMu.Unlock()
@@ -717,9 +703,7 @@ func (s *Replicated[S]) Delete(id string) (bool, error) {
 // excluded), requiring R successful listings so a minority of lagging
 // replicas cannot hide a quorum-written id.
 func (s *Replicated[S]) List() ([]string, error) {
-	s.statsMu.Lock()
-	s.stats.Lists++
-	s.statsMu.Unlock()
+	s.count(&s.stats.Lists, 1)
 	ids, ok, err := s.listUnion()
 	if ok < s.r {
 		return nil, fmt.Errorf("%w: list: %d/%d replies (need %d): %v",
@@ -733,19 +717,13 @@ func (s *Replicated[S]) List() ([]string, error) {
 func (s *Replicated[S]) listUnion() (ids []string, ok int, firstErr error) {
 	lists := make([][]string, len(s.replicas))
 	errs := make([]error, len(s.replicas))
-	var wg sync.WaitGroup
-	for i, r := range s.replicas {
-		wg.Add(1)
-		go func(i int, r *replica[S]) {
-			defer wg.Done()
-			errs[i], _ = s.attempt(r, func(in Inner[S]) error {
-				var lerr error
-				lists[i], lerr = in.List()
-				return lerr
-			})
-		}(i, r)
-	}
-	wg.Wait()
+	s.each(func(i int, r *replica[S]) {
+		errs[i], _ = s.attempt(r, func(in Inner[S]) error {
+			var lerr error
+			lists[i], lerr = in.List()
+			return lerr
+		})
+	})
 	set := map[string]bool{}
 	for i := range lists {
 		if errs[i] != nil {
@@ -799,8 +777,6 @@ func (s *Replicated[S]) Sweep() (repaired int) {
 		}
 		l.Unlock()
 	}
-	s.statsMu.Lock()
-	s.stats.Sweeps++
-	s.statsMu.Unlock()
+	s.count(&s.stats.Sweeps, 1)
 	return repaired
 }

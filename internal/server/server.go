@@ -1433,7 +1433,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // handleModel exports the session's background-model state (the user's
 // current belief state) as JSON, so sessions can be persisted and
-// analyzed offline; see background.LoadJSON for restoring.
+// analyzed offline; see background.LoadJSONExact for restoring.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	sess := s.withSession(w, r)
 	if sess == nil {

@@ -152,6 +152,24 @@ func TestCreateFromCSV(t *testing.T) {
 	}
 }
 
+// TestCreateFromCSVWithoutTarget: a CSV with only description columns
+// is refused at create with 400 bad_request instead of failing the
+// first mine.
+func TestCreateFromCSVWithoutTarget(t *testing.T) {
+	ts := newTestServer(t)
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
+		Dataset: "csv", CSV: "x:d:num,c:d:cat\n1,a\n2,b\n3,a\n",
+	}, http.StatusBadRequest, &env)
+	if env.Error.Code != errBadRequest {
+		t.Fatalf("create code %q, want %q", env.Error.Code, errBadRequest)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	// Unknown dataset.
@@ -198,7 +216,7 @@ func TestModelExportRestores(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("model export status = %d", resp.StatusCode)
 	}
-	m, err := background.LoadJSON(resp.Body)
+	m, err := background.LoadJSONExact(resp.Body)
 	if err != nil {
 		t.Fatalf("restoring exported model: %v", err)
 	}
