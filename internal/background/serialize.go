@@ -84,8 +84,7 @@ func (v *ModelVersion) SaveJSON(w io.Writer) error {
 }
 
 // EncodeJSON returns the bytes SaveJSON writes, trailing newline
-// included, in one buffer of exactly their size — the form a session
-// snapshot stores.
+// included, in one buffer of exactly their size.
 func (v *ModelVersion) EncodeJSON() ([]byte, error) {
 	return encodeModel(v.version, v.n, v.d, v.tol, v.maxSweeps, v.groups, v.cons)
 }

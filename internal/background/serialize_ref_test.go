@@ -300,7 +300,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestEncodeJSONOneAllocation pins the snapshot path's allocation: the
+// TestEncodeJSONOneAllocation pins the export path's allocation: the
 // bytes path makes exactly one allocation, its output buffer, and
 // SaveJSON writes the same bytes in one Write.
 func TestEncodeJSONOneAllocation(t *testing.T) {

@@ -1,6 +1,7 @@
 package background
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/bitset"
@@ -136,6 +137,35 @@ func (v *ModelVersion) DistinctSigmaChols() (*mat.Cholesky, bool, error) {
 // ExpectedSpread implements Reader against this version.
 func (v *ModelVersion) ExpectedSpread(ext *bitset.Set, w, center mat.Vec) (float64, error) {
 	return expectedSpread(v.groups, ext, w, center)
+}
+
+// Digest returns a 64-bit FNV-1a hash of the version's parameters:
+// the bits of every group's µ and then Σ, in group order. It is read
+// straight from the in-memory floats, so it costs no encoding, and it
+// is fixed and unseeded, so any process computes the same digest for
+// the same belief state. A session snapshot stores it, and a restore
+// that replays the session's commits compares it with the rebuilt
+// model's: a refit whose floats moved by one ulp changes it.
+func (v *ModelVersion) Digest() uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	hash := func(fs []float64) {
+		for _, f := range fs {
+			b := math.Float64bits(f)
+			for i := 0; i < 64; i += 8 {
+				h ^= b >> i & 0xff
+				h *= prime
+			}
+		}
+	}
+	for _, g := range v.groups {
+		hash(g.Mu)
+		hash(g.Sigma.Data)
+	}
+	return h
 }
 
 // Fork returns a writable Model whose belief state starts at exactly

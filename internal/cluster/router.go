@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -285,8 +284,10 @@ func (rt *Router) servingIDs() []string {
 }
 
 // upstream sends one request to shard sh: its URL plus path, plus
-// "?"+query when query is non-empty. Content-Type is the only header
-// it forwards. The caller closes the response body.
+// "?"+query when query is non-empty. path is URL-escaped (a client's
+// r.URL.EscapedPath()), so the shard routes exactly the path the client
+// sent. Content-Type is the only header it forwards. The caller closes
+// the response body.
 func (rt *Router) upstream(ctx context.Context, sh Shard, method, path, query, contentType string, body io.Reader) (*http.Response, error) {
 	url := sh.URL + path
 	if query != "" {
@@ -294,17 +295,13 @@ func (rt *Router) upstream(ctx context.Context, sh Shard, method, path, query, c
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadTarget, err)
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	return rt.client.Do(req)
 }
-
-// errBadTarget marks a request upstream could not build, as opposed to
-// a shard that could not be reached.
-var errBadTarget = errors.New("proxy")
 
 // probe classifies one shard from its readyz response.
 func (rt *Router) probe(ctx context.Context, sh Shard) State {
@@ -456,18 +453,15 @@ func writeNoShard(w http.ResponseWriter) {
 // both ways. The shard's answer, including its 503 back-pressure
 // envelope, is relayed untouched.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, sh Shard, body io.Reader) {
-	resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
-	switch {
-	case errors.Is(err, errBadTarget):
-		server.WriteError(w, http.StatusInternalServerError, "internal", 0, "%v", err)
-	case err != nil:
+	resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.EscapedPath(), r.URL.RawQuery, r.Header.Get("Content-Type"), body)
+	if err != nil {
 		// The shard died between probe sweeps. Surface it as a retryable
 		// 502; the next sweep will fail it over.
 		server.WriteError(w, http.StatusBadGateway, "shard_unreachable", noShardRetry,
 			"shard %s: %v", sh.ID, err)
-	default:
-		relay(w, sh, resp)
+		return
 	}
+	relay(w, sh, resp)
 }
 
 // relay copies a shard's answer to the client and closes it: its
@@ -598,7 +592,7 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	for _, id := range rt.servingIDs() {
 		sh := rt.byID[id].cfg
-		resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.Path, r.URL.RawQuery, "", nil)
+		resp, err := rt.upstream(r.Context(), sh, r.Method, r.URL.EscapedPath(), r.URL.RawQuery, "", nil)
 		if err != nil {
 			continue
 		}
@@ -646,7 +640,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	ids := rt.servingIDs()
 	raws := make([]json.RawMessage, len(ids))
 	rt.each(ids, func(i int, sh Shard) {
-		resp, err := rt.upstream(r.Context(), sh, "POST", r.URL.Path, r.URL.RawQuery, "", nil)
+		resp, err := rt.upstream(r.Context(), sh, "POST", r.URL.EscapedPath(), r.URL.RawQuery, "", nil)
 		if err != nil {
 			raws[i], _ = json.Marshal(map[string]string{"error": err.Error()})
 			return

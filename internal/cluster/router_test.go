@@ -545,15 +545,20 @@ func BenchmarkRouterProxy(b *testing.B) {
 	}
 }
 
-// TestRouterUnbuildableTarget: a session path the router cannot turn
-// into a shard URL (its decoded id holds a bad %-escape) is the
-// router's own 500, not a retryable shard_unreachable.
+// TestRouterUnbuildableTarget: a session path whose id decodes to
+// something no shard URL can carry raw (a bad %-escape, an escaped
+// slash) is forwarded escaped, so the owning shard answers it: a 404
+// not_found envelope, as for any unknown id.
 func TestRouterUnbuildableTarget(t *testing.T) {
 	rt, _ := newTestCluster(t, 2)
-	var env envelope
-	decode(t, call(t, rt.Handler(), "GET", "/api/v1/sessions/a%25zz/history", nil),
-		http.StatusInternalServerError, &env)
-	if env.Error.Code != "internal" {
-		t.Fatalf("unbuildable target code %q, want internal", env.Error.Code)
+	for _, path := range []string{
+		"/api/v1/sessions/a%25zz/history",
+		"/api/v1/sessions/a%2Fb/history",
+	} {
+		var env envelope
+		decode(t, call(t, rt.Handler(), "GET", path, nil), http.StatusNotFound, &env)
+		if env.Error.Code != "not_found" {
+			t.Fatalf("%s: code %q, want not_found", path, env.Error.Code)
+		}
 	}
 }

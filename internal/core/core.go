@@ -144,8 +144,9 @@ func (m *Miner) Reset() error {
 // Restore replaces the miner's belief state with a previously saved
 // model (see background.SaveJSON / LoadJSONExact) and the number of
 // committed iterations that state represents. Dimensions must match
-// the miner's dataset. Used by session persistence: a restored miner
-// continues the interactive loop exactly where the snapshot left off.
+// the miner's dataset. Used by the façade's RestoreOptions.SavedModel:
+// a restored miner continues the interactive loop exactly where the
+// saved model left off.
 func (m *Miner) Restore(model *background.Model, iteration int) error {
 	if model.N() != m.DS.N() || model.D() != m.DS.Dy() {
 		return fmt.Errorf("core: restored model is %d×%d, dataset is %d×%d",

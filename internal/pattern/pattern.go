@@ -47,12 +47,14 @@ func (o Op) String() string {
 	}
 }
 
-// Condition is a single condition on one description attribute.
+// Condition is a single condition on one description attribute. Its
+// JSON form keeps the threshold exact (a session snapshot's commit log
+// stores intentions this way), unlike Format's six digits.
 type Condition struct {
-	Attr      int     // index into Dataset.Descriptors
-	Op        Op      // LE/GE for continuous attributes, EQ for discrete
-	Threshold float64 // used by LE/GE
-	Level     int     // used by EQ
+	Attr      int     `json:"attr"`      // index into Dataset.Descriptors
+	Op        Op      `json:"op"`        // LE/GE for continuous attributes, EQ/NE for discrete
+	Threshold float64 `json:"threshold"` // used by LE/GE
+	Level     int     `json:"level"`     // used by EQ/NE
 }
 
 // Extension returns the bitset of rows matching the condition. The

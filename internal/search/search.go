@@ -290,7 +290,7 @@ func Exhaustive(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 				Mean: mean,
 			})
 		}
-		if bw == nil || len(ids) >= p.MaxDepth {
+		if bw == nil || !worthBounding(len(lang.Conds)-1-int(ids[len(ids)-1]), p.MaxDepth-len(ids)) {
 			return true
 		}
 		floor, full := top.Floor()
@@ -313,6 +313,29 @@ func Exhaustive(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 	})
 	res.Patterns = patterns(lang, top.Sorted())
 	return res
+}
+
+// minBoundNodes is the fewest nodes that must lie below an exact-search
+// node for preparing its bound to pay. A prepare (a sort of the node's
+// residuals plus one BoundSI per size) costs about as much as scoring
+// 20 nodes on BenchmarkOptimalBranchAndBound's planted replica, so a
+// node with fewer nodes below it is cheaper to walk than to bound.
+const minBoundNodes = 16
+
+// worthBounding reports whether an exact-search node has at least
+// minBoundNodes nodes below it. Its refinements draw on the rem
+// conditions after its last one, over up to levels more levels, so at
+// most Σ_{k=1..levels} C(rem, k) nodes lie below it. The rule affects
+// only speed, never results.
+func worthBounding(rem, levels int) bool {
+	below, c := 0, 1
+	for k := 1; k <= levels && k <= rem; k++ {
+		c = c * (rem - k + 1) / k // C(rem, k)
+		if below += c; below >= minBoundNodes {
+			return true
+		}
+	}
+	return false
 }
 
 // DiverseTopK greedily selects up to k patterns from a result log

@@ -92,9 +92,9 @@ func TestCorruptSnapshotSurfacesEnvelope(t *testing.T) {
 		{"flip-model-digit", func(b []byte) []byte {
 			// Valid JSON, wrong content: only the CRC can catch this.
 			out := append([]byte(nil), b...)
-			i := bytes.Index(out, []byte(`"model":`))
+			i := bytes.Index(out, []byte(`"log":`))
 			if i < 0 {
-				t.Fatal("no model field in snapshot")
+				t.Fatal("no log field in snapshot")
 			}
 			for ; i < len(out); i++ {
 				if out[i] >= '1' && out[i] <= '8' {
@@ -102,7 +102,7 @@ func TestCorruptSnapshotSurfacesEnvelope(t *testing.T) {
 					return out
 				}
 			}
-			t.Fatal("no digit found in model payload")
+			t.Fatal("no digit found in log payload")
 			return nil
 		}},
 	}

@@ -53,16 +53,16 @@ func TestSessionEngineOptions(t *testing.T) {
 	}
 
 	// A tiny mine budget must cut the search short and be reported, not
-	// fail the request. The crime replica's ~1000 conditions make every
-	// beam level cost well over 1ms, so after a first unbudgeted mine
-	// has warmed the session (condition language, scorer), a budgeted
-	// re-mine reliably completes level 1 and then sees the expired
-	// deadline before a deeper level.
+	// fail the request. The search must be one that cannot finish inside
+	// the budget even warm: a crime beam of width 40 and depth 4 over
+	// the replica's ~1000 conditions takes about 100 ms once a first
+	// unbudgeted mine has built the condition language, so the budgeted
+	// re-mine always sees the expired deadline before its last level.
 	var tiny SessionInfo
 	doJSON(t, "POST", ts.URL+"/api/v1/sessions", CreateRequest{
 		Dataset:   "crime",
-		Depth:     2,
-		BeamWidth: 10,
+		Depth:     4,
+		BeamWidth: 40,
 	}, http.StatusCreated, &tiny)
 	var warm, rushed MineResponse
 	doJSON(t, "POST", ts.URL+"/api/v1/sessions/"+tiny.ID+"/mine", nil,

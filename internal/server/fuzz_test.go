@@ -7,19 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/background"
 )
 
-// FuzzSnapshotFile writes arbitrary bytes as a snapshot file and
-// restores it the way a session restore does: DirStore.Get, then
-// background.LoadJSONExact on the model. Each step either rejects with
-// a typed error (ErrCorrupt, or the plain error for a newer format) or
-// succeeds; nothing panics. The reads share one buffer pool, so the
-// target also checks that a snapshot already returned — the fuzzed one
-// and a valid one held across every input — does not change when a
-// later load reuses a pooled buffer. Seeds live in
-// testdata/fuzz/FuzzSnapshotFile.
+// FuzzSnapshotFile feeds arbitrary bytes to the restore path twice.
+// First as a snapshot file, restored the way a session restore does it:
+// DirStore.Get, then restoreSession's log checks and replay. Second as
+// the commit-log payload of a sealed snapshot of a synthetic session,
+// so the log checks and the replay see inputs a CRC would otherwise
+// stop. Each step either rejects with a typed error (ErrCorrupt,
+// ErrIncompatible, or the plain error for a newer format) or succeeds;
+// nothing panics. The reads share one buffer pool, so the target also
+// checks that a snapshot already returned — the fuzzed one and a valid
+// one held across every input — does not change when a later load
+// reuses a pooled buffer. Seeds live in testdata/fuzz/FuzzSnapshotFile:
+// the format-1 ones, which now reject as corrupt, and format-2 files
+// and logs.
 func FuzzSnapshotFile(f *testing.F) {
 	dir := f.TempDir()
 	store, err := NewDirStore(dir)
@@ -41,31 +43,65 @@ func FuzzSnapshotFile(f *testing.F) {
 		}
 		snap, err := store.Get("s0002")
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !newerFormat(data) {
-				t.Fatalf("untyped snapshot reject: %v", err)
+			requireTyped(t, "snapshot", err, data)
+		} else {
+			before := mustMarshal(t, snap)
+			if _, err := store.Get("s0001"); err != nil {
+				t.Fatal(err)
 			}
-			return
+			if !bytes.Equal(mustMarshal(t, snap), before) {
+				t.Fatal("a returned snapshot changed when a later load reused the pool")
+			}
+			if !bytes.Equal(mustMarshal(t, held), heldJSON) {
+				t.Fatal("a held snapshot changed when a later load reused the pool")
+			}
+			if _, err := restoreSession(snap); err != nil {
+				requireTyped(t, "restore", err, nil)
+			}
 		}
-		before := mustMarshal(t, snap)
-		if _, err := store.Get("s0001"); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mustMarshal(t, snap), before) {
-			t.Fatal("a returned snapshot changed when a later load reused the pool")
-		}
-		if !bytes.Equal(mustMarshal(t, held), heldJSON) {
-			t.Fatal("a held snapshot changed when a later load reused the pool")
-		}
-		if _, err := background.LoadJSONExact(bytes.NewReader(snap.Model)); err != nil &&
-			!errors.Is(err, background.ErrCorrupt) && !newerFormat(snap.Model) {
-			t.Fatalf("untyped model reject: %v", err)
+		if _, err := restoreSession(logSnap(data)); err != nil {
+			requireTyped(t, "log restore", err, nil)
 		}
 	})
 }
 
+// logSnap seals payload as the commit log of a synthetic session's
+// snapshot. Its history and iteration count follow the payload's
+// entries, so a fuzzed log gets past those two checks.
+func logSnap(payload []byte) *Snapshot {
+	snap := &Snapshot{
+		ID:     "s0003",
+		Create: CreateRequest{Dataset: "synthetic", Seed: 2, Depth: 2},
+		Model:  payload,
+	}
+	var probe struct {
+		Commits []struct {
+			Kind string `json:"kind"`
+		} `json:"commits"`
+	}
+	_ = json.Unmarshal(payload, &probe)
+	for _, c := range probe.Commits {
+		snap.History = append(snap.History, PatternJSON{Kind: c.Kind})
+		if c.Kind == "location" {
+			snap.Iterations++
+		}
+	}
+	snap.Seal()
+	return snap
+}
+
+// requireTyped fails unless err is one of the typed rejects: ErrCorrupt,
+// ErrIncompatible, or the plain refusal of a newer format in data.
+func requireTyped(t *testing.T, what string, err error, data []byte) {
+	t.Helper()
+	if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrIncompatible) && !newerFormat(data) {
+		t.Fatalf("untyped %s reject: %v", what, err)
+	}
+}
+
 // newerFormat reports whether data declares a "format" newer than this
-// code reads — the one reject the snapshot and model loaders leave
-// untyped, since such a file may be sound. Both formats are 1.
+// code reads — the one reject the snapshot loader leaves untyped, since
+// such a file may be sound.
 func newerFormat(data []byte) bool {
 	var probe struct {
 		Format int `json:"format"`

@@ -58,7 +58,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -197,6 +196,9 @@ type session struct {
 	pendingLoc    *pattern.Location
 	pendingSpread *pattern.Spread
 	history       []PatternJSON
+	// log holds the committed patterns in commit order, parallel to
+	// history: the payload a snapshot persists and a restore replays.
+	log []logEntry
 	// iterations mirrors miner.Iteration() for lock-free reads: info()
 	// serves session listings without waiting behind state mutations.
 	iterations atomic.Int64
@@ -451,6 +453,7 @@ const (
 	errCancelled       = "cancelled"
 	errInternal        = "internal"
 	errSnapshotCorrupt = "snapshot_corrupt"
+	errIncompatible    = "snapshot_incompatible"
 	errStoreDegraded   = "store_degraded"
 	errDraining        = "draining"
 	errModelInfeasible = "model_infeasible"
@@ -747,9 +750,10 @@ func (s *Server) lookup(id string) (*session, error) {
 	return s.restoreFromStore(id)
 }
 
-// restoreFromStore rebuilds a session from its snapshot: same dataset
-// (deterministic in the create request), exact model parameters
-// (LoadJSONExact — no refit drift), same history and iteration count.
+// restoreFromStore rebuilds a session from its snapshot by replaying
+// its commit log (restoreSession): same dataset (deterministic in the
+// create request), the same commits in the same order, so the same
+// model to the bit, checked against the sealed digest.
 func (s *Server) restoreFromStore(id string) (*session, error) {
 	snap, err := s.store.Get(id)
 	if err != nil {
@@ -761,28 +765,11 @@ func (s *Server) restoreFromStore(id string) (*session, error) {
 	if err := snap.Verify(); err != nil {
 		return nil, err
 	}
-	sess, err := newSession(&snap.Create)
+	sess, err := restoreSession(snap)
 	if err != nil {
-		return nil, fmt.Errorf("rebuilding dataset/miner: %w", err)
-	}
-	model, err := background.LoadJSONExact(bytes.NewReader(snap.Model))
-	if err != nil {
-		// A model payload the loader rejects inside a checksum-valid
-		// snapshot is still corruption, not an
-		// operational failure: surface it as the typed sentinel so the
-		// handler can answer with the snapshot_corrupt envelope instead
-		// of bubbling a raw decode error.
-		if errors.Is(err, background.ErrCorrupt) {
-			return nil, fmt.Errorf("%w: restoring model for %s: %v", ErrCorrupt, id, err)
-		}
-		return nil, fmt.Errorf("restoring model: %w", err)
-	}
-	if err := sess.miner.Restore(model, snap.Iterations); err != nil {
-		return nil, fmt.Errorf("restoring model: %w", err)
+		return nil, err
 	}
 	sess.id = id
-	sess.history = append([]PatternJSON(nil), snap.History...)
-	sess.iterations.Store(int64(snap.Iterations))
 	sess.touch()
 	s.mu.Lock()
 	if t, dead := s.tombstones[id]; dead && time.Since(t) < tombstoneTTL {
@@ -836,23 +823,22 @@ func (s *Server) persist(sess *session) bool {
 	return s.storePut(snap) == nil
 }
 
-// snapshotLocked serializes the session's durable state. Caller holds
-// sess.mu (for history/iterations consistency) and, on every path that
-// goes on to Put, commitMu (so the published version, history and
-// iteration count belong to the same commit). The model itself is read
-// from the published version — immutable, so serialization is safe
-// even while a later commit builds its successor. Pending
+// snapshotLocked serializes the session's durable state: its commit
+// log and the digest of its published model, never the model itself.
+// Caller holds sess.mu (for log/history/iterations consistency) and, on
+// every path that goes on to Put, commitMu (so the published version,
+// log, history and iteration count belong to the same commit). Pending
 // (uncommitted) patterns are ephemeral by design and not part of the
 // snapshot.
 func (sess *session) snapshotLocked() (*Snapshot, error) {
-	model, err := sess.miner.Snapshot().EncodeJSON()
+	payload, err := sess.encodeLogLocked()
 	if err != nil {
 		return nil, err
 	}
 	snap := &Snapshot{
 		ID:         sess.id,
 		Create:     sess.create,
-		Model:      model,
+		Model:      payload,
 		History:    append([]PatternJSON(nil), sess.history...),
 		Iterations: int(sess.iterations.Load()),
 		SavedAt:    time.Now(),
@@ -1036,6 +1022,13 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request) *session {
 		// client the session's persisted state is unrecoverable (rather
 		// than transient), distinct from a plain internal error.
 		WriteError(w, http.StatusInternalServerError, errSnapshotCorrupt, 0,
+			"session %q: %v", id, err)
+		return nil
+	case errors.Is(err, ErrIncompatible):
+		// The snapshot is sound, but this binary cannot rebuild the belief
+		// state it recorded (say, a replay whose model differs from the
+		// sealed digest). It stays in the store.
+		WriteError(w, http.StatusInternalServerError, errIncompatible, 0,
 			"session %q: %v", id, err)
 		return nil
 	case err != nil:
@@ -1351,6 +1344,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		// one in the meantime, which must survive.
 		sess.mu.Lock()
 		sess.history = append(sess.history, *locationJSON(sess.miner.DS, pl))
+		sess.log = append(sess.log, locationEntry(pl))
 		if sess.pendingLoc == pl {
 			sess.pendingLoc = nil
 		}
@@ -1369,6 +1363,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		}
 		sess.mu.Lock()
 		sess.history = append(sess.history, *spreadJSON(sess.miner.DS, ps))
+		sess.log = append(sess.log, spreadEntry(ps))
 		if sess.pendingSpread == ps {
 			sess.pendingSpread = nil
 		}
@@ -1432,8 +1427,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModel exports the session's background-model state (the user's
-// current belief state) as JSON, so sessions can be persisted and
-// analyzed offline; see background.LoadJSONExact for restoring.
+// current belief state) as JSON, so it can be analyzed offline or
+// imported with background.LoadJSONExact. Session persistence does not
+// use it: snapshots store the commit log.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	sess := s.withSession(w, r)
 	if sess == nil {

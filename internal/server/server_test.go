@@ -23,7 +23,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
+func doJSON(t testing.TB, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
 	var rd *bytes.Reader
 	if body != nil {

@@ -20,95 +20,98 @@ import (
 // rebuild its miner and belief state in another process (or after a
 // restart). The dataset itself is not stored — builtin datasets are
 // deterministic in (name, seed) and CSV data rides along inside the
-// CreateRequest — so a snapshot stays small: the background model's
-// group parameters and constraint list plus the pattern history.
-// Pending (mined but uncommitted) patterns are deliberately ephemeral.
+// CreateRequest — and neither is the background model: the model is a
+// deterministic function of the create request and the ordered
+// commits, so a snapshot stores the session's commit log and a restore
+// replays it (DESIGN §6). Pending (mined but uncommitted) patterns are
+// deliberately ephemeral.
 type Snapshot struct {
 	// Format is the snapshot wire-format version (SnapshotFormat when
 	// written by this code). A missing or zero format is an unsealed
 	// file, which Verify rejects as corrupt.
-	Format int             `json:"format,omitempty"`
-	ID     string          `json:"id"`
-	Create CreateRequest   `json:"create"`
-	Model  json.RawMessage `json:"model"`
-	// ModelCRC is a CRC-32C (Castagnoli) over the Model bytes, set by
-	// Seal and checked by Verify: a torn or bit-flipped model surfaces
-	// as a typed ErrCorrupt instead of an opaque parse error deep in
-	// the restore path.
-	ModelCRC   uint32        `json:"modelCrc32c,omitempty"`
-	History    []PatternJSON `json:"history,omitempty"`
-	Iterations int           `json:"iterations"`
-	SavedAt    time.Time     `json:"savedAt"`
+	Format  int           `json:"format,omitempty"`
+	ID      string        `json:"id"`
+	Create  CreateRequest `json:"create"`
+	History []PatternJSON `json:"history,omitempty"`
+	// Iterations is the number of committed location patterns.
+	Iterations int `json:"iterations"`
+	// Model is the payload: the session's commit log and the digest of
+	// the model it rebuilds, as JSON (see commitLog).
+	Model json.RawMessage `json:"log"`
+	// CRC is a CRC-32C (Castagnoli) over every field a restore reads —
+	// all of the above — set by Seal and checked by Verify: a torn or
+	// bit-flipped file surfaces as a typed ErrCorrupt instead of an
+	// opaque failure deep in the restore path.
+	CRC     uint32    `json:"crc32c"`
+	SavedAt time.Time `json:"savedAt"`
 }
 
-// SnapshotFormat is the current snapshot wire-format version.
-const SnapshotFormat = 1
+// SnapshotFormat is the current snapshot wire-format version. Format 2
+// stores the commit log; a format-1 file, which stored the model, is
+// rejected as corrupt like an unsealed one.
+const SnapshotFormat = 2
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// sealed is the part of a Snapshot its CRC covers besides the payload:
+// every field but the payload, the CRC itself and SavedAt.
+type sealed struct {
+	Format     int           `json:"format"`
+	ID         string        `json:"id"`
+	Create     CreateRequest `json:"create"`
+	History    []PatternJSON `json:"history,omitempty"`
+	Iterations int           `json:"iterations"`
+}
+
+// checksum is the CRC-32C of the covered fields' JSON encoding followed
+// by the payload bytes. A JSON round trip through a store reproduces
+// both exactly: strings and float64s round-trip, and the payload is
+// compact JSON (json.Marshal's, as the writer produces it), which a
+// store keeps byte for byte. It fails only on fields JSON cannot encode.
+func (s *Snapshot) checksum() (uint32, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	err := json.NewEncoder(buf).Encode(&sealed{
+		Format: s.Format, ID: s.ID, Create: s.Create, History: s.History, Iterations: s.Iterations,
+	})
+	return crc32.Update(crc32.Checksum(buf.Bytes(), castagnoli), castagnoli, s.Model), err
+}
+
 // Seal stamps the snapshot with the current format version and the
-// CRC-32C of its model bytes. The model is canonicalized (compacted)
-// first so the checksummed bytes are exactly the bytes a JSON
-// round-trip through a store preserves — json.Marshal compacts
-// RawMessage payloads, which would otherwise shift the CRC. SaveJSON
-// output is already compact apart from a trailing newline, so Seal
-// trims trailing whitespace by reslicing and copies through
-// json.Compact only if whitespace remains outside a string: sealing it
-// allocates nothing and never writes the caller's array. Idempotent.
-// The writer seals once (session.snapshotLocked); DirStore.Put only
-// verifies, so an unsealed snapshot never reaches disk.
+// CRC-32C of the fields a restore reads, leaving the fields themselves
+// untouched. Idempotent. The writer seals once
+// (session.snapshotLocked); DirStore.Put only verifies, so an unsealed
+// snapshot never reaches disk. A snapshot JSON cannot encode seals to
+// a CRC that Verify rejects. The payload must be compact JSON to
+// verify after a store round trip, since a store's encoder compacts it.
 func (s *Snapshot) Seal() {
-	model := bytes.TrimRight(s.Model, " \t\r\n")
-	if hasSpaceOutsideStrings(model) {
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, model); err == nil {
-			model = buf.Bytes()
-		}
-	}
-	s.Model = json.RawMessage(model)
 	s.Format = SnapshotFormat
-	s.ModelCRC = crc32.Checksum(s.Model, castagnoli)
+	s.CRC, _ = s.checksum()
 }
 
-// hasSpaceOutsideStrings reports whether b holds a JSON whitespace
-// byte outside a string literal — the only bytes json.Compact drops.
-func hasSpaceOutsideStrings(b []byte) bool {
-	inString, escaped := false, false
-	for _, c := range b {
-		switch {
-		case escaped:
-			escaped = false
-		case inString:
-			switch c {
-			case '\\':
-				escaped = true
-			case '"':
-				inString = false
-			}
-		case c == '"':
-			inString = true
-		case c == ' ', c == '\t', c == '\r', c == '\n':
-			return true
-		}
-	}
-	return false
-}
-
-// Verify checks the integrity framing: an unsealed snapshot (Format 0)
-// or one whose model does not match its CRC wraps ErrCorrupt. A format
-// newer than SnapshotFormat is refused with a plain error — the file
-// may be sound, this code just cannot read it — so it is never
+// Verify checks the integrity framing: an unsealed snapshot (Format 0),
+// a format-1 one (it holds a model, not a commit log, so no restore can
+// read it) or one whose fields do not match its CRC wraps ErrCorrupt. A
+// format newer than SnapshotFormat is refused with a plain error — the
+// file may be sound, this code just cannot read it — so it is never
 // quarantined.
 func (s *Snapshot) Verify() error {
-	if s.Format <= 0 {
+	switch {
+	case s.Format <= 0:
 		return fmt.Errorf("%w: snapshot %s unsealed (format %d)", ErrCorrupt, s.ID, s.Format)
-	}
-	if s.Format > SnapshotFormat {
+	case s.Format > SnapshotFormat:
 		return fmt.Errorf("server: snapshot %s: format %d not supported (newer writer?)", s.ID, s.Format)
+	case s.Format < SnapshotFormat:
+		return fmt.Errorf("%w: snapshot %s has format %d, which stored the model, not the commit log",
+			ErrCorrupt, s.ID, s.Format)
 	}
-	if got := crc32.Checksum(s.Model, castagnoli); got != s.ModelCRC {
-		return fmt.Errorf("%w: snapshot %s model CRC mismatch (stored %08x, computed %08x)",
-			ErrCorrupt, s.ID, s.ModelCRC, got)
+	got, err := s.checksum()
+	if err != nil {
+		return fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, s.ID, err)
+	}
+	if got != s.CRC {
+		return fmt.Errorf("%w: snapshot %s CRC mismatch (stored %08x, computed %08x)",
+			ErrCorrupt, s.ID, s.CRC, got)
 	}
 	return nil
 }
@@ -117,10 +120,19 @@ func (s *Snapshot) Verify() error {
 var ErrNotFound = errors.New("server: session snapshot not found")
 
 // ErrCorrupt tags snapshots that failed integrity validation — a
-// checksum mismatch, truncated JSON, or a model payload the loader
-// rejects. The serving layer maps it to the "snapshot_corrupt" error
-// envelope, and DirStore quarantines the offending file.
+// checksum mismatch, truncated JSON, an unsealed or format-1 file, or a
+// commit log that is malformed. The serving layer maps it to the
+// "snapshot_corrupt" error envelope, and DirStore quarantines the
+// offending file.
 var ErrCorrupt = errors.New("server: snapshot corrupt")
+
+// ErrIncompatible tags sound snapshots this binary cannot restore
+// faithfully: a create request it cannot build, a commit log that does
+// not fit the dataset, a replay that fails, or a replayed model whose
+// digest differs from the one sealed. Only a restore returns it, never
+// a Store, so the file is left in place. The serving layer maps it to
+// the "snapshot_incompatible" error envelope.
+var ErrIncompatible = errors.New("server: snapshot incompatible")
 
 // Store persists session snapshots. Implementations must be safe for
 // concurrent use.
@@ -144,7 +156,7 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{m: map[string]*Snapshot{}} }
 
-// Put stores a deep-enough copy of snap (the raw model bytes are
+// Put stores a deep-enough copy of snap (the payload bytes are
 // aliased; callers do not mutate them after Put).
 func (s *MemStore) Put(snap *Snapshot) error {
 	cp := *snap
@@ -303,7 +315,7 @@ func (s *DirStore) quarantine(path string) error {
 // or malformed JSON, or a checksum mismatch — wraps ErrCorrupt. The
 // file is read into a pooled buffer sized by Stat: json.Unmarshal
 // copies everything the snapshot keeps (strings, the RawMessage
-// model), so the buffer goes back to the pool with no snapshot
+// payload), so the buffer goes back to the pool with no snapshot
 // aliasing it.
 func (s *DirStore) load(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
@@ -387,7 +399,7 @@ func (s *DirStore) path(id string) string {
 // Every Put has its own temp file, so concurrent Puts of one id, from
 // this process or another sharing the directory, cannot tear each
 // other: the last rename wins. The writer seals: a snapshot that fails
-// Verify (unsealed, or a model that no longer matches its CRC) is
+// Verify (unsealed, or fields that no longer match their CRC) is
 // rejected without touching the directory, so Put never writes a file
 // its own Get would quarantine.
 func (s *DirStore) Put(snap *Snapshot) error {

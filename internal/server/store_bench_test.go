@@ -45,7 +45,6 @@ func benchDirStorePut(b *testing.B, noSync bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap.Iterations = i
 		if err := store.Put(snap); err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +105,6 @@ func BenchmarkReplicatedPut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap.Iterations = i
 		if err := rep.Put(snap); err != nil {
 			b.Fatal(err)
 		}
