@@ -26,8 +26,9 @@
 // use follows from that — Miner.Snapshot pins a version, and MineAt /
 // MineSpreadAt / ExplainLocationAt run lock-free against it while
 // commits proceed, with results byte-identical to a serial run against
-// the same version. Session persistence goes through SaveModel and
-// Restore (RestoreOptions).
+// the same version. SaveModel and Restore (RestoreOptions) are the
+// library's model export and import; the HTTP server persists a
+// session as its commit log and restores it by replaying the commits.
 //
 // # Quick start
 //

@@ -41,45 +41,75 @@ no, 0.3
 	}
 }
 
-// TestSaveRestoreMinerViaFacade exercises the persistence primitives:
+// TestSaveRestoreMinerViaFacade exercises the model export and import:
 // a miner restored from a saved model mines exactly what the original
-// would have.
+// would have, location and spread, at the same model version — on the
+// synthetic data after one location step, and on water after three
+// location + spread steps.
 func TestSaveRestoreMinerViaFacade(t *testing.T) {
-	ds := sisd.GenerateSynthetic(620)
-	cfg := sisd.Config{}
-	cfg.Search.MaxDepth = 2
-	m, err := sisd.NewMiner(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Step(false); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := sisd.SaveModel(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := sisd.Restore(ds, sisd.RestoreOptions{
-		Config:     cfg,
-		SavedModel: strings.NewReader(buf.String()),
-		Iterations: m.Iteration(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Iteration() != m.Iteration() {
-		t.Fatalf("iterations %d != %d", m2.Iteration(), m.Iteration())
-	}
-	want, _, err := m.MineLocation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := m2.MineLocation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.SI != got.SI || want.Intention.Format(ds) != got.Intention.Format(ds) {
-		t.Fatalf("restored miner diverged: %v vs %v", got, want)
+	for _, tc := range []struct {
+		name   string
+		ds     *sisd.Dataset
+		depth  int
+		steps  int
+		spread bool
+	}{
+		{"synthetic", sisd.GenerateSynthetic(620), 2, 1, false},
+		{"water", sisd.GenerateWaterQualityLike(1), 2, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := sisd.Config{}
+			cfg.Search.MaxDepth = tc.depth
+			m, err := sisd.NewMiner(tc.ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.steps; i++ {
+				if _, err := m.Step(tc.spread); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			var buf strings.Builder
+			if err := sisd.SaveModel(m, &buf); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := sisd.Restore(tc.ds, sisd.RestoreOptions{
+				Config:     cfg,
+				SavedModel: strings.NewReader(buf.String()),
+				Iterations: m.Iteration(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2.Iteration() != m.Iteration() {
+				t.Fatalf("iterations %d != %d", m2.Iteration(), m.Iteration())
+			}
+			if got, want := m2.Snapshot().Version(), m.Snapshot().Version(); got != want {
+				t.Fatalf("restored model version %d, want %d", got, want)
+			}
+			want, _, err := m.MineLocation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := m2.MineLocation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(want.SI) != math.Float64bits(got.SI) || want.Intention.Format(tc.ds) != got.Intention.Format(tc.ds) {
+				t.Fatalf("restored miner's location diverged: %v vs %v", got, want)
+			}
+			wantSp, err := m.MineSpread(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSp, err := m2.MineSpread(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(wantSp.SI) != math.Float64bits(gotSp.SI) {
+				t.Fatalf("restored miner's spread SI %v, want %v", gotSp.SI, wantSp.SI)
+			}
+		})
 	}
 }
 

@@ -170,7 +170,7 @@ func waterModel(tb testing.TB) *Model {
 }
 
 // BenchmarkSaveJSONWater measures serializing a published water model
-// version — the model half of every spread-water snapshot.
+// version — the GET /model export of a spread-water session.
 func BenchmarkSaveJSONWater(b *testing.B) {
 	v := waterModel(b).Snapshot()
 	b.ReportAllocs()

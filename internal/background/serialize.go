@@ -5,16 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
-	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/mat"
 )
 
-// The JSON wire format for a saved model. Groups carry the current
-// parameters; constraints are replayed on load so a restored model can
+// The JSON wire format for a saved model is modelJSON, for both
+// SaveJSON and LoadJSONExact. Groups carry the current parameters;
+// constraints carry their extensions and targets, so a loaded model can
 // keep committing patterns with full coordinate-descent consistency.
 
 // ErrCorrupt tags model payloads that cannot be decoded or fail
@@ -71,377 +69,55 @@ type constraintJSON struct {
 // serialize a published snapshot via ModelVersion.SaveJSON instead.
 // The output is one JSON object and a newline, written in one Write.
 func (m *Model) SaveJSON(w io.Writer) error {
-	b, err := encodeModel(m.version, m.n, m.d, m.Tol, m.MaxSweeps, m.groups, m.cons)
-	return writeModel(w, b, err)
+	return saveJSON(w, m.version, m.n, m.d, m.Tol, m.MaxSweeps, m.groups, m.cons)
 }
 
 // SaveJSON serializes this published version. Safe for concurrent
 // callers: everything reachable from a version is immutable, so the
 // snapshot is consistent even while later commits proceed.
 func (v *ModelVersion) SaveJSON(w io.Writer) error {
-	b, err := v.EncodeJSON()
-	return writeModel(w, b, err)
+	return saveJSON(w, v.version, v.n, v.d, v.tol, v.maxSweeps, v.groups, v.cons)
 }
 
-// EncodeJSON returns the bytes SaveJSON writes, trailing newline
-// included, in one buffer of exactly their size.
-func (v *ModelVersion) EncodeJSON() ([]byte, error) {
-	return encodeModel(v.version, v.n, v.d, v.tol, v.maxSweeps, v.groups, v.cons)
-}
-
-// writeModel writes an encoded model in one Write, or reports the
-// encoding error with nothing written.
-func writeModel(w io.Writer, b []byte, err error) error {
-	if err != nil {
-		return err
+// saveJSON fills a modelJSON and encodes it with encoding/json, which
+// writes the object and its newline in one Write, or nothing when a
+// parameter is NaN or infinite. The group and constraint lists are
+// built by appending to nil, so an empty list encodes as null.
+func saveJSON(w io.Writer, version uint64, n, d int, tol float64, maxSweeps int, groups []*Group, cons []constraint) error {
+	out := modelJSON{
+		Format: modelFormat,
+		N:      n, D: d, Tol: tol, MaxSweeps: maxSweeps, ModelVersion: version,
 	}
-	_, err = w.Write(b)
-	return err
-}
-
-// encodeModel writes the model's JSON by hand, byte for byte what
-// json.NewEncoder(w).Encode(&modelJSON{...}) writes (field order,
-// omitempty, null for an empty group or constraint list, encoding/json's
-// float format, a trailing newline); serialize_ref_test.go keeps that
-// reflection encoder as the reference. Member and extension indices
-// come straight from the bitset words, so no []int is built. The walk
-// runs twice: a measuring pass, which also rejects a NaN or infinite
-// parameter before anything is allocated, then a fill pass into one
-// buffer of exactly the measured size.
-func encodeModel(version uint64, n, d int, tol float64, maxSweeps int, groups []*Group, cons []constraint) ([]byte, error) {
-	var e modelEncoder
-	e.model(version, n, d, tol, maxSweeps, groups, cons)
-	if e.err != nil {
-		return nil, e.err
+	for _, g := range groups {
+		out.Groups = append(out.Groups, groupJSON{
+			Members: g.Members.Indices(),
+			Mu:      g.Mu,
+			Sigma:   g.Sigma.Data,
+		})
 	}
-	e.buf = make([]byte, 0, e.n)
-	e.fill = true
-	e.model(version, n, d, tol, maxSweeps, groups, cons)
-	return e.buf, nil
-}
-
-// modelEncoder is one encodeModel pass: measuring counts bytes in n,
-// filling appends them to buf.
-type modelEncoder struct {
-	fill bool
-	buf  []byte
-	n    int
-	err  error
-	// sigmas records where each distinct covariance was written this
-	// pass, so a Σ shared by pointer across groups (split siblings
-	// always share one) is formatted once and copied after that.
-	// Matrices beyond the first len(sigmas) are formatted each time.
-	sigmas  [16]sigmaSpan
-	nsigmas int
-	// entries[k] is where the current matrix's k-th entry starts,
-	// relative to the matrix, for matrices of up to 32×32.
-	entries [32 * 32]uint32
-	// texts caches the measuring pass's float texts, each prefixed by
-	// its length, in the order it formats them; the fill pass formats
-	// floats in the same order, so it copies the first cached bytes
-	// back instead of formatting them again. A water model snapshot
-	// (d=16, six spread commits) fits whole. The cache lives on the
-	// stack: it is not an allocation and outlives no call.
-	texts        [48 << 10]byte
-	cached, read int
-}
-
-type sigmaSpan struct {
-	sigma    *mat.Dense
-	off, len int
-}
-
-func (e *modelEncoder) model(version uint64, n, d int, tol float64, maxSweeps int, groups []*Group, cons []constraint) {
-	e.nsigmas = 0
-	e.str(`{"format":`)
-	e.uint(modelFormat)
-	e.str(`,"n":`)
-	e.int(n)
-	e.str(`,"d":`)
-	e.int(d)
-	e.str(`,"tol":`)
-	e.float(tol)
-	e.str(`,"maxSweeps":`)
-	e.int(maxSweeps)
-	if version != 0 {
-		e.str(`,"modelVersion":`)
-		e.uint(version)
-	}
-	e.str(`,"groups":`)
-	e.list(len(groups), func(i int) {
-		g := groups[i]
-		e.str(`{"members":`)
-		e.indices(g.Members)
-		e.str(`,"mu":`)
-		e.floats(g.Mu)
-		e.str(`,"sigma":`)
-		e.sigma(g.Sigma)
-		e.byte('}')
-	})
-	e.str(`,"constraints":`)
-	e.list(len(cons), func(i int) {
-		switch c := cons[i].(type) {
+	for _, c := range cons {
+		switch c := c.(type) {
 		case *locationConstraint:
-			e.str(`{"kind":"location","ext":`)
-			e.indices(c.ext)
-			e.omitFloats(`,"target":`, c.target)
+			out.Constraints = append(out.Constraints, constraintJSON{
+				Kind: "location", Ext: c.ext.Indices(), Target: c.target,
+			})
 		case *spreadConstraint:
-			e.str(`{"kind":"spread","ext":`)
-			e.indices(c.ext)
-			e.omitFloats(`,"w":`, c.w)
-			e.omitFloats(`,"center":`, c.center)
-			if c.value != 0 {
-				e.str(`,"value":`)
-				e.float(c.value)
-			}
+			out.Constraints = append(out.Constraints, constraintJSON{
+				Kind: "spread", Ext: c.ext.Indices(),
+				W: c.w, Center: c.center, Value: c.value,
+			})
 		default:
-			if e.err == nil {
-				e.err = fmt.Errorf("background: unknown constraint type %T", c)
-			}
-		}
-		e.byte('}')
-	})
-	e.str("}\n")
-}
-
-// pos is the current output length.
-func (e *modelEncoder) pos() int {
-	if e.fill {
-		return len(e.buf)
-	}
-	return e.n
-}
-
-func (e *modelEncoder) byte(c byte) {
-	if e.fill {
-		e.buf = append(e.buf, c)
-	} else {
-		e.n++
-	}
-}
-
-func (e *modelEncoder) str(s string) {
-	if e.fill {
-		e.buf = append(e.buf, s...)
-	} else {
-		e.n += len(s)
-	}
-}
-
-// list writes n items as a JSON array, or null when there are none:
-// the reference builds the group and constraint lists by appending to
-// a nil slice.
-func (e *modelEncoder) list(n int, item func(i int)) {
-	if n == 0 {
-		e.str("null")
-		return
-	}
-	e.byte('[')
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			e.byte(',')
-		}
-		item(i)
-	}
-	e.byte(']')
-}
-
-func (e *modelEncoder) int(i int) {
-	if i < 0 {
-		e.byte('-')
-		e.uint(uint64(-i))
-		return
-	}
-	e.uint(uint64(i))
-}
-
-func (e *modelEncoder) uint(u uint64) {
-	if e.fill {
-		e.buf = strconv.AppendUint(e.buf, u, 10)
-	} else {
-		e.n += decimalLen(u)
-	}
-}
-
-// float writes f in encoding/json's format: shortest round-trip
-// digits, 'e' notation outside [1e-6, 1e21) with the exponent's
-// leading zero dropped. A non-finite f records an error, which the
-// measuring pass reports before the fill pass runs.
-func (e *modelEncoder) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if e.err == nil {
-			e.err = fmt.Errorf("background: cannot encode non-finite model parameter %v", f)
-		}
-		return
-	}
-	if !e.fill {
-		// Keep the text, length-prefixed, while the cache has room.
-		if c := e.cached; c+1+maxFloatText <= len(e.texts) {
-			t := appendFloat(e.texts[c+1:c+1], f)
-			e.texts[c] = byte(len(t))
-			e.cached += 1 + len(t)
-			e.n += len(t)
-			return
-		}
-		var scratch [maxFloatText]byte
-		e.n += len(appendFloat(scratch[:0], f))
-		return
-	}
-	if r := e.read; r < e.cached {
-		t := e.texts[r+1 : r+1+int(e.texts[r])]
-		e.buf = append(e.buf, t...)
-		e.read += 1 + len(t)
-		return
-	}
-	e.buf = appendFloat(e.buf, f)
-}
-
-// maxFloatText bounds appendFloat's output, reached by "-0.00000"
-// followed by 17 digits; 'e' notation needs at most 24 bytes.
-const maxFloatText = 25
-
-func appendFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+			return fmt.Errorf("background: unknown constraint type %T", c)
 		}
 	}
-	return b
+	return json.NewEncoder(w).Encode(&out)
 }
 
-// floats writes a float list; nil is null, like encoding/json.
-func (e *modelEncoder) floats(fs []float64) {
-	if fs == nil {
-		e.str("null")
-		return
-	}
-	e.byte('[')
-	for i, f := range fs {
-		if i > 0 {
-			e.byte(',')
-		}
-		e.float(f)
-	}
-	e.byte(']')
-}
-
-// omitFloats writes key and fs unless fs is empty (omitempty).
-func (e *modelEncoder) omitFloats(key string, fs []float64) {
-	if len(fs) > 0 {
-		e.str(key)
-		e.floats(fs)
-	}
-}
-
-// sigma writes a covariance's row-major entries. It copies the bytes
-// of an earlier group's identical (same pointer) matrix when there is
-// one, and otherwise copies each below-diagonal entry from its mirror
-// above the diagonal when the two are bit-identical (a covariance is
-// symmetric), so only the upper triangle is formatted.
-func (e *modelEncoder) sigma(s *mat.Dense) {
-	for _, sp := range e.sigmas[:e.nsigmas] {
-		if sp.sigma == s {
-			e.copyOut(sp.off, sp.len)
-			return
-		}
-	}
-	off := e.pos()
-	e.matrix(s)
-	if e.nsigmas < len(e.sigmas) {
-		e.sigmas[e.nsigmas] = sigmaSpan{sigma: s, off: off, len: e.pos() - off}
-		e.nsigmas++
-	}
-}
-
-func (e *modelEncoder) matrix(s *mat.Dense) {
-	d := s.R
-	if s.C != d || len(s.Data) != d*d || d*d > len(e.entries) {
-		e.floats(s.Data)
-		return
-	}
-	start := e.pos()
-	e.byte('[')
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			k := i*d + j
-			if k > 0 {
-				e.byte(',')
-			}
-			e.entries[k] = uint32(e.pos() - start)
-			f := s.Data[k]
-			if m := j*d + i; j < i && math.Float64bits(s.Data[m]) == math.Float64bits(f) {
-				// The mirror's text ends one byte (its comma) before
-				// the entry after it starts.
-				e.copyOut(start+int(e.entries[m]), int(e.entries[m+1]-e.entries[m])-1)
-				continue
-			}
-			e.float(f)
-		}
-	}
-	e.byte(']')
-}
-
-// copyOut repeats n bytes this pass already wrote at off.
-func (e *modelEncoder) copyOut(off, n int) {
-	if e.fill {
-		e.buf = append(e.buf, e.buf[off:off+n]...)
-	} else {
-		e.n += n
-	}
-}
-
-// indices writes a set's members in increasing order, read straight
-// from its words. Measuring a word whose members all have the same
-// number of digits takes one popcount.
-func (e *modelEncoder) indices(s *bitset.Set) {
-	if !e.fill {
-		n := 0 // digits plus one comma per member
-		for wi, w := range s.Words() {
-			if w == 0 {
-				continue
-			}
-			base := uint64(wi * 64)
-			if dl := decimalLen(base + uint64(bits.TrailingZeros64(w))); dl == decimalLen(base+uint64(63-bits.LeadingZeros64(w))) {
-				n += bits.OnesCount64(w) * (dl + 1)
-				continue
-			}
-			for ; w != 0; w &= w - 1 {
-				n += decimalLen(base+uint64(bits.TrailingZeros64(w))) + 1
-			}
-		}
-		e.n += max(n+1, 2) // brackets, less the last comma
-		return
-	}
-	start := len(e.buf)
-	e.buf = append(e.buf, '[')
-	for wi, w := range s.Words() {
-		for ; w != 0; w &= w - 1 {
-			e.buf = strconv.AppendInt(e.buf, int64(wi*64+bits.TrailingZeros64(w)), 10)
-			e.buf = append(e.buf, ',')
-		}
-	}
-	if last := len(e.buf) - 1; last > start {
-		e.buf[last] = ']'
-	} else {
-		e.buf = append(e.buf, ']')
-	}
-}
-
-// decimalLen is the number of decimal digits of u.
-func decimalLen(u uint64) int {
-	n := 1
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
-}
+// maxLoadSetWords bounds the 64-bit words LoadJSONExact allocates for
+// the n-bit member and extension sets of a model's groups and
+// constraints: 1<<22 words is 32 MiB, room for 2 000 groups and
+// constraints over 130 000 points. A larger payload is ErrCorrupt.
+const maxLoadSetWords = 1 << 22
 
 // LoadJSONExact reconstructs a model saved with SaveJSON without
 // replaying the constraints. The saved group parameters are taken
@@ -481,6 +157,12 @@ func LoadJSONExact(r io.Reader) (*Model, error) {
 		if !indicesIn(c.Ext, in.N) {
 			return nil, corrupt("constraint %d has an extension index outside [0, %d)", ci, in.N)
 		}
+	}
+	// Every group and every constraint gets an n-bit set, and an empty
+	// extension costs a few payload bytes, so the sets' memory would
+	// otherwise grow with the square of the payload's size.
+	if sets, words := len(in.Groups)+len(in.Constraints), (in.N+63)/64; sets > maxLoadSetWords/words {
+		return nil, corrupt("%d groups and constraints over %d points exceed the load bound", sets, in.N)
 	}
 	// epoch starts at 1 (like New) so the zero-valued conState caches the
 	// first refit lazily grows are recognized as stale and rebuilt — the

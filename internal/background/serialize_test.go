@@ -3,8 +3,11 @@ package background
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -229,5 +232,100 @@ func TestSaveLoadFreshModel(t *testing.T) {
 	if got.NumGroups() != 1 || got.NumConstraints() != 0 {
 		t.Fatalf("fresh model structure: %d groups, %d constraints",
 			got.NumGroups(), got.NumConstraints())
+	}
+}
+
+// TestEncodeModelRejectsNonFinite checks that a NaN or infinite value
+// in any float field, or an unknown constraint type, fails SaveJSON
+// with nothing written.
+func TestEncodeModelRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field := 0; field < 8; field++ {
+			m, err := New(8, mat.Vec{0, 0}, mat.Eye(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext := bitset.FromIndices(8, []int{1, 2, 3})
+			loc := &locationConstraint{ext: ext, target: mat.Vec{1, 2}}
+			sp := &spreadConstraint{ext: ext, w: mat.Vec{1, 0}, center: mat.Vec{1, 2}, value: 0.5}
+			m.cons = []constraint{loc, sp}
+			g := m.groups[0]
+			switch field {
+			case 0:
+				m.Tol = bad
+			case 1:
+				g.Mu = mat.Vec{0, bad}
+			case 2:
+				g.Sigma = &mat.Dense{R: 2, C: 2, Data: []float64{1, 0, 0, bad}}
+			case 3:
+				loc.target[1] = bad
+			case 4:
+				sp.w[0] = bad
+			case 5:
+				sp.center[1] = bad
+			case 6:
+				sp.value = bad
+			case 7:
+				m.cons = append(m.cons, struct{ constraint }{})
+			}
+			var w countingWriter
+			if err := m.SaveJSON(&w); err == nil || w.writes != 0 {
+				t.Fatalf("%v in field %d: SaveJSON err %v after %d writes", bad, field, err, w.writes)
+			}
+		}
+	}
+}
+
+// countingWriter counts Write calls and keeps what they wrote.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// setHeavyPayload is a valid model of about 1 MB: one group over
+// 100 000 points and 10 000 location constraints with empty
+// extensions. Loaded, it would need an n-bit set for each, 125 MB.
+func setHeavyPayload() []byte {
+	const n, cons = 100_000, 10_000
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"n":%d,"d":1,"groups":[{"members":[`, n)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	b.WriteString(`],"mu":[0],"sigma":[1]}],"constraints":[`)
+	for i := 0; i < cons; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"kind":"location","ext":[],"target":[0]}`)
+	}
+	b.WriteString("]}\n")
+	return b.Bytes()
+}
+
+// TestLoadJSONExactBoundsSetMemory checks that a payload whose groups
+// and constraints would need more set memory than maxLoadSetWords is
+// rejected before any set is allocated: decoding the JSON, about 13 MB
+// here, is all it costs, less than the set memory the bound admits.
+func TestLoadJSONExactBoundsSetMemory(t *testing.T) {
+	payload := setHeavyPayload()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadJSONExact(bytes.NewReader(payload))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%d-byte set-heavy payload: err = %v, want ErrCorrupt", len(payload), err)
+	}
+	const bound = maxLoadSetWords * 8
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("rejecting a %d-byte payload allocated %d bytes, want at most %d", len(payload), grew, bound)
 	}
 }

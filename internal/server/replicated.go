@@ -33,6 +33,10 @@ func (s *Snapshot) ProgressKey() (iterations, history int64) {
 // (retried per operation, skipped by the breaker once it opens) as
 // long as at least one opens — a node whose every replica volume is
 // missing is misconfigured, not degraded.
+//
+// The store sets no Config.Verify: every member is a DirStore, whose
+// Get already verifies each snapshot it reads and answers ErrCorrupt
+// (quarantining the file) for one that fails.
 func NewReplicatedDirStore(dirs []string, writeQuorum int, sweepInterval time.Duration) (*repstore.Replicated[Snapshot], error) {
 	if len(dirs) < 2 {
 		return nil, fmt.Errorf("server: replicated store needs >= 2 dirs, got %d", len(dirs))
@@ -56,7 +60,6 @@ func NewReplicatedDirStore(dirs []string, writeQuorum int, sweepInterval time.Du
 		WriteQuorum:   writeQuorum,
 		ID:            func(s *Snapshot) string { return s.ID },
 		Progress:      (*Snapshot).ProgressKey,
-		Verify:        (*Snapshot).Verify,
 		NotFound:      ErrNotFound,
 		Corrupt:       ErrCorrupt,
 		SweepInterval: sweepInterval,

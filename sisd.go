@@ -112,10 +112,11 @@ var ErrNoPattern = core.ErrNoPattern
 // SaveModel serializes a miner's belief state (the background model's
 // group parameters and committed constraints) as JSON, stamped with
 // the model version it serialized — so saved files can be matched
-// against mine results annotated with a modelVersion. Together with
-// Restore it is the session-persistence primitive: the dataset is not
-// part of the snapshot (rebuild it deterministically from its source),
-// only the evolving belief state is. SaveModel reads the live model
+// against mine results annotated with a modelVersion. With Restore it
+// is the library's model export and import; the HTTP server persists
+// sessions as their commit log instead. The dataset is not part of the
+// file (rebuild it deterministically from its source), only the
+// evolving belief state is. SaveModel reads the live model
 // and belongs to the writer; to export concurrently with commits, use
 // m.Snapshot().SaveJSON instead.
 func SaveModel(m *Miner, w io.Writer) error { return m.Model.SaveJSON(w) }
@@ -136,8 +137,7 @@ type RestoreOptions struct {
 // Restore rebuilds a miner over ds from a belief state saved with
 // SaveModel. The model parameters are restored exactly (bit-identical
 // floats, no constraint replay), so the restored miner mines exactly
-// what the original would have — the property the HTTP server's
-// session persistence is built on. The restored model's version stamp
+// what the original would have. The restored model's version stamp
 // is the one SaveModel recorded (older files without a stamp derive it
 // from the constraint count).
 func Restore(ds *Dataset, opts RestoreOptions) (*Miner, error) {
