@@ -285,6 +285,10 @@ type Model struct {
 	// *ModelVersion never observe a commit in progress and never block
 	// behind one.
 	cur atomic.Pointer[ModelVersion]
+	// forkOf is the version a Fork started from (nil for a model built
+	// any other way): the one version Adopt may take this model's state
+	// back into.
+	forkOf *ModelVersion
 
 	scratch applyScratch
 

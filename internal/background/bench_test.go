@@ -170,9 +170,14 @@ func waterModel(tb testing.TB) *Model {
 }
 
 // BenchmarkSaveJSONWater measures serializing a published water model
-// version — the GET /model export of a spread-water session.
+// version — the GET /model export of a spread-water session. One
+// untimed call first lets encoding/json build and cache its encoders,
+// so even a single timed iteration measures the steady state.
 func BenchmarkSaveJSONWater(b *testing.B) {
 	v := waterModel(b).Snapshot()
+	if err := v.SaveJSON(io.Discard); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -177,7 +177,8 @@ func (v *ModelVersion) Digest() uint64 {
 // is never affected. The fork's constraint caches start empty: its
 // first refit re-applies each satisfied constraint once (a clean
 // early return, no parameter change), which reproduces the source's
-// float trajectory exactly.
+// float trajectory exactly. A fork is either discarded or, after one
+// location commit, handed back to its source model with Model.Adopt.
 func (v *ModelVersion) Fork() *Model {
 	m := &Model{
 		n: v.n, d: v.d,
@@ -186,11 +187,55 @@ func (v *ModelVersion) Fork() *Model {
 		cons:      append([]constraint(nil), v.cons...),
 		epoch:     1,
 		version:   v.version,
+		forkOf:    v,
 		Tol:       v.tol,
 		MaxSweeps: v.maxSweeps,
 	}
 	m.cur.Store(v)
 	return m
+}
+
+// Adopt makes f's belief state the model's own, in place of a
+// CommitLocation that would compute the same state again. f must be a
+// Fork of the model's published version on which exactly one
+// CommitLocation succeeded, under the model's Tol and MaxSweeps. That
+// commit ran the same split and the same coordinate descent a live
+// commit of the same pattern runs (Fork reproduces the source's float
+// trajectory), so f holds the state the live commit would publish, bit
+// for bit. Adopt takes over f's groups, labeling, constraints,
+// constraint caches and published version, which becomes the model's
+// next version; nothing is copied or refit.
+//
+// Adopt reports false, changing nothing, when f does not fit: a commit
+// published another version since f was forked, f was forked from
+// another version or model, or f made other than exactly one location
+// commit. The caller then commits the pattern itself. Adopt does not
+// check which pattern f committed; keeping f next to its pattern is
+// the caller's part.
+//
+// On success f is dead: its state now belongs to the model, so Adopt
+// clears f's references to it and f must not be used again.
+func (m *Model) Adopt(f *Model) bool {
+	base := f.forkOf
+	if base == nil || m.cur.Load() != base || f.version != base.version+1 ||
+		f.Tol != m.Tol || f.MaxSweeps != m.MaxSweeps ||
+		len(f.cons) != len(base.cons)+1 {
+		return false
+	}
+	for i, c := range base.cons {
+		if f.cons[i] != c {
+			return false
+		}
+	}
+	if _, ok := f.cons[len(base.cons)].(*locationConstraint); !ok {
+		return false
+	}
+	m.groups, m.labels, m.cons, m.conState = f.groups, f.labels, f.cons, f.conState
+	m.epoch, m.version, m.LastSweeps = f.epoch, f.version, f.LastSweeps
+	m.cur.Store(f.cur.Load())
+	f.groups, f.labels, f.cons, f.conState, f.forkOf = nil, nil, nil, nil, nil
+	f.cur.Store(nil)
+	return true
 }
 
 // subgroupMeanMarginal is the shared implementation of

@@ -162,10 +162,10 @@ func (m *Miner) Restore(model *background.Model, iteration int) error {
 
 // ForkAt returns an independent miner whose belief state starts at
 // exactly the given version — the what-if primitive behind spread
-// previews: commit speculatively on the fork, evaluate, discard. The
-// fork shares the dataset and config; its model is a copy-on-write
-// fork of v, so building it is cheap and the source miner is never
-// affected.
+// previews: commit speculatively on the fork, evaluate, then discard
+// it or hand its location commit back with AdoptLocation. The fork
+// shares the dataset and config; its model is a copy-on-write fork of
+// v, so building it is cheap and the source miner is never affected.
 func (m *Miner) ForkAt(v *background.ModelVersion) *Miner {
 	fm := &Miner{DS: m.DS, Model: v.Fork(), Cfg: m.Cfg}
 	fm.iteration.Store(m.iteration.Load())
@@ -254,6 +254,23 @@ func (m *Miner) CommitLocation(loc *pattern.Location) error {
 	}
 	m.iteration.Add(1)
 	return nil
+}
+
+// AdoptLocation commits a location pattern by taking over the state
+// of fork, a ForkAt fork of the published version on which that
+// pattern's location, and nothing else, was committed: the state
+// CommitLocation would compute, without computing it again (see
+// background.Model.Adopt). It reports false, changing nothing, when
+// the fork no longer fits, typically because another commit landed
+// since it was forked; the caller then calls CommitLocation. On
+// success the iteration count advances as CommitLocation's does and
+// the fork is dead.
+func (m *Miner) AdoptLocation(fork *Miner) bool {
+	if !m.Model.Adopt(fork.Model) {
+		return false
+	}
+	m.iteration.Add(1)
+	return true
 }
 
 // MineSpread finds the most interesting spread direction for a location

@@ -188,14 +188,13 @@ type session struct {
 	// a stale snapshot can never overwrite a fresh one.
 	commitMu sync.Mutex
 
-	mu            sync.Mutex
-	miner         *core.Miner
-	mineTimeout   time.Duration // per-mine search budget (0 = none)
-	closed        bool          // deleted or evicted; blocks queued requests
-	mines         int           // mine jobs queued or running
-	pendingLoc    *pattern.Location
-	pendingSpread *pattern.Spread
-	history       []PatternJSON
+	mu          sync.Mutex
+	miner       *core.Miner
+	mineTimeout time.Duration // per-mine search budget (0 = none)
+	closed      bool          // deleted or evicted; blocks queued requests
+	mines       int           // mine jobs queued or running
+	pending     pending
+	history     []PatternJSON
 	// log holds the committed patterns in commit order, parallel to
 	// history: the payload a snapshot persists and a restore replays.
 	log []logEntry
@@ -204,6 +203,19 @@ type session struct {
 	iterations atomic.Int64
 	// lastUsed (unix nanos) orders sessions for LRU/TTL eviction.
 	lastUsed atomic.Int64
+}
+
+// pending is what the latest mine left for a commit: its location,
+// the spread mined for it (nil unless the mine asked for one), and
+// preview, the spread preview's fork on which that location was
+// committed (nil unless that commit succeeded). They are one value so
+// a commit never pairs one mine's pattern with another mine's fork. A
+// commit adopts the preview instead of refitting the location again
+// when no other commit has landed since the mine pinned its version.
+type pending struct {
+	loc     *pattern.Location
+	spread  *pattern.Spread
+	preview *core.Miner
 }
 
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
@@ -1215,7 +1227,7 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 			// empty result.
 			if errors.Is(err, core.ErrNoPattern) && log != nil && log.TimedOut {
 				sess.mu.Lock()
-				sess.pendingLoc, sess.pendingSpread = nil, nil
+				sess.pending = pending{}
 				sess.mu.Unlock()
 				return &MineResponse{
 					Evaluated:    log.Evaluated,
@@ -1242,7 +1254,7 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 		if log.TimedOut {
 			resp.Status = MineStatusPartial
 		}
-		var sp *pattern.Spread
+		next := pending{loc: loc}
 		if req.Spread {
 			// The two-step procedure needs the location committed before
 			// the direction search; preview on a fork of the pinned
@@ -1271,8 +1283,7 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 				// preview.Model.Deadline): on expiry it degrades to the
 				// best direction found so far instead of pinning the
 				// worker, and the response is marked partial.
-				var spTimedOut bool
-				sp, spTimedOut, err = preview.MineSpreadBudget(loc)
+				sp, spTimedOut, err := preview.MineSpreadBudget(loc)
 				if err != nil {
 					return nil, fmt.Errorf("spread: %w", err)
 				}
@@ -1281,12 +1292,12 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 					resp.TimedOut = true
 				}
 				resp.Spread = spreadJSON(sess.miner.DS, sp)
+				next.spread, next.preview = sp, preview
 			}
 		}
 		sess.mu.Lock()
 		if !sess.closed {
-			sess.pendingLoc = loc
-			sess.pendingSpread = sp
+			sess.pending = next
 		}
 		sess.mu.Unlock()
 		return resp, nil
@@ -1309,7 +1320,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if !sess.lockOpen(w) {
 		return
 	}
-	pl, ps := sess.pendingLoc, sess.pendingSpread
+	p := sess.pending
+	pl, ps := p.loc, p.spread
 	sess.mu.Unlock()
 	if pl == nil && ps == nil {
 		WriteError(w, http.StatusConflict, errNothingPending, 0, "nothing mined to commit")
@@ -1330,10 +1342,15 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	model.Deadline = time.Now().Add(s.clampBudget(sess.mineTimeout))
 	defer func() { model.Deadline = time.Time{} }()
 	if pl != nil {
-		if err := sess.miner.CommitLocation(pl); err != nil {
-			status, code, retry := commitFailure(err)
-			WriteError(w, status, code, retry, "commit: %v", err)
-			return
+		// A spread mine already committed this location on its preview
+		// fork; when that fork still starts at the published version,
+		// its state is exactly what CommitLocation would compute.
+		if p.preview == nil || !sess.miner.AdoptLocation(p.preview) {
+			if err := sess.miner.CommitLocation(pl); err != nil {
+				status, code, retry := commitFailure(err)
+				WriteError(w, status, code, retry, "commit: %v", err)
+				return
+			}
 		}
 		// The location is now irreversibly in the background model:
 		// record that before attempting the spread, so a failed spread
@@ -1341,12 +1358,14 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		// leave the listed iteration count behind the model's. The
 		// pending slot is cleared only if it still holds the committed
 		// pattern — a concurrent mine may have published a fresher
-		// one in the meantime, which must survive.
+		// one in the meantime, which must survive. The preview goes
+		// with the location: adopted it is dead, and stale it can never
+		// be adopted again.
 		sess.mu.Lock()
 		sess.history = append(sess.history, *locationJSON(sess.miner.DS, pl))
 		sess.log = append(sess.log, locationEntry(pl))
-		if sess.pendingLoc == pl {
-			sess.pendingLoc = nil
+		if sess.pending.loc == pl {
+			sess.pending.loc, sess.pending.preview = nil, nil
 		}
 		sess.iterations.Store(int64(sess.miner.Iteration()))
 		sess.mu.Unlock()
@@ -1364,8 +1383,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		sess.history = append(sess.history, *spreadJSON(sess.miner.DS, ps))
 		sess.log = append(sess.log, spreadEntry(ps))
-		if sess.pendingSpread == ps {
-			sess.pendingSpread = nil
+		if sess.pending.spread == ps {
+			sess.pending.spread = nil
 		}
 		sess.mu.Unlock()
 	}
@@ -1409,7 +1428,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !sess.lockOpen(w) {
 		return
 	}
-	pl := sess.pendingLoc
+	pl := sess.pending.loc
 	v := sess.miner.Snapshot()
 	sess.mu.Unlock()
 	if pl == nil {
