@@ -56,3 +56,57 @@ func ExampleDiverseTopK() {
 	// a3 = '1' (size 40)
 	// a4 = '1' (size 40)
 }
+
+// Example_waterQuality follows examples/waterquality, the river water
+// case study of Figs. 9–10: mine the top bioindicator rule, explain
+// its most surprising chemistry, commit it, mine its spread pattern,
+// then commit the spread too and mine the next location pattern
+// against the updated background model.
+func Example_waterQuality() {
+	ds := sisd.GenerateWaterQualityLike(1060)
+	m, err := sisd.NewMiner(ds, sisd.Config{
+		Search: sisd.SearchParams{MaxDepth: 2, BeamWidth: 20},
+	})
+	if err != nil {
+		panic(err)
+	}
+	loc, _, err := m.MineLocation()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("top pattern: %s (size %d)\n", loc.Intention.Format(ds), loc.Size())
+	expl, err := m.ExplainLocation(loc)
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range expl[:3] {
+		fmt.Printf("  %s observed %.2f expected %.2f\n", e.Target, e.Observed, e.Expected)
+	}
+	if err := m.CommitLocation(loc); err != nil {
+		panic(err)
+	}
+	sp, err := m.MineSpread(loc)
+	if err != nil {
+		panic(err)
+	}
+	expVar, err := m.Model.ExpectedSpread(sp.Extension, sp.W, sp.Center)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("spread variance: observed %.2f expected %.2f\n", sp.Variance, expVar)
+	if err := m.CommitSpread(sp); err != nil {
+		panic(err)
+	}
+	next, _, err := m.MineLocation()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("next pattern: %s (size %d)\n", next.Intention.Format(ds), next.Size())
+	// Output:
+	// top pattern: Amphipoda_Gammarus_fossarum <= 1 AND Oligochaeta_Tubifex >= 3 (size 195)
+	//   k2cr2o7 observed 19.53 expected 13.26
+	//   nh4 observed 1.16 expected 0.64
+	//   po4 observed 0.72 expected 0.41
+	// spread variance: observed 12.98 expected 3.83
+	// next pattern: Oligochaeta_Tubifex <= 0 (size 268)
+}

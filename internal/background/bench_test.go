@@ -111,19 +111,28 @@ func BenchmarkResweepConverged(b *testing.B) {
 }
 
 // BenchmarkRefitOverlappingSpread measures one what-if spread commit
-// (clone + commit) whose extension overlaps two committed spread
-// patterns, so its refit re-applies three spread constraints over many
-// sweeps. After the first sweep the refit rewrites the covariances it
-// allocated in place, so allocs/op does not grow with the sweep count.
+// (clone + commit) whose extension overlaps every committed pattern of
+// newOverlapSpreadRounds (two location and two spread commits per
+// round), so its refit re-applies all their spread constraints over
+// many sweeps. After the first sweep the refit rewrites the covariances
+// it allocated in place and factors them only into per-model scratch,
+// so allocs/op does not grow with the sweep count (sweeps/op).
 func BenchmarkRefitOverlappingSpread(b *testing.B) {
-	base, sp := newOverlapSpread(b, 1024, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := base.Clone()
-		if err := sp.commit(c); err != nil {
-			b.Fatal(err)
-		}
+	for _, rounds := range []int{1, 4} {
+		b.Run(fmt.Sprintf("commits=%d", 4*rounds), func(b *testing.B) {
+			base, sp := newOverlapSpreadRounds(b, 1024, 8, rounds)
+			sweeps := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := base.Clone()
+				if err := sp.commit(c); err != nil {
+					b.Fatal(err)
+				}
+				sweeps = c.LastSweeps
+			}
+			b.ReportMetric(float64(sweeps), "sweeps/op")
+		})
 	}
 }
 

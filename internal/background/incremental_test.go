@@ -195,13 +195,23 @@ func (sp overlapSpread) commit(m *Model) error {
 // its constraints stay clean at any Tol used here) and the spread
 // commit to replay on clones of it.
 func newOverlapSpread(tb testing.TB, n, d int) (*Model, overlapSpread) {
+	return newOverlapSpreadRounds(tb, n, d, 1)
+}
+
+// newOverlapSpreadRounds is newOverlapSpread over rounds calls of
+// commitOverlappingSpreads on the same two extensions, each with its
+// own spread directions: 4·rounds committed patterns, all overlapped
+// by the returned spread commit.
+func newOverlapSpreadRounds(tb testing.TB, n, d, rounds int) (*Model, overlapSpread) {
 	tb.Helper()
 	m, err := New(n, make(mat.Vec, d), mat.Eye(d))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	m.Tol = 1e-12
-	commitOverlappingSpreads(tb, m, 10, 0)
+	for round := 0; round < rounds; round++ {
+		commitOverlappingSpreads(tb, m, 10, round)
+	}
 	sp := overlapSpread{ext: bitset.FromIndices(n, seq(15, 45)), w: make(mat.Vec, d)}
 	for j := range sp.w {
 		sp.w[j] = float64(j + 1)
