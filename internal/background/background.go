@@ -64,6 +64,9 @@ type Group struct {
 	// filled with an atomic idempotent store: concurrent mines racing
 	// on the fill each publish a bit-identical factorization of the
 	// same immutable Sigma, and either winning is indistinguishable.
+	// The writer only ever empties it (a spread update gives the group
+	// a new Σ) and never fills it during a refit, so a cache never
+	// outlives the matrix it factors.
 	chol atomic.Pointer[mat.Cholesky]
 
 	// version counts µ/Σ mutations of this group. Constraints stamp the
@@ -184,7 +187,10 @@ type applyScratch struct {
 	sigLam mat.Vec // Σ·λ, one slot per distinct Σ (flat, d-strided)
 
 	sigmaBar *mat.Dense
-	chol     mat.Cholesky
+	// chol holds every factorization a refit computes: Σ̄_I, a shared Σ
+	// without a cached factor, and the positive-definiteness check of
+	// each spread-updated Σ. None of them outlives its apply.
+	chol mat.Cholesky
 
 	// Spread-apply state: per distinct covariance matrix (sigs, indexed
 	// via the pointer-keyed map) and per inside group (stats).
@@ -193,21 +199,15 @@ type applyScratch struct {
 	stats  []gstat
 	sigW   mat.Vec // Σ·w, one slot per distinct Σ (flat, d-strided)
 
-	// born holds the covariance matrices the running refit allocated,
-	// keyed by pointer, with the number of groups holding each and its
-	// factorization. Only m.groups can reach a born matrix: it was
-	// created after beginCommit forked the published state and split
-	// ran, so no published version, clone or fork source holds it. A
+	// born maps each covariance matrix the running refit allocated to
+	// the number of groups holding it. Only m.groups can reach a born
+	// matrix: it was created after beginCommit forked the published
+	// state and split ran, so no published version, clone or fork
+	// source holds it, and its holders' factor caches are empty. A
 	// spread apply whose inside groups include every holder of a born
 	// matrix rewrites it in place. Cleared on refit entry and exit;
 	// allocated by the first mutating spread apply.
-	born map[*mat.Dense]bornSigma
-}
-
-// bornSigma is one entry of applyScratch.born.
-type bornSigma struct {
-	holders int32
-	chol    *mat.Cholesky
+	born map[*mat.Dense]int32
 }
 
 // vecZ returns *p resized to n and zeroed.
@@ -234,9 +234,7 @@ type sigStat struct {
 	s      float64 // wᵀΣw
 	inside int32   // inside groups holding sigma
 
-	// The updated matrix and its factorization (mutating path only).
-	next *mat.Dense
-	chol *mat.Cholesky
+	next *mat.Dense // the updated matrix (mutating path only)
 }
 
 type gstat struct {
@@ -254,8 +252,10 @@ type Model struct {
 	// index into groups of the group containing point i. It is the
 	// sufficient statistic the fused scoring kernels key on — one
 	// trailing-zeros walk over an extension accumulates per-group counts
-	// without a bitset pass per group. Maintained by split (and restored
-	// on commit rollback), so it is always consistent with groups.
+	// without a bitset pass per group. A built slice is never written
+	// again: a split that divides a group builds a new one, and commit
+	// rollback restores the previous one, so it is always consistent
+	// with groups and can be shared with published versions and forks.
 	labels []int32
 	// gcScratch is the reusable per-group count buffer of the fused
 	// label kernel (commits are single-threaded, so one buffer per
@@ -407,16 +407,15 @@ func (m *Model) Groups() []*Group { return m.groups }
 
 // Labels exposes the per-point group labeling: Labels()[i] indexes
 // Groups() at the group containing point i. Callers must treat the
-// slice as read-only; it is invalidated by the next Commit*.
+// slice as read-only; a Commit* that divides a group replaces it.
 func (m *Model) Labels() []int32 { return m.labels }
 
-// rebuildLabels recomputes the dense labeling from the group partition.
-// Groups partition the points, so the total work is one trailing-zeros
-// walk over n bits regardless of the group count.
+// rebuildLabels builds the dense labeling of the group partition into a
+// fresh slice, leaving the previous one to whoever shares it. Groups
+// partition the points, so the total work is one trailing-zeros walk
+// over n bits regardless of the group count.
 func (m *Model) rebuildLabels() {
-	if len(m.labels) != m.n {
-		m.labels = make([]int32, m.n)
-	}
+	m.labels = make([]int32, m.n)
 	for gi, g := range m.groups {
 		id := int32(gi)
 		for wi, w := range g.Members.Words() {
@@ -483,8 +482,11 @@ func (m *Model) GroupOf(i int) *Group {
 }
 
 // split refines the partition so every group is fully inside or outside
-// ext, and rebuilds the dense labeling to match. The two halves of a
-// split group share the parent's Sigma (and factorization cache) — a
+// ext, and rebuilds the dense labeling when it divided a group; a split
+// that divides nothing (every spread commit, since its location was
+// committed first) keeps the labels slice. Groups are counted before any
+// set is built, so only divided groups allocate their two halves. The
+// halves share the parent's Sigma (and factorization cache) — a
 // location commit never touches covariances (Theorem 1), and a spread
 // commit replaces every matrix that existed before its refit instead of
 // mutating it, so the halves stay correct with zero d×d copies until a
@@ -504,25 +506,27 @@ func (m *Model) split(ext *bitset.Set) {
 	}
 	remap := m.remap[:len(m.groups)]
 	out := make([]*Group, 0, len(m.groups)+2)
+	refined := false
 	for gi, g := range m.groups {
-		in := g.Members.And(ext)
-		ic := in.Count()
+		ic := g.Members.IntersectCount(ext)
 		if ic == 0 || ic == g.Count {
 			remap[gi] = int32(len(out))
 			out = append(out, g)
 			continue
 		}
 		remap[gi] = -1
-		outside := g.Members.AndNot(ext)
+		refined = true
 		out = append(out,
-			g.derive(in, ic, g.Mu.Clone()),
-			g.derive(outside, g.Count-ic, g.Mu.Clone()),
+			g.derive(g.Members.And(ext), ic, g.Mu.Clone()),
+			g.derive(g.Members.AndNot(ext), g.Count-ic, g.Mu.Clone()),
 		)
 	}
 	prev := m.epoch
 	m.epoch++
 	m.groups = out
-	m.rebuildLabels()
+	if refined {
+		m.rebuildLabels()
+	}
 	for i := range m.conState {
 		st := &m.conState[i]
 		if st.epoch != prev {
@@ -653,10 +657,8 @@ type commitRestore struct {
 // is copied with a fresh Mu (the coordinate descent mutates means in
 // place) while member bitsets, covariances and Cholesky caches stay
 // shared by pointer (the refit writes in place only covariances it
-// allocated itself, never these), and the labels
-// slice is copied because a split rebuilds it in place. This is the
-// same work the old rollback snapshot did — COW inverts which copy
-// becomes live, it does not add copies. Group order and version
+// allocated itself, never these). The labels slice is shared as is: a
+// split that divides a group builds a new one. Group order and version
 // counters are preserved, so conState dependency caches and stamps
 // remain valid across the fork and the incremental descent skips
 // exactly what it would have skipped before.
@@ -667,7 +669,6 @@ func (m *Model) beginCommit() commitRestore {
 		fresh[i] = g.derive(g.Members, g.Count, g.Mu.Clone())
 	}
 	m.groups = fresh
-	m.labels = append([]int32(nil), m.labels...)
 	return r
 }
 
@@ -800,9 +801,9 @@ func (m *Model) refit() error {
 // allocations). When all inside groups share one Σ by pointer — the
 // common regime, since split never copies and Theorem 1 never diverges
 // covariances — Σ̄_I = Σ exactly, so the update reuses the group's
-// cached Cholesky factorization instead of accumulating Σ̄_I and
-// factorizing it from scratch, and computes Σ·λ once instead of once
-// per group.
+// cached Cholesky factorization (or factors Σ into scratch when the
+// cache is empty, leaving it for readers to fill) instead of
+// accumulating Σ̄_I, and computes Σ·λ once instead of once per group.
 func (c *locationConstraint) apply(m *Model, st *conState) (float64, error) {
 	total := st.total
 	if total == 0 {
@@ -841,9 +842,12 @@ func (c *locationConstraint) apply(m *Model, st *conState) (float64, error) {
 	}
 
 	if shared {
-		chol, err := groups[st.gidx[0]].Chol()
-		if err != nil {
-			return 0, fmt.Errorf("background: location update: %w", err)
+		chol := groups[st.gidx[0]].chol.Load()
+		if chol == nil {
+			if err := sc.chol.Factor(sig0); err != nil {
+				return 0, fmt.Errorf("background: location update: %w", err)
+			}
+			chol = &sc.chol
 		}
 		lambda := chol.SolveInto(sc.vec(&sc.lambda, d), resid)
 		sigLam := sig0.MulVecInto(sc.vec(&sc.sigLam, d), lambda)
@@ -917,7 +921,9 @@ func (c *locationConstraint) apply(m *Model, st *conState) (float64, error) {
 // vectors and updated matrices are built only when the constraint
 // actually updates, and a matrix the running refit already allocated is
 // updated in place, so a multi-sweep refit copies each distinct Σ at
-// most once per change of its holder set.
+// most once per change of its holder set. An updated Σ is factored
+// only to check it, in per-model scratch; its groups' factor caches
+// are emptied, for readers to fill.
 func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 	total := st.total
 	if total == 0 {
@@ -1027,16 +1033,16 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 	// end up sharing matrices exactly as the copy-only update would, with
 	// bit-identical values.
 	if sc.born == nil {
-		sc.born = make(map[*mat.Dense]bornSigma)
+		sc.born = make(map[*mat.Dense]int32)
 	}
 	for i := range sigs {
 		sg := &sigs[i]
 		den := 1 + lambda*sg.s
-		b, isBorn := sc.born[sg.sigma]
-		inPlace := isBorn && b.holders == sg.inside && !m.cloneSpread
-		next, chol := sg.sigma, b.chol
+		holders, isBorn := sc.born[sg.sigma]
+		inPlace := isBorn && holders == sg.inside && !m.cloneSpread
+		next := sg.sigma
 		if !inPlace {
-			next, chol = sg.sigma.Clone(), new(mat.Cholesky)
+			next = sg.sigma.Clone()
 		}
 		next.AddOuterScaled(-lambda/den, sg.sigmaW, sg.sigmaW)
 		next.Symmetrize()
@@ -1044,17 +1050,16 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 		// (1+λs > 0); extreme squeezes can still underflow numerically,
 		// which must surface as an error (the commit rolls back), not as
 		// a silently broken model.
-		if err := chol.Factor(next); err != nil {
+		if err := sc.chol.Factor(next); err != nil {
 			return 0, fmt.Errorf("%w: spread update made a covariance numerically singular: %w", ErrInfeasible, err)
 		}
 		if !inPlace {
 			if isBorn {
-				b.holders -= sg.inside
-				sc.born[sg.sigma] = b
+				sc.born[sg.sigma] = holders - sg.inside
 			}
-			sc.born[next] = bornSigma{holders: sg.inside, chol: chol}
+			sc.born[next] = sg.inside
 		}
-		sg.next, sg.chol = next, chol
+		sg.next = next
 	}
 	for _, gs := range stats {
 		den := 1 + lambda*gs.s
@@ -1062,7 +1067,7 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 		// Eq. 10: µ ← µ + λ·wᵀ(ŷ_I−µ)·Σw/(1+λs).
 		g.Mu.AddScaled(lambda*gs.b/den, sigs[gs.sig].sigmaW)
 		g.Sigma = sigs[gs.sig].next
-		g.chol.Store(sigs[gs.sig].chol)
+		g.chol.Store(nil)
 		g.version++
 	}
 	st.record(m, violation, false)

@@ -143,6 +143,12 @@ func BenchmarkRefitOverlappingSpread(b *testing.B) {
 // and its spread the band's empirical variance along the direction
 // from the prior mean to that mean.
 func waterModel(tb testing.TB) *Model {
+	return waterModelEach(tb, func(*ModelVersion) {})
+}
+
+// waterModelEach is waterModel that hands each version it publishes,
+// the prior first, to each as soon as it is published.
+func waterModelEach(tb testing.TB, each func(*ModelVersion)) *Model {
 	tb.Helper()
 	w := gen.WaterQualityLike(1)
 	y := w.DS.Y
@@ -151,6 +157,7 @@ func waterModel(tb testing.TB) *Model {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	each(m.Snapshot())
 	for k := 0; k < 6; k++ {
 		lo, hi := 0.1*float64(k), 0.1*float64(k)+0.25
 		var idx []int
@@ -164,6 +171,7 @@ func waterModel(tb testing.TB) *Model {
 		if err := m.CommitLocation(ext, yhat); err != nil {
 			tb.Fatalf("location commit %d: %v", k, err)
 		}
+		each(m.Snapshot())
 		dir := yhat.Sub(prior)
 		dir.Normalize()
 		var v float64
@@ -174,6 +182,7 @@ func waterModel(tb testing.TB) *Model {
 		if err := m.CommitSpread(ext, dir, yhat, v/float64(len(idx))); err != nil {
 			tb.Fatalf("spread commit %d: %v", k, err)
 		}
+		each(m.Snapshot())
 	}
 	return m
 }

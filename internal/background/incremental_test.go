@@ -232,7 +232,7 @@ func newOverlapSpreadRounds(tb testing.TB, n, d, rounds int) (*Model, overlapSpr
 // in-place covariance rewrites: a spread commit copies each covariance
 // it updates once, when the refit first touches it, so its allocations
 // do not grow with its sweep count. The copy-only reference
-// (cloneSpread) copies Σ and its factorization on every update, so its
+// (cloneSpread) copies Σ on every update, so its
 // count does grow — which shows the test can fail.
 func TestSpreadCommitAllocsFlatInSweeps(t *testing.T) {
 	base, sp := newOverlapSpread(t, 100, 3)

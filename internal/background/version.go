@@ -19,17 +19,18 @@ import (
 // snapshot-isolation shape, applied to belief state.
 //
 // Everything reachable from a ModelVersion is frozen. Member bitsets
-// are never mutated in place. A covariance matrix (and its Cholesky
-// factor) is rewritten in place only while it is private to the refit
-// that allocated it and held solely by groups inside the constraint
-// being applied; once reachable from a published version, a clone or
-// a fork source, a matrix is only ever replaced, never written. Group
-// means are deep-copied by the commit that mutates them, and the
-// labels slice is re-allocated per commit. The only mutation a reader
-// can cause is filling a group's Cholesky cache, which is an atomic
-// idempotent store of a deterministic factorization. A mine against a
-// version is therefore byte-identical regardless of concurrent
-// commits.
+// are never mutated in place. A covariance matrix is rewritten in place
+// only while it is private to the refit that allocated it and held
+// solely by groups inside the constraint being applied, whose factor
+// caches are empty; once reachable from a published version, a clone
+// or a fork source, a matrix is only ever replaced, never written.
+// Group means are deep-copied by the commit that mutates them, and a
+// labels slice is never written once built (a refining split builds a
+// new one). The only mutation a reader can cause is filling a group's
+// empty Cholesky cache, which is an atomic idempotent store of a
+// deterministic factorization; the writer never fills one. A mine
+// against a version is therefore byte-identical regardless of
+// concurrent commits.
 type ModelVersion struct {
 	version uint64
 	n, d    int
@@ -170,9 +171,10 @@ func (v *ModelVersion) Digest() uint64 {
 
 // Fork returns a writable Model whose belief state starts at exactly
 // this version — the what-if primitive behind spread previews and any
-// other speculative commit. The fork shares the version's groups and
-// labels (its first commit copies before writing, like every commit),
-// so forking is O(constraints), and its commits publish versions on
+// other speculative commit. The fork shares the version's groups (its
+// first commit copies them before writing, like every commit) and its
+// labels (never written; a refining split builds new ones), so
+// forking is O(constraints), and its commits publish versions on
 // an independent lineage continuing from this stamp; the source model
 // is never affected. The fork's constraint caches start empty: its
 // first refit re-applies each satisfied constraint once (a clean
