@@ -2,13 +2,19 @@
 // serving layer: a bounded worker pool running named jobs with an
 // explicit lifecycle (queued → running → done/failed/cancelled),
 // per-job progress notes, deadline propagation via context, long-poll
-// waiting, and retention-bounded bookkeeping of finished jobs.
+// waiting, an end-of-job hook, and retention-bounded bookkeeping of
+// finished jobs.
 //
 // The HTTP server enqueues each mine call as a job so request handlers
 // never block on a search budget: clients either wait (long-poll) or
 // poll the job id. The pool bounds concurrent searches to a fixed
 // worker count, so a burst of expensive mines degrades into queueing
 // latency instead of unbounded goroutines competing for every core.
+//
+// Finished jobs stay queryable until Submit or List evicts them, oldest
+// finish first, once more than 1024 are retained or once they finished
+// more than 10 minutes ago. The pool records that order as jobs finish,
+// so eviction never scans the retained jobs.
 package jobs
 
 import (
@@ -18,6 +24,13 @@ import (
 	"sort"
 	"sync"
 	"time"
+)
+
+// Retention bounds on finished jobs: whichever hits first evicts the
+// oldest finished jobs.
+const (
+	maxFinishedAge = 10 * time.Minute
+	maxFinished    = 1024
 )
 
 // Status is a job lifecycle state.
@@ -60,6 +73,7 @@ type Fn func(ctx context.Context, progress func(note string)) (any, error)
 // pool; read them through Info.
 type Job struct {
 	id    string
+	seq   int // submission order, for List
 	label string
 
 	mu       sync.Mutex
@@ -76,13 +90,10 @@ type Job struct {
 	fn      Fn
 	done    chan struct{} // closed on reaching a terminal state
 
-	// cancelReq is closed the moment cancellation is requested —
-	// before the Fn has noticed its context and unwound. Watchers that
-	// hold resources on a job's behalf (the server's session mine
-	// slots) select on it to release immediately instead of waiting
-	// out the Fn's next cancellation check.
-	cancelReq    chan struct{}
-	cancelOnce   bool // cancelReq closed; guarded by mu
+	// onEnd is the Submit caller's end-of-job hook, guarded by mu; end
+	// runs it once and drops it.
+	onEnd        func()
+	ended        sync.Once
 	modelVersion uint64
 }
 
@@ -141,21 +152,21 @@ func (j *Job) ID() string { return j.id }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// CancelRequested returns a channel closed as soon as cancellation is
-// requested (Cancel or pool Close), which for a running job is before
-// the Fn notices its cancelled context and the job reaches a terminal
-// state. A queued job cancelled before starting closes Done and this
-// channel together.
-func (j *Job) CancelRequested() <-chan struct{} { return j.cancelReq }
-
-// requestCancel closes cancelReq exactly once.
-func (j *Job) requestCancel() {
-	j.mu.Lock()
-	if !j.cancelOnce {
-		j.cancelOnce = true
-		close(j.cancelReq)
-	}
-	j.mu.Unlock()
+// end runs the job's end hook, at most once over the job's life, and
+// drops it, so a retained job keeps nothing the hook captured alive. It
+// is called with no lock held, at a cancel request and again at the
+// terminal state; a call that finds the hook running on another
+// goroutine returns only once it has run, so Done never closes first.
+func (j *Job) end() {
+	j.ended.Do(func() {
+		j.mu.Lock()
+		onEnd := j.onEnd
+		j.onEnd = nil
+		j.mu.Unlock()
+		if onEnd != nil {
+			onEnd()
+		}
+	})
 }
 
 // ctxKey carries the *Job through its Fn's context.
@@ -179,17 +190,16 @@ func RecordModelVersion(ctx context.Context, version uint64) {
 type Pool struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // insertion order, for List and retention sweeps
+	finished []*Job // retained finished jobs, in the order they finished
 	nextID   int
 	closed   bool
 	draining bool
 
-	queue     chan *Job
-	wg        sync.WaitGroup
-	workers   int
-	queueCap  int
-	retention time.Duration // how long finished jobs stay visible
-	maxDone   int           // cap on retained finished jobs
+	queue    chan *Job
+	wg       sync.WaitGroup
+	workers  int
+	queueCap int
+	maxDone  int // cap on retained finished jobs; maxFinished outside tests
 }
 
 // Stats is a point-in-time load snapshot of the pool — the saturation
@@ -207,20 +217,20 @@ type Stats struct {
 // return ErrQueueFull).
 func (s Stats) Saturated() bool { return s.Queued >= s.QueueCap }
 
-// Stats reports current pool load.
+// Stats reports current pool load. Queued counts the entries in the
+// pending queue, which is what Submit's ErrQueueFull tests: a job
+// cancelled while queued holds its entry until a worker takes it.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	st := Stats{
 		Workers:  p.workers,
 		QueueCap: p.queueCap,
+		Queued:   len(p.queue),
 		Draining: p.draining,
 	}
 	for _, j := range p.jobs {
 		j.mu.Lock()
-		switch j.status {
-		case StatusQueued:
-			st.Queued++
-		case StatusRunning:
+		if j.status == StatusRunning {
 			st.Running++
 		}
 		j.mu.Unlock()
@@ -229,27 +239,10 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// Option configures a Pool.
-type Option func(*Pool)
-
-// WithRetention bounds how long finished jobs stay queryable (default
-// 10 minutes) and how many are retained regardless of age (default
-// 1024). Whichever bound hits first evicts the oldest finished jobs.
-func WithRetention(age time.Duration, maxFinished int) Option {
-	return func(p *Pool) {
-		if age > 0 {
-			p.retention = age
-		}
-		if maxFinished > 0 {
-			p.maxDone = maxFinished
-		}
-	}
-}
-
 // NewPool starts a pool with the given number of workers and pending
 // queue capacity. Non-positive arguments get defaults (2 workers,
 // queue 64).
-func NewPool(workers, queueCap int, opts ...Option) *Pool {
+func NewPool(workers, queueCap int) *Pool {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -257,15 +250,11 @@ func NewPool(workers, queueCap int, opts ...Option) *Pool {
 		queueCap = 64
 	}
 	p := &Pool{
-		jobs:      map[string]*Job{},
-		queue:     make(chan *Job, queueCap),
-		workers:   workers,
-		queueCap:  queueCap,
-		retention: 10 * time.Minute,
-		maxDone:   1024,
-	}
-	for _, o := range opts {
-		o(p)
+		jobs:     map[string]*Job{},
+		queue:    make(chan *Job, queueCap),
+		workers:  workers,
+		queueCap: queueCap,
+		maxDone:  maxFinished,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -304,11 +293,10 @@ func (p *Pool) Close() {
 	}
 	p.mu.Unlock()
 	for _, j := range queued {
-		j.requestCancel()
-		j.finish(StatusCancelled, nil, "pool closed")
+		p.finish(j, StatusCancelled, nil, "pool closed")
 	}
 	for _, j := range running {
-		j.requestCancel()
+		j.end()
 	}
 	for _, c := range cancels {
 		c()
@@ -320,7 +308,14 @@ func (p *Pool) Close() {
 // Submit enqueues fn as a new job. timeout > 0 bounds the job's run
 // time via its context deadline (measured from start, not submission).
 // Returns ErrQueueFull when the pending queue is at capacity.
-func (p *Pool) Submit(label string, timeout time.Duration, fn Fn) (*Job, error) {
+//
+// A non-nil onEnd runs exactly once, on no pool or job lock, at the
+// first of a cancel request (Cancel or Close) and the job's terminal
+// state, and always before Done closes. A caller that holds a resource
+// on the job's behalf releases it there: at a cancel request that is
+// before the Fn notices its context and unwinds. onEnd does not run
+// when Submit returns an error.
+func (p *Pool) Submit(label string, timeout time.Duration, fn Fn, onEnd func()) (*Job, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -332,14 +327,15 @@ func (p *Pool) Submit(label string, timeout time.Duration, fn Fn) (*Job, error) 
 	}
 	p.nextID++
 	j := &Job{
-		id:        fmt.Sprintf("j%06d", p.nextID),
-		label:     label,
-		status:    StatusQueued,
-		created:   time.Now(),
-		timeout:   timeout,
-		fn:        fn,
-		done:      make(chan struct{}),
-		cancelReq: make(chan struct{}),
+		id:      fmt.Sprintf("j%06d", p.nextID),
+		seq:     p.nextID,
+		label:   label,
+		status:  StatusQueued,
+		created: time.Now(),
+		timeout: timeout,
+		fn:      fn,
+		done:    make(chan struct{}),
+		onEnd:   onEnd,
 	}
 	// The non-blocking send happens under p.mu: Close sets closed and
 	// closes the channel only after this critical section, so Submit can
@@ -351,8 +347,7 @@ func (p *Pool) Submit(label string, timeout time.Duration, fn Fn) (*Job, error) 
 		return nil, ErrQueueFull
 	}
 	p.jobs[j.id] = j
-	p.order = append(p.order, j.id)
-	p.sweepLocked()
+	p.evictLocked()
 	p.mu.Unlock()
 	return j, nil
 }
@@ -364,21 +359,23 @@ func (p *Pool) Submit(label string, timeout time.Duration, fn Fn) (*Job, error) 
 // only has terminal jobs left to see) is instantaneous. Returns
 // ctx.Err() if the deadline expired with work still in flight.
 func (p *Pool) Drain(ctx context.Context) error {
+	// No job is submitted once draining is set, and none is evicted
+	// before it finishes, so the jobs held now are all Drain waits for.
 	p.mu.Lock()
 	p.draining = true
+	js := make([]*Job, 0, len(p.jobs))
+	for _, j := range p.jobs {
+		js = append(js, j)
+	}
 	p.mu.Unlock()
-	const poll = 5 * time.Millisecond
-	for {
-		st := p.Stats()
-		if st.Queued == 0 && st.Running == 0 {
-			return nil
-		}
+	for _, j := range js {
 		select {
+		case <-j.done:
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(poll):
 		}
 	}
+	return nil
 }
 
 func (p *Pool) worker() {
@@ -418,11 +415,11 @@ func (p *Pool) run(j *Job) {
 	result, err := runGuarded(fn, ctx, progress)
 	switch {
 	case err == nil:
-		j.finish(StatusDone, result, "")
+		p.finish(j, StatusDone, result, "")
 	case errors.Is(err, context.Canceled):
-		j.finish(StatusCancelled, nil, "cancelled")
+		p.finish(j, StatusCancelled, nil, "cancelled")
 	default:
-		j.finish(StatusFailed, nil, err.Error())
+		p.finish(j, StatusFailed, nil, err.Error())
 	}
 }
 
@@ -438,11 +435,15 @@ func runGuarded(fn Fn, ctx context.Context, progress func(string)) (result any, 
 	return fn(ctx, progress)
 }
 
-// finish moves the job to a terminal state exactly once.
-func (j *Job) finish(status Status, result any, errMsg string) {
+// finish moves the job to a terminal state exactly once and queues it
+// for eviction. It writes j.finished under p.mu as well as j.mu, so
+// evictLocked reads it under p.mu alone.
+func (p *Pool) finish(j *Job, status Status, result any, errMsg string) {
+	p.mu.Lock()
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 	j.status = status
@@ -452,6 +453,9 @@ func (j *Job) finish(status Status, result any, errMsg string) {
 	j.fn = nil // release captured state promptly
 	j.cancel = nil
 	j.mu.Unlock()
+	p.finished = append(p.finished, j)
+	p.mu.Unlock()
+	j.end()
 	close(j.done)
 }
 
@@ -482,12 +486,11 @@ func (p *Pool) Cancel(id string) (Info, bool) {
 	switch j.status {
 	case StatusQueued:
 		j.mu.Unlock()
-		j.requestCancel()
-		j.finish(StatusCancelled, nil, "cancelled while queued")
+		p.finish(j, StatusCancelled, nil, "cancelled while queued")
 	case StatusRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
-		j.requestCancel()
+		j.end()
 		if cancel != nil {
 			cancel()
 		}
@@ -523,56 +526,30 @@ func (p *Pool) Wait(ctx context.Context, id string, maxWait time.Duration) (Info
 // List returns snapshots of all retained jobs, oldest first.
 func (p *Pool) List() []Info {
 	p.mu.Lock()
-	p.sweepLocked()
-	js := make([]*Job, 0, len(p.order))
-	for _, id := range p.order {
-		if j := p.jobs[id]; j != nil {
-			js = append(js, j)
-		}
+	p.evictLocked()
+	js := make([]*Job, 0, len(p.jobs))
+	for _, j := range p.jobs {
+		js = append(js, j)
 	}
 	p.mu.Unlock()
+	sort.Slice(js, func(a, b int) bool { return js[a].seq < js[b].seq })
 	out := make([]Info, len(js))
 	for i, j := range js {
 		out[i] = j.snapshot()
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
-// sweepLocked evicts finished jobs past the retention age or count cap.
-// Caller holds p.mu.
-func (p *Pool) sweepLocked() {
-	cutoff := time.Now().Add(-p.retention)
-	finished := 0
-	for _, id := range p.order {
-		if j := p.jobs[id]; j != nil && j.isFinished() {
-			finished++
-		}
+// evictLocked drops finished jobs from the front of p.finished while
+// more than maxDone are retained or the oldest finished more than
+// maxFinishedAge ago. Caller holds p.mu.
+func (p *Pool) evictLocked() {
+	cutoff := time.Now().Add(-maxFinishedAge)
+	n := 0
+	for n < len(p.finished) && (len(p.finished)-n > p.maxDone || p.finished[n].finished.Before(cutoff)) {
+		delete(p.jobs, p.finished[n].id)
+		p.finished[n] = nil
+		n++
 	}
-	keep := p.order[:0]
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if j == nil {
-			continue
-		}
-		if j.isFinished() && (j.finishedBefore(cutoff) || finished > p.maxDone) {
-			delete(p.jobs, id)
-			finished--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	p.order = keep
-}
-
-func (j *Job) isFinished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.Terminal()
-}
-
-func (j *Job) finishedBefore(t time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return !j.finished.IsZero() && j.finished.Before(t)
+	p.finished = p.finished[n:]
 }

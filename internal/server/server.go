@@ -1119,39 +1119,25 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	budget = s.clampBudget(budget)
 	sess.mu.Unlock()
 
-	job, err := s.pool.Submit("mine "+sess.id, budget, s.mineJob(sess, req))
+	// The pool releases the mine slot at the first of a cancel request
+	// and the job's end, so a cancelled mine (queued or mid-search)
+	// frees its slot before the Fn unwinds, and a sync mine that
+	// finished has released it before its response is written: the
+	// client's next request never finds it held.
+	job, err := s.pool.Submit("mine "+sess.id, budget, s.mineJob(sess, req),
+		func() { s.releaseMine(sess) })
 	if err != nil {
 		s.releaseMine(sess)
 		WriteError(w, http.StatusServiceUnavailable, errQueueFull, time.Second,
 			"mine queue full, retry later: %v", err)
 		return
 	}
-	// Release the mine slot on any terminal outcome. CancelRequested
-	// fires at cancel-request time — before the pool notices the Fn
-	// unwinding — so a cancelled mine (queued or mid-search) frees its
-	// slot immediately instead of holding the session until the worker
-	// returns. A sync mine that finished also releases it before the
-	// response is written, so the client's next request never finds it
-	// held; the Once keeps the watcher from releasing it a second time.
-	var once sync.Once
-	release := func() { once.Do(func() { s.releaseMine(sess) }) }
-	go func() {
-		select {
-		case <-job.Done():
-		case <-job.CancelRequested():
-		}
-		release()
-	}()
-
 	if req.Async {
 		inf, _ := s.pool.Get(job.ID())
 		WriteJSON(w, http.StatusAccepted, inf)
 		return
 	}
 	inf, _ := s.pool.Wait(r.Context(), job.ID(), s.opts.SyncWait)
-	if inf.Status.Terminal() {
-		release()
-	}
 	s.writeMineOutcome(w, inf)
 }
 
