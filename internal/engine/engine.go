@@ -10,9 +10,10 @@
 // scratch bitset (bitset.AndCountInto) and only materializes an
 // extension for candidates that survive support and scoring,
 // intentions are canonical ascending condition-ID slices (no string
-// keys), candidate batches and result buffers are reused across
-// searches, and result logs are bounded top-k heaps rather than
-// sort-and-truncate over the whole level.
+// keys), a scored candidate is a pointer-free Hit until a strategy keeps
+// it, candidate batches and result buffers are reused across searches,
+// and result logs are bounded top-k heaps rather than sort-and-truncate
+// over the whole level.
 package engine
 
 import (
@@ -250,17 +251,23 @@ func (b *Batch) IDs(i int) []CondID {
 	return b.ids[i*d : (i+1)*d : (i+1)*d]
 }
 
-// Scored is one accepted (supported, scoreable) candidate. EvaluateBatch
-// returns it *unmaterialized* — Ext and Mean are nil, Ids aliases the
-// batch arena, and Cand indexes the candidate within its batch — so that
-// candidates which never survive beam/log selection cost no allocations.
-// Callers pass the survivors to Evaluator.Materialize, which fills Ext
-// (an independent copy, safe to keep as a beam parent or result), Mean
-// with values bit-identical to the ones scored, and replaces Ids with an
-// owned copy that outlives the batch's next Reset.
+// Hit is one accepted (supported, scoreable) candidate as EvaluateBatch
+// returns it: its scores, its subgroup size and its index in the batch,
+// whose arena holds its intention (Batch.IDs). A Hit holds no pointer,
+// so candidates that never survive beam/log selection cost no
+// allocations and the result buffer costs the GC no scan. Size is at
+// least the evaluator's MinSupport, so a zero Size marks an unscored
+// slot. Callers pass the survivors to Evaluator.Materialize.
+type Hit struct {
+	SI, IC     float64
+	Cand, Size int32
+}
+
+// Scored is one kept candidate, owned by its holder: Ids, Ext and Mean
+// alias no batch or evaluator scratch, so a Scored outlives the batch's
+// next Reset and is safe to keep as a beam parent or log entry.
 type Scored struct {
 	Ids    []CondID
-	Cand   int
 	Ext    *bitset.Set
 	Size   int
 	SI, IC float64
@@ -329,28 +336,23 @@ type Evaluator struct {
 	// ctrs is the reusable per-worker counter scratch (3 slots per
 	// worker: scored, bound evals, pruned).
 	ctrs []int64
-	// outUsed is the largest batch this evaluator has scored: every
-	// result slot it wrote lies in out[:outUsed], the prefix Release
-	// clears.
-	outUsed int
 
 	stats EvalStats
 }
 
 // arena is the buffer set that grows with a search's size: the columnar
-// Batch, EvaluateBatch's result buffers and one bound scratch per
-// evaluation goroutine, where BoundWorker.Prepare keeps a parent's
-// sorted residual prefix sums. Sets circulate through a process-wide
-// free list — NewEvaluator takes one, Release parks it — so a warm
-// search, even one with a fresh scorer on another dataset, reuses the
-// high-water buffers of earlier searches instead of regrowing its own.
-// out grows with append-style headroom and valid follows its capacity,
-// so a level a little larger than the high-water mark does not
-// reallocate either.
+// Batch, EvaluateBatch's result buffer, the next level's parents and
+// one bound scratch per evaluation goroutine, where BoundWorker.Prepare
+// keeps a parent's sorted residual prefix sums. Sets circulate through
+// a process-wide free list — NewEvaluator takes one, Release parks it —
+// so a warm search, even one with a fresh scorer on another dataset,
+// reuses the high-water buffers of earlier searches instead of
+// regrowing its own. out grows with append-style headroom, so a level a
+// little larger than the high-water mark does not reallocate either.
 type arena struct {
 	batch        Batch
-	out          []Scored
-	valid        []bool
+	out          []Hit
+	parents      []Scored
 	boundScratch [][]float64
 }
 
@@ -375,12 +377,10 @@ func takeArena() *arena {
 }
 
 // Release parks the evaluator's buffers on the free list. The evaluator,
-// its Batch and every slice EvaluateBatch returned are invalid after it.
-// The batch's parent column and the result slots this search wrote are
+// its Batch and every slice EvaluateBatch or Parents returned are
+// invalid after it. The batch's parent column and the parent buffer are
 // cleared first, so a parked set keeps no extension, mean or intention
-// alive. Slots past the search's largest batch were cleared by the
-// Release of whichever search wrote them, so a small search on a large
-// arena pays only for its own prefix.
+// alive; the result buffer holds no pointer and is left as it is.
 func (e *Evaluator) Release() {
 	a := e.arena
 	if a == nil {
@@ -388,7 +388,7 @@ func (e *Evaluator) Release() {
 	}
 	e.arena = nil
 	clear(a.batch.parents[:cap(a.batch.parents)])
-	clear(a.out[:e.outUsed])
+	clear(a.parents[:cap(a.parents)])
 	arenas.Lock()
 	if len(arenas.free) < runtime.GOMAXPROCS(0) {
 		arenas.free = append(arenas.free, a)
@@ -398,6 +398,15 @@ func (e *Evaluator) Release() {
 
 // Batch returns the evaluator's reusable candidate batch.
 func (e *Evaluator) Batch() *Batch { return &e.batch }
+
+// Parents returns the arena's buffer for a level's parents, empty, with
+// room for n entries. A caller appends at most n materialized parents
+// and passes them to Batch.Expand; Release clears them. Each call hands
+// out the same buffer again.
+func (e *Evaluator) Parents(n int) []Scored {
+	e.parents = slices.Grow(e.parents[:0], n)
+	return e.parents[:0]
+}
 
 // EvalStats are cumulative pruning observability counters. The counts
 // depend on scheduling (which worker raises the shared floor first), so
@@ -523,16 +532,15 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 }
 
 // EvaluateBatch scores all candidates in parallel and returns the
-// accepted ones sorted by the engine ordering (SI descending,
-// deterministic regardless of scheduling). The results are
-// unmaterialized (nil Ext and Mean — see Scored); with a WorkerScorer
-// the entire batch costs no per-candidate allocations: level-1
-// candidates (nil parent) are scored from the condition's extension and
-// cached target sum, deeper ones through one fused AndCountInto +
+// accepted ones as Hits sorted by the engine ordering (SI descending,
+// deterministic regardless of scheduling). With a WorkerScorer the
+// entire batch costs no per-candidate allocations: level-1 candidates
+// (nil parent) are scored from the condition's extension and cached
+// target sum, deeper ones through one fused AndCountInto +
 // worker-scratch scoring pass over the batch's columnar streams. The
-// returned slice and the Scored.Ids in it are evaluator/batch-owned
-// scratch, valid until the next EvaluateBatch/Reset — Materialize
-// survivors before retaining.
+// returned slice is evaluator-owned scratch and a Hit's intention lives
+// in the batch, both valid until the next EvaluateBatch/Reset —
+// Materialize survivors before retaining.
 //
 // With bounds armed (BoundScorer + SelectTop, no DisableBounds), each
 // worker keeps a running min-heap of its SelectTop best SIs and
@@ -550,16 +558,13 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 // abandoned and timedOut is true with a nil result: a partial level is
 // never returned, so completed results stay deterministic and a caller
 // treats an expired batch exactly like a deadline seen before it.
-func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
+func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 	n := b.Len()
-	if cap(e.out) < n {
-		e.out = slices.Grow(e.out[:0], n)
-		e.valid = make([]bool, cap(e.out))
+	if n > math.MaxInt32 {
+		panic("engine: batch too large for Hit.Cand")
 	}
-	e.outUsed = max(e.outUsed, n)
+	e.out = slices.Grow(e.out[:0], n)
 	out := e.out[:n]
-	valid := e.valid[:n]
-	clear(valid)
 	checkDeadline := !e.opt.Deadline.IsZero()
 	var expired atomic.Bool
 
@@ -627,6 +632,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 						return
 					}
 				}
+				out[i].Size = 0 // unscored unless the candidate is kept below
 				pi := b.parentOf[i]
 				parent := b.parents[pi]
 				cond := b.conds[i]
@@ -684,13 +690,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 					continue
 				}
 				nScored++
-				out[i] = Scored{
-					Ids:  b.IDs(i),
-					Cand: i,
-					Size: size,
-					SI:   si, IC: ic,
-				}
-				valid[i] = true
+				out[i] = Hit{SI: si, IC: ic, Cand: int32(i), Size: int32(size)}
 				if heap != nil {
 					// Local top-SelectTop SI min-heap; once full, its root
 					// is this worker's floor contribution.
@@ -724,15 +724,15 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Scored, timedOut bool) {
 	}
 
 	kept = out[:0] // filter in place; out's backing array is ours
-	for i := range out {
-		if valid[i] {
-			kept = append(kept, out[i])
+	for _, h := range out {
+		if h.Size != 0 {
+			kept = append(kept, h)
 		}
 	}
 	if e.opt.SelectTop > 0 {
-		SelectTopScored(kept, e.opt.SelectTop)
+		selectTopHits(b, kept, e.opt.SelectTop)
 	} else {
-		SortScored(kept)
+		sortHits(b, kept)
 	}
 	return kept, false
 }
@@ -770,21 +770,21 @@ func siftDownFloat(h []float64) {
 	}
 }
 
-// Materialize fills Ext and Mean for a scored candidate the caller is
-// about to retain (beam parent, top-k entry), and replaces the
-// batch-arena Ids alias with an owned copy. The extension is recomputed
-// with the same intersection kernel and the mean re-derived by the same
-// scoring path, so materialized values are bit-identical to the ones
-// EvaluateBatch ranked on; only the handful of survivors per level pay
-// the clones. b must be the batch the Scored came from. No-op when
-// already materialized.
-func (e *Evaluator) Materialize(b *Batch, s *Scored) {
-	if s.Ext != nil {
-		return
+// Materialize builds the owned Scored for a hit the caller is about to
+// retain (beam parent, top-k entry): a copy of its intention, its
+// extension and its mean. The extension is recomputed with the same
+// intersection kernel and the mean re-derived by the same scoring path,
+// so materialized values are bit-identical to the ones EvaluateBatch
+// ranked on; only the handful of survivors per level pay the clones. b
+// must be the batch the hit came from.
+func (e *Evaluator) Materialize(b *Batch, h Hit) Scored {
+	s := Scored{
+		Ids:  slices.Clone(b.IDs(int(h.Cand))),
+		Size: int(h.Size),
+		SI:   h.SI, IC: h.IC,
 	}
-	s.Ids = append([]CondID(nil), s.Ids...)
-	parent := b.parents[b.parentOf[s.Cand]]
-	cond := b.conds[s.Cand]
+	parent := b.parents[b.parentOf[h.Cand]]
+	cond := b.conds[h.Cand]
 	numConds := b.depth
 	if parent == nil {
 		s.Ext = e.lang.Exts[cond].Clone()
@@ -795,7 +795,7 @@ func (e *Evaluator) Materialize(b *Batch, s *Scored) {
 			if ok {
 				s.Mean = mean.Clone()
 			}
-			return
+			return s
 		}
 	} else {
 		ext := bitset.New(e.lang.N)
@@ -811,6 +811,7 @@ func (e *Evaluator) Materialize(b *Batch, s *Scored) {
 	} else if _, _, mean, ok := e.sc.Score(s.Ext, numConds); ok {
 		s.Mean = mean
 	}
+	return s
 }
 
 // SortScored sorts by the engine ordering: SI descending, canonical
@@ -821,44 +822,60 @@ func SortScored(s []Scored) {
 	})
 }
 
-func scoredPrecedes(a, b *Scored) bool {
-	return better(a.SI, a.Ids, b.SI, b.Ids)
+// sortHits sorts hits of batch b by the engine ordering.
+func sortHits(b *Batch, s []Hit) {
+	sort.Slice(s, func(i, j int) bool { return b.hitBefore(&s[i], &s[j]) })
 }
 
-// SelectTopScored partially orders s so that s[:k] holds the k best
-// elements by the engine ordering, sorted, while s[k:] is left in
-// unspecified order — equivalent to SortScored for every read of the
+// hitBefore is better on two hits of b. It reads the tie-breaking
+// intentions from the batch arena only on an SI tie, so the common case
+// inlines into the sorts.
+func (b *Batch) hitBefore(x, y *Hit) bool {
+	if x.SI != y.SI {
+		return x.SI > y.SI
+	}
+	return b.lessCands(x.Cand, y.Cand)
+}
+
+// lessCands compares candidates i and j of b by intention.
+func (b *Batch) lessCands(i, j int32) bool {
+	return lessIDs(b.IDs(int(i)), b.IDs(int(j)))
+}
+
+// selectTopHits partially orders hits of batch b so that s[:k] holds the
+// k best by the engine ordering, sorted, while s[k:] is left in
+// unspecified order — equivalent to sortHits for every read of the
 // first k entries, at O(n + k·log k) instead of O(n·log n). The engine
 // ordering is strict and total (ties broken by canonical intention), so
 // the selected prefix is the same set a full sort would produce.
-func SelectTopScored(s []Scored, k int) {
+func selectTopHits(b *Batch, s []Hit, k int) {
 	if k <= 0 {
 		return
 	}
 	if k >= len(s) {
-		SortScored(s)
+		sortHits(b, s)
 		return
 	}
 	lo, hi := 0, len(s) // invariant: the k-boundary lies within s[lo:hi]
 	for hi-lo > 12 {
 		// Median-of-three pivot (by value copy; Hoare partition).
 		mid := int(uint(lo+hi) >> 1)
-		if scoredPrecedes(&s[mid], &s[lo]) {
+		if b.hitBefore(&s[mid], &s[lo]) {
 			s[mid], s[lo] = s[lo], s[mid]
 		}
-		if scoredPrecedes(&s[hi-1], &s[lo]) {
+		if b.hitBefore(&s[hi-1], &s[lo]) {
 			s[hi-1], s[lo] = s[lo], s[hi-1]
 		}
-		if scoredPrecedes(&s[hi-1], &s[mid]) {
+		if b.hitBefore(&s[hi-1], &s[mid]) {
 			s[hi-1], s[mid] = s[mid], s[hi-1]
 		}
 		p := s[mid]
 		i, j := lo, hi-1
 		for i <= j {
-			for scoredPrecedes(&s[i], &p) {
+			for b.hitBefore(&s[i], &p) {
 				i++
 			}
-			for scoredPrecedes(&p, &s[j]) {
+			for b.hitBefore(&p, &s[j]) {
 				j--
 			}
 			if i <= j {
@@ -880,13 +897,13 @@ func SelectTopScored(s []Scored, k int) {
 	for i := lo + 1; i < hi; i++ {
 		v := s[i]
 		j := i
-		for j > lo && scoredPrecedes(&v, &s[j-1]) {
+		for j > lo && b.hitBefore(&v, &s[j-1]) {
 			s[j] = s[j-1]
 			j--
 		}
 		s[j] = v
 	}
-	SortScored(s[:k])
+	sortHits(b, s[:k])
 }
 
 // InsertSorted appends parent's ascending IDs with id spliced in at its

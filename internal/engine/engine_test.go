@@ -88,19 +88,15 @@ func TestEvaluateBatchMatchesDirectScoring(t *testing.T) {
 		if timedOut {
 			t.Fatal("no deadline was set")
 		}
-		for k := range got {
-			s := &got[k]
-			if s.Ext != nil {
-				t.Fatalf("par=%d: batch results must be unmaterialized", par)
-			}
-			ev.Materialize(batch, s)
+		for k, h := range got {
+			s := ev.Materialize(batch, h)
 			if s.Ext.Count() != s.Size {
 				t.Fatalf("par=%d: stored size %d != extension count %d", par, s.Size, s.Ext.Count())
 			}
 			if !s.Ext.Equal(lang.Exts[s.Ids[0]]) {
 				t.Fatalf("par=%d: extension of %v differs from condition extension", par, s.Ids)
 			}
-			if k > 0 && better(s.SI, s.Ids, got[k-1].SI, got[k-1].Ids) {
+			if k > 0 && batch.hitBefore(&h, &got[k-1]) {
 				t.Fatalf("par=%d: output not sorted at %d", par, k)
 			}
 		}
@@ -132,8 +128,8 @@ func TestEvaluateBatchScratchIsolation(t *testing.T) {
 	if len(first) != 1 {
 		t.Fatal("candidate rejected")
 	}
-	ev.Materialize(batch, &first[0])
-	ext, ids := first[0].Ext, first[0].Ids
+	kept := ev.Materialize(batch, first[0])
+	ext, ids := kept.Ext, kept.Ids
 	snapshot := ext.Clone()
 	idsSnapshot := append([]CondID(nil), ids...)
 	batch.Reset(1)
@@ -397,37 +393,33 @@ func (meanScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Ve
 	return s, s, mat.Vec{s}, true
 }
 
-// TestReleaseClearsEveryWrittenSlot: Release clears only the result
-// prefix its own search wrote. A search whose large batch precedes a
-// small one, and then a small search on the arena the large batch grew,
-// must each leave no Ids, Ext or Mean pointer anywhere in the parked
-// result buffer.
+// TestReleaseClearsEveryWrittenSlot: Release clears every arena slot a
+// search wrote that can hold a pointer. A search whose large level
+// precedes a small one, and then a small search on the arena the large
+// level grew, must each leave no Ids, Ext or Mean pointer in the parked
+// parent buffer and no extension in the batch's parent column; the
+// result buffer holds no pointer at all.
 func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 	arenas.Lock()
 	arenas.free = nil // the next takeArena returns the set parked last
 	arenas.Unlock()
 	ds := testDS(120, 9)
 	lang := LanguageFor(ds, 4)
-	search := func(batchParents ...int) *arena {
+	search := func(widths ...int) *arena {
 		ev := NewEvaluator(lang, meanScorer{}, Options{Parallelism: 2, MinSupport: 1})
 		b := ev.Batch()
-		for _, parents := range batchParents {
-			b.Reset(2)
-			for p := 0; p < parents; p++ {
-				b.StartParent(lang.Exts[p])
-				for c := range lang.Conds {
-					if c != p {
-						b.Add(CondID(c), []CondID{CondID(p)})
-					}
-				}
-			}
+		var root [1]Scored
+		b.Expand(1, root[:], len(lang.Conds))
+		for depth, width := range widths {
 			got, _ := ev.EvaluateBatch(b)
-			if len(got) == 0 {
-				t.Fatal("batch scored nothing")
+			if len(got) < width {
+				t.Fatalf("level %d kept %d candidates, want at least %d", depth+1, len(got), width)
 			}
-			for i := range got {
-				ev.Materialize(b, &got[i])
+			parents := ev.Parents(width)
+			for _, h := range got[:width] {
+				parents = append(parents, ev.Materialize(b, h))
 			}
+			b.Expand(depth+2, parents, len(lang.Conds))
 		}
 		a := ev.arena
 		ev.Release()
@@ -435,12 +427,17 @@ func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 	}
 	checkParked := func(a *arena) {
 		t.Helper()
-		if cap(a.out) <= len(lang.Conds) {
-			t.Fatalf("arena result capacity %d: the large batch did not grow it", cap(a.out))
+		if cap(a.parents) < len(lang.Conds) {
+			t.Fatalf("parent buffer capacity %d: the large level did not grow it", cap(a.parents))
 		}
-		for i, s := range a.out[:cap(a.out)] {
+		for i, s := range a.parents[:cap(a.parents)] {
 			if s.Ids != nil || s.Ext != nil || s.Mean != nil {
-				t.Fatalf("parked result slot %d still holds a pointer: %+v", i, s)
+				t.Fatalf("parked parent slot %d still holds a pointer: %+v", i, s)
+			}
+		}
+		for i, p := range a.batch.parents[:cap(a.batch.parents)] {
+			if p != nil {
+				t.Fatalf("parked batch parent %d still holds an extension", i)
 			}
 		}
 	}

@@ -36,9 +36,9 @@ func TestExpandMatchesDedupReferenceCrime(t *testing.T) {
 		var best engine.Scored
 		for depth := 1; depth < maxDepth; depth++ {
 			level, _ := ev.EvaluateBatch(batch)
-			beam := level[:min(width, len(level))]
-			for i := range beam {
-				ev.Materialize(batch, &beam[i])
+			beam := ev.Parents(width)
+			for _, h := range level[:min(width, len(level))] {
+				beam = append(beam, ev.Materialize(batch, h))
 			}
 			if depth == 1 {
 				best = beam[0]

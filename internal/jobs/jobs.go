@@ -14,7 +14,9 @@
 // Finished jobs stay queryable until Submit or List evicts them, oldest
 // finish first, once more than 1024 are retained or once they finished
 // more than 10 minutes ago. The pool records that order as jobs finish,
-// so eviction never scans the retained jobs.
+// so eviction never scans the retained jobs. It likewise counts running
+// jobs as they start and finish, so Stats — every readiness probe —
+// costs the same however many jobs are retained.
 package jobs
 
 import (
@@ -191,6 +193,7 @@ type Pool struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	finished []*Job // retained finished jobs, in the order they finished
+	running  int    // jobs in StatusRunning; run and finish keep it under mu
 	nextID   int
 	closed   bool
 	draining bool
@@ -222,21 +225,14 @@ func (s Stats) Saturated() bool { return s.Queued >= s.QueueCap }
 // cancelled while queued holds its entry until a worker takes it.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	st := Stats{
+	defer p.mu.Unlock()
+	return Stats{
 		Workers:  p.workers,
 		QueueCap: p.queueCap,
 		Queued:   len(p.queue),
+		Running:  p.running,
 		Draining: p.draining,
 	}
-	for _, j := range p.jobs {
-		j.mu.Lock()
-		if j.status == StatusRunning {
-			st.Running++
-		}
-		j.mu.Unlock()
-	}
-	p.mu.Unlock()
-	return st
 }
 
 // NewPool starts a pool with the given number of workers and pending
@@ -386,9 +382,13 @@ func (p *Pool) worker() {
 }
 
 func (p *Pool) run(j *Job) {
+	// p.mu then j.mu, the order finish takes them: the running count
+	// moves with the status.
+	p.mu.Lock()
 	j.mu.Lock()
 	if j.status != StatusQueued { // cancelled while queued
 		j.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 	ctx := context.WithValue(context.Background(), ctxKey{}, j)
@@ -403,6 +403,8 @@ func (p *Pool) run(j *Job) {
 	j.cancel = cancel
 	fn := j.fn
 	j.mu.Unlock()
+	p.running++
+	p.mu.Unlock()
 	defer cancel()
 
 	progress := func(note string) {
@@ -435,9 +437,10 @@ func runGuarded(fn Fn, ctx context.Context, progress func(string)) (result any, 
 	return fn(ctx, progress)
 }
 
-// finish moves the job to a terminal state exactly once and queues it
-// for eviction. It writes j.finished under p.mu as well as j.mu, so
-// evictLocked reads it under p.mu alone.
+// finish moves the job to a terminal state exactly once, queues it for
+// eviction and, when it was running, drops it from the running count.
+// It writes j.finished under p.mu as well as j.mu, so evictLocked reads
+// it under p.mu alone.
 func (p *Pool) finish(j *Job, status Status, result any, errMsg string) {
 	p.mu.Lock()
 	j.mu.Lock()
@@ -445,6 +448,9 @@ func (p *Pool) finish(j *Job, status Status, result any, errMsg string) {
 		j.mu.Unlock()
 		p.mu.Unlock()
 		return
+	}
+	if j.status == StatusRunning {
+		p.running--
 	}
 	j.status = status
 	j.result = result

@@ -514,3 +514,99 @@ func TestStatsCountsCancelledQueuedEntries(t *testing.T) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 }
+
+// TestStatsRunningCount follows Running through every way a job starts
+// and stops: done, failed, panicked, cancelled while running, cancelled
+// while queued and Close. Stats must be exact after each step, and it
+// must not wait on any job's lock.
+func TestStatsRunningCount(t *testing.T) {
+	p := NewPool(2, 8)
+	running := func(want int) {
+		t.Helper()
+		if got := p.Stats().Running; got != want {
+			t.Fatalf("Running = %d, want %d", got, want)
+		}
+	}
+	// after returns a job that waits for release, then ends with end.
+	after := func(release chan struct{}, end func() (any, error)) Fn {
+		return func(ctx context.Context, _ func(string)) (any, error) {
+			<-release
+			return end()
+		}
+	}
+	untilCancel := func(ctx context.Context, _ func(string)) (any, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	submit := func(label string, fn Fn) *Job {
+		t.Helper()
+		j, err := p.Submit(label, 0, fn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	relDone, relFail, relPanic := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	done := submit("done", after(relDone, func() (any, error) { return 1, nil }))
+	failed := submit("failed", after(relFail, func() (any, error) { return nil, errors.New("boom") }))
+	waitStatus(t, p, done.ID(), StatusRunning)
+	waitStatus(t, p, failed.ID(), StatusRunning)
+	running(2)
+
+	// Both workers are busy, so this one queues: queued is not running.
+	panicked := submit("panicked", after(relPanic, func() (any, error) { panic("boom") }))
+	running(2)
+
+	close(relDone)
+	waitStatus(t, p, done.ID(), StatusDone)
+	waitStatus(t, p, panicked.ID(), StatusRunning)
+	running(2)
+
+	close(relFail)
+	waitStatus(t, p, failed.ID(), StatusFailed)
+	running(1)
+
+	// A retained job's lock held elsewhere must not stall Stats.
+	done.mu.Lock()
+	stats := make(chan Stats, 1)
+	go func() { stats <- p.Stats() }()
+	select {
+	case st := <-stats:
+		done.mu.Unlock()
+		if st.Running != 1 {
+			t.Fatalf("Running = %d, want 1", st.Running)
+		}
+	case <-time.After(2 * time.Second):
+		done.mu.Unlock()
+		t.Fatal("Stats waited on a finished job's lock")
+	}
+
+	cancelled := submit("cancelled", untilCancel)
+	waitStatus(t, p, cancelled.ID(), StatusRunning)
+	running(2)
+
+	queued := submit("queued", untilCancel)
+	p.Cancel(queued.ID())
+	waitStatus(t, p, queued.ID(), StatusCancelled)
+	running(2)
+
+	close(relPanic)
+	if inf := waitStatus(t, p, panicked.ID(), StatusFailed); inf.Error == "" {
+		t.Fatal("panicked job recorded no error")
+	}
+	running(1)
+
+	p.Cancel(cancelled.ID())
+	waitStatus(t, p, cancelled.ID(), StatusCancelled)
+	running(0)
+
+	// Close cancels two running jobs and one still queued.
+	for _, label := range []string{"close-1", "close-2"} {
+		waitStatus(t, p, submit(label, untilCancel).ID(), StatusRunning)
+	}
+	submit("close-queued", untilCancel)
+	running(2)
+	p.Close()
+	running(0)
+}

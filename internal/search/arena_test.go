@@ -121,7 +121,7 @@ func TestFreshScorerBeamAllocatesOnlySurvivors(t *testing.T) {
 	const setupAllocs, setupBytes = 64, 128 << 10
 	maxAllocs := uint64(4*survivors + len(res.Patterns) + 1 + setupAllocs)
 	maxBytes := uint64(survivors*cloneBytes + len(res.Patterns)*patternBytes + residualBytes + setupBytes)
-	if regrow := uint64(res.Evaluated/res.Levels) * uint64(unsafe.Sizeof(engine.Scored{})); maxBytes >= regrow {
+	if regrow := uint64(res.Evaluated/res.Levels) * uint64(unsafe.Sizeof(engine.Hit{})); maxBytes >= regrow {
 		t.Fatalf("budget %d bytes cannot tell a result-buffer regrowth (%d bytes) apart", maxBytes, regrow)
 	}
 	allocs := (after.Mallocs - before.Mallocs) / runs

@@ -182,38 +182,39 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 		res.Evaluated += batch.Len()
 		res.Levels = depth
 
-		// Batch results are unmaterialized; only the candidates that
-		// actually enter the log or seed the next beam pay the
-		// extension/mean clones — everything else on the level stays
-		// allocation-free.
-		for i := range level {
-			s := &level[i]
-			if top.WouldAccept(s.SI, s.Ids) {
-				ev.Materialize(batch, s)
-				top.Add(*s)
-			}
+		// Batch results are pointer-free Hits; only the candidates that
+		// enter the log or seed the next beam pay the extension/mean
+		// clones, once each even when they do both — everything else on
+		// the level stays allocation-free. The next beam is the best
+		// BeamWidth of the level (which is sorted).
+		width := 0
+		if depth < p.MaxDepth {
+			width = min(p.BeamWidth, len(level))
 		}
-
-		// New beam: best BeamWidth of this level (level is sorted).
-		beam := level
-		if len(beam) > p.BeamWidth {
-			beam = beam[:p.BeamWidth]
+		beam := ev.Parents(width)
+		for i, h := range level {
+			logged := top.WouldAccept(h.SI, batch.IDs(int(h.Cand)))
+			if !logged && i >= width {
+				continue
+			}
+			s := ev.Materialize(batch, h)
+			if logged {
+				top.Add(s)
+			}
+			if i < width {
+				beam = append(beam, s)
+			}
 		}
 		if depth == p.MaxDepth {
 			break
 		}
-		for i := range beam {
-			ev.Materialize(batch, &beam[i])
-		}
 
 		// Expand the beam with every condition not already present;
 		// duplicate intentions (reached via different parents) are dropped
-		// here, before they cost a scoring pass. Materialize cloned the
-		// beam entries' Ids and extensions out of the batch, so resetting
-		// it for the next level is safe (the Scored structs themselves live
-		// in the evaluator's result buffer, untouched until the next
-		// EvaluateBatch) — and grouping refinements by parent is what lets
-		// the evaluator amortize one bound preparation per parent run.
+		// here, before they cost a scoring pass. The beam entries own their
+		// Ids and extensions, so resetting the batch for the next level is
+		// safe — and grouping refinements by parent is what lets the
+		// evaluator amortize one bound preparation per parent run.
 		batch.Expand(depth+1, beam, len(lang.Conds))
 	}
 

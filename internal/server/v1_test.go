@@ -340,8 +340,9 @@ func TestCancelReleasesSlotImmediately(t *testing.T) {
 	doJSON(t, "DELETE", ts.URL+"/api/v1/jobs/"+accepted.ID, nil, http.StatusOK, nil)
 
 	// The slot must free promptly — well before the cancelled search
-	// could have unwound. The retry loop only absorbs the watcher
-	// goroutine's scheduling latency.
+	// could have unwound. The job's end-of-job hook releases it, and the
+	// pool runs that hook inside the cancel request, before the DELETE
+	// answers; the retry loop is only a margin.
 	released := false
 	for time.Since(cancelled) < probeWindow {
 		if err := postJSON("POST", base+"/handoff", nil, http.StatusOK, nil); err == nil {
