@@ -2,8 +2,8 @@
 // evaluation (§III). Each benchmark exercises exactly the workload of
 // the corresponding experiment driver; `go test -bench=. -benchmem`
 // reports how long one full regeneration takes. The structured results
-// themselves are produced by cmd/experiments and recorded in
-// EXPERIMENTS.md.
+// themselves are produced by cmd/experiments and pinned byte for byte
+// by TestFiguresGolden (internal/experiments/testdata/golden/).
 package sisd_test
 
 import (

@@ -13,8 +13,14 @@
 //     (the /api/v1 mount), after an optional "METHOD " literal — an
 //     unversioned or stray registration fails the check.
 //
+// The same run lints the library surface: an exported func or method
+// declared under internal/ that only _test.go files use fails the check
+// (see testOnlyExports). Code only tests need lives in the tests.
+//
 // Run from the repository root (CI does): go run ./cmd/apicheck
-// A non-default package directory can be passed as the only argument.
+// A non-default server package directory can be passed as the only
+// argument; the test-only export check always walks the current
+// directory.
 package main
 
 import (
@@ -61,6 +67,12 @@ func main() {
 			}
 		}
 	}
+	hits, err := testOnlyExports(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apicheck: %v\n", err)
+		os.Exit(2)
+	}
+	fails = append(fails, hits...)
 	if len(fails) > 0 {
 		for _, f := range fails {
 			fmt.Fprintln(os.Stderr, f)

@@ -1,0 +1,5 @@
+package main
+
+import "fix/internal/lib"
+
+func main() { lib.Used() }

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the
 // paper's evaluation section (§III) on the dataset replicas and prints
-// the results as text tables. EXPERIMENTS.md records a captured run
-// next to the paper's reported values.
+// the results as text tables. TestFiguresGolden pins each figure's
+// output against internal/experiments/testdata/golden/.
 //
 // Usage:
 //

@@ -50,7 +50,9 @@
 // read quorum and repair the rest, and a background anti-entropy sweep
 // converges replicas that were down.
 //
-// See the examples/ directory for runnable end-to-end programs and
-// DESIGN.md for the system inventory and the mapping from the paper's
-// tables and figures to the benchmarks that regenerate them.
+// The package's Example_* functions (quickstart, iterative, crime,
+// mammals, election, waterQuality) are checked end-to-end programs, one
+// per case study; see DESIGN.md for the system inventory and the
+// mapping from the paper's tables and figures to the benchmarks that
+// regenerate them.
 package sisd

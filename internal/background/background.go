@@ -472,15 +472,6 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// GroupOf returns the group containing point i, resolved through the
-// dense labeling in O(1).
-func (m *Model) GroupOf(i int) *Group {
-	if i < 0 || i >= m.n {
-		return nil
-	}
-	return m.groups[m.labels[i]]
-}
-
 // split refines the partition so every group is fully inside or outside
 // ext, and rebuilds the dense labeling when it divided a group; a split
 // that divides nothing (every spread commit, since its location was
@@ -1072,24 +1063,6 @@ func (c *spreadConstraint) apply(m *Model, st *conState) (float64, error) {
 	}
 	st.record(m, violation, false)
 	return violation, nil
-}
-
-// PointMean returns µᵢ for point i (for visualization/tests).
-func (m *Model) PointMean(i int) mat.Vec {
-	g := m.GroupOf(i)
-	if g == nil {
-		return nil
-	}
-	return g.Mu.Clone()
-}
-
-// PointCov returns Σᵢ for point i (for visualization/tests).
-func (m *Model) PointCov(i int) *mat.Dense {
-	g := m.GroupOf(i)
-	if g == nil {
-		return nil
-	}
-	return g.Sigma.Clone()
 }
 
 // ExpectedSpread returns E[g_I^w(Y)] under the current model for the

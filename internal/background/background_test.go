@@ -9,6 +9,33 @@ import (
 	"repro/internal/mat"
 )
 
+// GroupOf returns the group containing point i, resolved through the
+// dense labeling in O(1).
+func (m *Model) GroupOf(i int) *Group {
+	if i < 0 || i >= m.n {
+		return nil
+	}
+	return m.groups[m.labels[i]]
+}
+
+// PointMean returns µᵢ for point i.
+func (m *Model) PointMean(i int) mat.Vec {
+	g := m.GroupOf(i)
+	if g == nil {
+		return nil
+	}
+	return g.Mu.Clone()
+}
+
+// PointCov returns Σᵢ for point i.
+func (m *Model) PointCov(i int) *mat.Dense {
+	g := m.GroupOf(i)
+	if g == nil {
+		return nil
+	}
+	return g.Sigma.Clone()
+}
+
 func newModel(t *testing.T, n, d int) *Model {
 	t.Helper()
 	mu := make(mat.Vec, d)
@@ -166,12 +193,18 @@ func TestSpreadCommitShermanMorrison(t *testing.T) {
 	lambda := (1 - sNew) / sNew
 	prec := mat.Eye(3) // old Σ⁻¹
 	prec.AddOuterScaled(lambda, w, w)
-	inv, err := mat.InverseSPD(prec)
+	c, err := mat.NewCholesky(prec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := inv.MaxAbsDiff(sigmaNew); d > 1e-8 {
-		t.Fatalf("Sherman–Morrison mismatch: %v", d)
+	for j := 0; j < 3; j++ {
+		col := unit(3, j)
+		c.SolveInto(col, col) // column j of the inverse
+		for i, x := range col {
+			if d := math.Abs(x - sigmaNew.At(i, j)); d > 1e-8 {
+				t.Fatalf("Sherman–Morrison mismatch: %v", d)
+			}
+		}
 	}
 }
 

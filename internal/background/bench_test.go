@@ -74,7 +74,8 @@ func BenchmarkRefitOverlappingConstraints(b *testing.B) {
 			yhat[0] = 0.5
 			// Chained blocks: constraint c covers [64c, 64c+128).
 			for c := 0; c < k; c++ {
-				ext := disjointExt(n, c, 64).Or(disjointExt(n, c+1, 64))
+				ext := disjointExt(n, c, 64)
+				bitset.OrCountInto(ext, ext, disjointExt(n, c+1, 64))
 				if err := m.CommitLocation(ext, yhat); err != nil {
 					b.Fatal(err)
 				}

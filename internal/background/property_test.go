@@ -131,7 +131,7 @@ func TestRandomCommitSequencesKeepAllConstraints(t *testing.T) {
 				t.Logf("seed %d: overlapping groups", seed)
 				return false
 			}
-			seen = seen.Or(g.Members)
+			bitset.OrCountInto(seen, seen, g.Members)
 			total += g.Count
 			if _, err := mat.NewCholesky(g.Sigma); err != nil {
 				t.Logf("seed %d: non-SPD group covariance", seed)

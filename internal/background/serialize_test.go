@@ -163,7 +163,7 @@ func TestSnapshotRestoreCommitBitIdentical(t *testing.T) {
 		}
 		// Commit one more (overlapping) pattern to both.
 		ext := randomExt(rng, n, 4+rng.Intn(n/3))
-		ext = ext.Or(lastExt)
+		bitset.OrCountInto(ext, ext, lastExt)
 		yhat := lastY.Clone()
 		yhat[0] += 0.5
 		errA := live.CommitLocation(ext, yhat)

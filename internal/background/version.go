@@ -44,7 +44,7 @@ type ModelVersion struct {
 
 // Reader is the read-only model surface shared by the live *Model and
 // an immutable *ModelVersion. Scoring and optimization code
-// (internal/si, internal/spreadopt, internal/baseline) accepts a
+// (internal/si, internal/spreadopt, internal/experiments) accepts a
 // Reader so callers can evaluate either against the live working
 // state (single-threaded tools, tests) or against a pinned version
 // (the serving path, where mines run concurrently with commits).

@@ -65,18 +65,6 @@ func (s *Set) Contains(i int) bool {
 	return s.words[i/64]&(1<<uint(i%64)) != 0
 }
 
-// First returns the smallest set index, or -1 when the set is empty.
-// Unlike a ForEach walk it stops at the first nonzero word, so callers
-// probing a known-nonempty set pay O(1) in the common case.
-func (s *Set) First() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
 // Words exposes the backing word slice (bit i lives at words[i/64],
 // position i%64). It is the raw form consumed by fused kernels that
 // fold a trailing-zeros walk and per-point accumulation into one pass;
@@ -172,35 +160,6 @@ func OrCountInto(dst, s, t *Set) int {
 	return c
 }
 
-// AndNotCountInto sets dst = s \ t and returns the number of set bits —
-// the difference analogue of AndCountInto, same capacity and aliasing
-// rules, same four-wide word batching.
-func AndNotCountInto(dst, s, t *Set) int {
-	if dst.n != s.n || s.n != t.n {
-		panic("bitset: capacity mismatch")
-	}
-	dw := dst.words
-	sw := s.words[:len(dw)]
-	tw := t.words[:len(dw)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(dw); i += 4 {
-		w0 := sw[i] &^ tw[i]
-		w1 := sw[i+1] &^ tw[i+1]
-		w2 := sw[i+2] &^ tw[i+2]
-		w3 := sw[i+3] &^ tw[i+3]
-		dw[i], dw[i+1], dw[i+2], dw[i+3] = w0, w1, w2, w3
-		c += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
-			bits.OnesCount64(w2) + bits.OnesCount64(w3)
-	}
-	for ; i < len(dw); i++ {
-		w := sw[i] &^ tw[i]
-		dw[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // And returns s ∩ t as a new bitset.
 func (s *Set) And(t *Set) *Set {
 	out := New(s.n)
@@ -216,18 +175,6 @@ func (s *Set) AndNot(t *Set) *Set {
 	out := New(s.n)
 	for i := range out.words {
 		out.words[i] = s.words[i] &^ t.words[i]
-	}
-	return out
-}
-
-// Or returns s ∪ t as a new bitset.
-func (s *Set) Or(t *Set) *Set {
-	if s.n != t.n {
-		panic("bitset: capacity mismatch")
-	}
-	out := New(s.n)
-	for i := range out.words {
-		out.words[i] = s.words[i] | t.words[i]
 	}
 	return out
 }

@@ -173,20 +173,3 @@ func BenchmarkAndInto(b *testing.B) {
 		AndInto(dst, x, y)
 	}
 }
-
-func TestFirst(t *testing.T) {
-	if got := New(130).First(); got != -1 {
-		t.Fatalf("empty set First = %d, want -1", got)
-	}
-	for _, idx := range []int{0, 1, 63, 64, 65, 127, 129} {
-		s := New(130)
-		s.Add(idx)
-		s.Add(129)
-		if got := s.First(); got != idx {
-			t.Fatalf("First = %d, want %d", got, idx)
-		}
-	}
-	if got := Full(130).First(); got != 0 {
-		t.Fatalf("full set First = %d, want 0", got)
-	}
-}

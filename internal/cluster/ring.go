@@ -102,13 +102,6 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// Owner returns the shard owning key: the first vnode clockwise from
-// the key's hash. Empty ring returns "".
-func (r *Ring) Owner(key string) string {
-	id, _ := r.OwnerAmong(key, nil)
-	return id
-}
-
 // OwnerAmong returns the first shard clockwise from key's hash for
 // which eligible reports true (nil means every member is eligible) —
 // the failover walk: when a shard is down, its keys fall to their

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// owner is the shard owning key with every member eligible, or "" on
+// an empty ring.
+func owner(r *Ring, key string) string {
+	id, _ := r.OwnerAmong(key, nil)
+	return id
+}
+
 func keys(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -24,8 +31,8 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	perm := []string{"shard-3", "shard-1", "shard-0", "shard-2", "shard-1"}
 	b := NewRing(perm, 64)
 	for _, k := range keys(5000) {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("owner of %q differs across construction order: %q vs %q", k, a.Owner(k), b.Owner(k))
+		if owner(a, k) != owner(b, k) {
+			t.Fatalf("owner of %q differs across construction order: %q vs %q", k, owner(a, k), owner(b, k))
 		}
 	}
 }
@@ -50,7 +57,7 @@ func TestRingRemapFraction(t *testing.T) {
 		smaller := NewRing([]string{"shard-0", "shard-1", "shard-3", "shard-4"}, 64)
 		moved := 0
 		for _, k := range ks {
-			was, now := full.Owner(k), smaller.Owner(k)
+			was, now := owner(full, k), owner(smaller, k)
 			if was != removed && now != was {
 				t.Fatalf("key %q moved %q→%q though %q was the shard removed", k, was, now, removed)
 			}
@@ -71,8 +78,8 @@ func TestRingRemapFraction(t *testing.T) {
 		alive := func(id string) bool { return id != down }
 		for _, k := range ks {
 			got, ok := full.OwnerAmong(k, alive)
-			if !ok || got != smaller.Owner(k) {
-				t.Fatalf("failover owner of %q = %q, want %q", k, got, smaller.Owner(k))
+			if !ok || got != owner(smaller, k) {
+				t.Fatalf("failover owner of %q = %q, want %q", k, got, owner(smaller, k))
 			}
 		}
 	})
@@ -81,7 +88,7 @@ func TestRingRemapFraction(t *testing.T) {
 		bigger := NewRing(append(append([]string(nil), shards...), "shard-5"), 64)
 		moved := 0
 		for _, k := range ks {
-			was, now := full.Owner(k), bigger.Owner(k)
+			was, now := owner(full, k), owner(bigger, k)
 			if now != was {
 				if now != "shard-5" {
 					t.Fatalf("key %q moved %q→%q, not onto the added shard", k, was, now)
@@ -117,7 +124,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const nkeys = 40000
 	for i := 0; i < nkeys; i++ {
-		counts[r.Owner(fmt.Sprintf("k%x", rng.Int63()))]++
+		counts[owner(r, fmt.Sprintf("k%x", rng.Int63()))]++
 	}
 	min, max := nkeys, 0
 	for _, id := range r.Shards() {
@@ -137,11 +144,11 @@ func TestRingBalance(t *testing.T) {
 // TestRingEdgeCases: empty and single-member rings behave sanely.
 func TestRingEdgeCases(t *testing.T) {
 	empty := NewRing(nil, 8)
-	if got := empty.Owner("x"); got != "" {
+	if got := owner(empty, "x"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
 	}
 	one := NewRing([]string{"only"}, 8)
-	if got := one.Owner("anything"); got != "only" {
+	if got := owner(one, "anything"); got != "only" {
 		t.Fatalf("single ring owner = %q", got)
 	}
 	if _, ok := one.OwnerAmong("k", func(string) bool { return false }); ok {

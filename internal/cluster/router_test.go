@@ -117,7 +117,7 @@ func TestRouterPlacement(t *testing.T) {
 			server.CreateRequest{Dataset: "synthetic", Seed: int64(i + 1), Depth: 2, BeamWidth: 8})
 		decode(t, rec, http.StatusCreated, &info)
 		got := rec.Header().Get("X-Sisd-Shard")
-		if want := rt.ring.Owner(info.ID); got != want {
+		if want := owner(rt.ring, info.ID); got != want {
 			t.Fatalf("session %s created on %s, ring owner %s", info.ID, got, want)
 		}
 		if info.Shard != got {
@@ -370,7 +370,7 @@ type envelope struct {
 func idOn(t *testing.T, rt *Router, prefix, shard string) string {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
-		if id := fmt.Sprintf("%s-%d", prefix, i); rt.ring.Owner(id) == shard {
+		if id := fmt.Sprintf("%s-%d", prefix, i); owner(rt.ring, id) == shard {
 			return id
 		}
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // The experiments must be fully deterministic: same seed, same results,
-// independent of scheduling — EXPERIMENTS.md depends on it.
+// independent of scheduling — TestFiguresGolden and the golden files in
+// testdata/golden/ depend on it.
 
 func TestFig2Deterministic(t *testing.T) {
 	a, err := Fig2Synthetic(gen.SeedSynthetic)

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/background"
+	"repro/internal/bitset"
 	"repro/internal/gen"
+	"repro/internal/mat"
+	"repro/internal/si"
 )
 
 func TestFig1CrimeQuick(t *testing.T) {
@@ -274,5 +279,37 @@ func TestTableIIRuntimeQuick(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "Table II") {
 		t.Fatal("render broken")
+	}
+}
+
+func TestRandomSubgroupSIBaselineIsLow(t *testing.T) {
+	// A planted target: the first quarter of the rows near 3, the rest
+	// near 0.
+	rng := rand.New(rand.NewSource(6))
+	y := mat.NewDense(200, 1)
+	plantedExt := bitset.New(200)
+	for i := 0; i < 200; i++ {
+		y.Set(i, 0, 0.2*rng.NormFloat64())
+		if i < 50 {
+			y.Set(i, 0, 3+y.At(i, 0))
+			plantedExt.Add(i)
+		}
+	}
+	m, err := background.New(200, mat.Vec{0}, mat.Eye(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselineSI := randomSubgroupSI(m, y, 50, 30, si.Default(), 7)
+	// The planted subgroup's SI should dwarf the random baseline.
+	yhat := mat.Vec{0}
+	var sum float64
+	plantedExt.ForEach(func(i int) { sum += y.At(i, 0) })
+	yhat[0] = sum / 50
+	plantedSI, _, err := si.LocationSI(m, plantedExt, yhat, 1, si.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baselineSI >= plantedSI/2 {
+		t.Fatalf("random baseline %v too close to planted %v", baselineSI, plantedSI)
 	}
 }

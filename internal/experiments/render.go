@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§III). Each driver returns structured results and
 // renders them as a text table, so the same code backs the
-// cmd/experiments runner, the root-level benchmarks and EXPERIMENTS.md.
+// cmd/experiments runner, the root-level benchmarks and the golden
+// figures TestFiguresGolden checks (testdata/golden/).
 package experiments
 
 import (

@@ -5,10 +5,13 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/baseline"
+	"repro/internal/background"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mat"
 	"repro/internal/pattern"
+	"repro/internal/randx"
 	"repro/internal/search"
 	"repro/internal/si"
 )
@@ -248,11 +251,39 @@ func Fig3Noise(seed int64, repeats int) ([]Fig3Point, error) {
 		if sizeN > 0 {
 			size = sizeSum / sizeN
 		}
-		pt.Baseline = baseline.RandomSubgroupSI(m.Model, syn.DS.Y, size, 20,
+		pt.Baseline = randomSubgroupSI(m.Model, syn.DS.Y, size, 20,
 			tableIGamma, seed+7)
 		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// randomSubgroupSI estimates the SI a "meaningless" subgroup of the
+// given size achieves under the model — the baseline curve of Fig. 3 —
+// by averaging the location SI of `repeats` uniformly drawn extensions.
+func randomSubgroupSI(m background.Reader, y *mat.Dense, size, repeats int, p si.Params, seed int64) float64 {
+	src := randx.New(seed)
+	n := y.R
+	var total float64
+	cnt := 0
+	for r := 0; r < repeats; r++ {
+		perm := src.Perm(n)
+		ext := bitset.New(n)
+		for _, i := range perm[:size] {
+			ext.Add(i)
+		}
+		yhat := pattern.SubgroupMean(y, ext)
+		s, _, err := si.LocationSI(m, ext, yhat, 1, p)
+		if err != nil {
+			continue
+		}
+		total += s
+		cnt++
+	}
+	if cnt == 0 {
+		return math.NaN()
+	}
+	return total / float64(cnt)
 }
 
 // RenderFig3 formats the noise sweep.

@@ -14,8 +14,9 @@ import (
 	"repro/internal/dataset"
 )
 
-// Default seeds so that examples, tests, benches and EXPERIMENTS.md all
-// see the same data.
+// Default seeds so that the examples, tests, benchmarks and the golden
+// figures of TestFiguresGolden (internal/experiments/testdata/golden/)
+// all see the same data.
 const (
 	SeedSynthetic = 620
 	SeedCrime     = 1994

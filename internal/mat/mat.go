@@ -1,6 +1,6 @@
 // Package mat provides the dense linear algebra needed by the subgroup
 // discovery library: column vectors, square symmetric matrices, Cholesky
-// factorization, SPD solves and inverses, log-determinants, and a Jacobi
+// factorization with SPD solves and log-determinants, and a Jacobi
 // eigendecomposition for symmetric matrices.
 //
 // The package replaces the MATLAB substrate used by the original paper
@@ -112,16 +112,6 @@ func Eye(n int) *Dense {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, x := range d {
-		m.Data[i*n+i] = x
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.C+j] }
 
@@ -177,28 +167,6 @@ func (m *Dense) MulVecInto(dst Vec, v Vec) Vec {
 			s += x * v[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// Mul returns m·b as a new matrix. m.C must equal b.R.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.C != b.R {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %d vs %d", m.C, b.R))
-	}
-	out := NewDense(m.R, b.C)
-	for i := 0; i < m.R; i++ {
-		mrow := m.Data[i*m.C : (i+1)*m.C]
-		orow := out.Data[i*out.C : (i+1)*out.C]
-		for k, a := range mrow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.C : (k+1)*b.C]
-			for j, x := range brow {
-				orow[j] += a * x
-			}
-		}
 	}
 	return out
 }
@@ -342,16 +310,11 @@ func (c *Cholesky) Factor(a *Dense) error {
 	return nil
 }
 
-// Solve returns x with A·x = b, overwriting nothing.
-func (c *Cholesky) Solve(b Vec) Vec {
-	return c.SolveInto(make(Vec, c.N), b)
-}
-
 // SolveInto solves A·x = b into dst (which may alias b) and returns it,
 // with no allocations — the hot-path form used by the fused scorers.
 func (c *Cholesky) SolveInto(dst, b Vec) Vec {
 	if len(b) != c.N || len(dst) != c.N {
-		panic("mat: Cholesky.Solve dimension mismatch")
+		panic("mat: Cholesky.SolveInto dimension mismatch")
 	}
 	n := c.N
 	x := dst
@@ -425,52 +388,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.L[i*c.N+i])
 	}
 	return 2 * s
-}
-
-// Inverse returns A⁻¹ as a new dense matrix.
-func (c *Cholesky) Inverse() *Dense {
-	n := c.N
-	inv := NewDense(n, n)
-	e := make(Vec, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col := c.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Data[i*n+j] = col[i]
-		}
-	}
-	inv.Symmetrize()
-	return inv
-}
-
-// SolveSPD solves A·x = b for symmetric positive definite A.
-func SolveSPD(a *Dense, b Vec) (Vec, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(b), nil
-}
-
-// InverseSPD returns the inverse of a symmetric positive definite matrix.
-func InverseSPD(a *Dense) (*Dense, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return c.Inverse(), nil
-}
-
-// LogDetSPD returns log|A| for symmetric positive definite A.
-func LogDetSPD(a *Dense) (float64, error) {
-	c, err := NewCholesky(a)
-	if err != nil {
-		return 0, err
-	}
-	return c.LogDet(), nil
 }
 
 // SymEig computes the eigendecomposition of the symmetric matrix a using

@@ -1,11 +1,65 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Mul returns m·b as a new matrix. m.C must equal b.R. It is the
+// tests' reference product: the library itself never multiplies two
+// matrices.
+func (m *Dense) Mul(b *Dense) *Dense {
+	if m.C != b.R {
+		panic(fmt.Sprintf("mat: Mul dimension mismatch %d vs %d", m.C, b.R))
+	}
+	out := NewDense(m.R, b.C)
+	for i := 0; i < m.R; i++ {
+		mrow := m.Data[i*m.C : (i+1)*m.C]
+		orow := out.Data[i*out.C : (i+1)*out.C]
+		for k, a := range mrow {
+			if a == 0 {
+				continue
+			}
+			brow := b.Data[k*b.C : (k+1)*b.C]
+			for j, x := range brow {
+				orow[j] += a * x
+			}
+		}
+	}
+	return out
+}
+
+// Inverse returns A⁻¹ as a new dense matrix.
+func (c *Cholesky) Inverse() *Dense {
+	n := c.N
+	inv := NewDense(n, n)
+	e := make(Vec, n)
+	for j := 0; j < n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		col := c.SolveInto(make(Vec, n), e)
+		for i := 0; i < n; i++ {
+			inv.Data[i*n+j] = col[i]
+		}
+	}
+	inv.Symmetrize()
+	return inv
+}
+
+// diag returns a square matrix with d on the diagonal.
+func diag(d []float64) *Dense {
+	n := len(d)
+	m := NewDense(n, n)
+	for i, x := range d {
+		m.Data[i*n+i] = x
+	}
+	return m
+}
 
 // randSPD builds a random symmetric positive definite n×n matrix
 // A = BᵀB + n·I, which is comfortably well-conditioned.
@@ -149,10 +203,11 @@ func TestCholeskySolveResidual(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		a := randSPD(rng, n)
 		b := randVec(rng, n)
-		x, err := SolveSPD(a, b)
+		c, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("SolveSPD: %v", err)
+			t.Fatalf("NewCholesky: %v", err)
 		}
+		x := c.SolveInto(make(Vec, n), b)
 		r := a.MulVec(x).Sub(b)
 		if r.Norm() > 1e-9*(1+b.Norm()) {
 			t.Fatalf("residual norm %v too large", r.Norm())
@@ -173,10 +228,11 @@ func TestInverseSPD(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(8)
 		a := randSPD(rng, n)
-		inv, err := InverseSPD(a)
+		c, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("InverseSPD: %v", err)
+			t.Fatalf("NewCholesky: %v", err)
 		}
+		inv := c.Inverse()
 		if d := a.Mul(inv).MaxAbsDiff(Eye(n)); d > 1e-8 {
 			t.Fatalf("A·A⁻¹ differs from I by %v", d)
 		}
@@ -188,10 +244,11 @@ func TestLogDetMatchesEigenvalues(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(7)
 		a := randSPD(rng, n)
-		ld, err := LogDetSPD(a)
+		c, err := NewCholesky(a)
 		if err != nil {
-			t.Fatalf("LogDetSPD: %v", err)
+			t.Fatalf("NewCholesky: %v", err)
 		}
+		ld := c.LogDet()
 		vals, _, err := SymEig(a)
 		if err != nil {
 			t.Fatalf("SymEig: %v", err)
@@ -222,7 +279,7 @@ func TestSymEigReconstructs(t *testing.T) {
 			}
 		}
 		// V·diag(vals)·Vᵀ == A.
-		rec := vecs.Mul(Diag(vals)).Mul(vecs.T())
+		rec := vecs.Mul(diag(vals)).Mul(vecs.T())
 		if d := rec.MaxAbsDiff(a); d > 1e-8 {
 			t.Fatalf("n=%d: V·Λ·Vᵀ differs from A by %v", n, d)
 		}
@@ -234,7 +291,7 @@ func TestSymEigReconstructs(t *testing.T) {
 }
 
 func TestSymEigDiagonal(t *testing.T) {
-	a := Diag([]float64{1, 5, 3})
+	a := diag([]float64{1, 5, 3})
 	vals, _, err := SymEig(a)
 	if err != nil {
 		t.Fatalf("SymEig: %v", err)
@@ -262,10 +319,11 @@ func TestIdentityProperties(t *testing.T) {
 			v[i] = x
 		}
 		id := Eye(len(v))
-		x, err := SolveSPD(id, v)
+		c, err := NewCholesky(id)
 		if err != nil {
 			return false
 		}
+		x := c.SolveInto(make(Vec, len(v)), v)
 		for i := range v {
 			if math.Abs(x[i]-v[i]) > 1e-9*(1+math.Abs(v[i])) {
 				return false
@@ -288,10 +346,11 @@ func TestSolveInvertsMulVec(t *testing.T) {
 		a := randSPD(r, n)
 		x := randVec(rng, n)
 		b := a.MulVec(x)
-		got, err := SolveSPD(a, b)
+		c, err := NewCholesky(a)
 		if err != nil {
 			return false
 		}
+		got := c.SolveInto(make(Vec, n), b)
 		return got.Sub(x).Norm() <= 1e-7*(1+x.Norm())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

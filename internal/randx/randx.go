@@ -1,16 +1,14 @@
 // Package randx provides seeded random samplers used by the dataset
-// replica generators: multivariate normals (via Cholesky), Gamma
-// (Marsaglia–Tsang), Beta, Bernoulli and simplex-valued vote vectors.
+// replica generators: normals, Gamma (Marsaglia–Tsang), Beta and
+// Bernoulli.
 //
 // Everything is deterministic given the seed of the wrapped *rand.Rand,
-// so the experiments, examples and benches all agree on the data.
+// so the experiments, examples and benchmarks all agree on the data.
 package randx
 
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/mat"
 )
 
 // Source wraps a math/rand generator with the distribution samplers this
@@ -78,60 +76,6 @@ func (s *Source) Beta(a, b float64) float64 {
 	x := s.Gamma(a)
 	y := s.Gamma(b)
 	return x / (x + y)
-}
-
-// MVN is a sampler for a fixed multivariate normal N(mu, Sigma),
-// factorized once at construction.
-type MVN struct {
-	mu   mat.Vec
-	chol *mat.Cholesky
-	d    int
-}
-
-// NewMVN prepares a sampler for N(mu, sigma). sigma must be symmetric
-// positive definite.
-func NewMVN(mu mat.Vec, sigma *mat.Dense) (*MVN, error) {
-	c, err := mat.NewCholesky(sigma)
-	if err != nil {
-		return nil, err
-	}
-	return &MVN{mu: mu.Clone(), chol: c, d: len(mu)}, nil
-}
-
-// Sample draws one vector, using randomness from src.
-func (m *MVN) Sample(src *Source) mat.Vec {
-	z := make(mat.Vec, m.d)
-	for i := range z {
-		z[i] = src.NormFloat64()
-	}
-	// x = mu + L·z.
-	out := m.mu.Clone()
-	n := m.d
-	for i := 0; i < n; i++ {
-		row := m.chol.L[i*n : i*n+i+1]
-		var s float64
-		for k, lv := range row {
-			s += lv * z[k]
-		}
-		out[i] += s
-	}
-	return out
-}
-
-// Simplex samples a vector on the probability simplex by normalizing
-// independent Gamma(alpha_i) draws (i.e. a Dirichlet sample). Used to
-// generate vote-share targets that sum to one.
-func (s *Source) Simplex(alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
-	var total float64
-	for i, a := range alpha {
-		out[i] = s.Gamma(a)
-		total += out[i]
-	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
 }
 
 // Perm returns a random permutation of [0, n), deterministic in the seed.

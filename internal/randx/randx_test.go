@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -76,66 +75,5 @@ func TestBernoulli(t *testing.T) {
 	p := float64(ones) / float64(n)
 	if math.Abs(p-0.3) > 0.02 {
 		t.Fatalf("Bernoulli(0.3) frequency = %v", p)
-	}
-}
-
-func TestMVNMoments(t *testing.T) {
-	mu := mat.Vec{1, -2}
-	sigma := mat.NewDense(2, 2)
-	copy(sigma.Data, []float64{2, 0.8, 0.8, 1})
-	mvn, err := NewMVN(mu, sigma)
-	if err != nil {
-		t.Fatalf("NewMVN: %v", err)
-	}
-	src := New(4)
-	const n = 60000
-	var m0, m1, c00, c01, c11 float64
-	samples := make([]mat.Vec, n)
-	for i := 0; i < n; i++ {
-		samples[i] = mvn.Sample(src)
-		m0 += samples[i][0]
-		m1 += samples[i][1]
-	}
-	m0 /= n
-	m1 /= n
-	for _, s := range samples {
-		d0, d1 := s[0]-m0, s[1]-m1
-		c00 += d0 * d0
-		c01 += d0 * d1
-		c11 += d1 * d1
-	}
-	c00 /= n
-	c01 /= n
-	c11 /= n
-	if math.Abs(m0-1) > 0.03 || math.Abs(m1+2) > 0.03 {
-		t.Fatalf("MVN mean = (%v, %v)", m0, m1)
-	}
-	if math.Abs(c00-2) > 0.08 || math.Abs(c01-0.8) > 0.05 || math.Abs(c11-1) > 0.05 {
-		t.Fatalf("MVN cov = [%v %v; %v %v]", c00, c01, c01, c11)
-	}
-}
-
-func TestMVNRejectsNonSPD(t *testing.T) {
-	sigma := mat.NewDense(2, 2)
-	copy(sigma.Data, []float64{1, 2, 2, 1})
-	if _, err := NewMVN(mat.Vec{0, 0}, sigma); err == nil {
-		t.Fatal("expected error for indefinite covariance")
-	}
-}
-
-func TestSimplex(t *testing.T) {
-	src := New(5)
-	for trial := 0; trial < 100; trial++ {
-		v := src.Simplex([]float64{2, 3, 4, 1, 5})
-		var s float64
-		for _, x := range v {
-			if x < 0 {
-				t.Fatalf("negative simplex coordinate %v", x)
-			}
-			s += x
-		}
-		if math.Abs(s-1) > 1e-12 {
-			t.Fatalf("simplex sum = %v", s)
-		}
 	}
 }

@@ -7,7 +7,69 @@ import (
 	"testing"
 
 	"repro/internal/background"
+	"repro/internal/bitset"
+	"repro/internal/mat"
 )
+
+// MomentsNoncentral computes the three-moment fit when the per-point
+// means are NOT pinned to the center — i.e. when committed patterns
+// overlap, so (yᵢ−ŷ_I)ᵀw follows a noncentral χ² after standardization
+// (footnote 3 of the paper, which falls back to the central
+// approximation there). With aᵢ = wᵀΣᵢw/|I| and noncentrality
+// λᵢ = (wᵀ(ŷ_I−µᵢ))²/(wᵀΣᵢw), the first three cumulants of
+// g = Σ aᵢ·χ²₁(λᵢ) are
+//
+//	κ₁ = Σ aᵢ(1+λᵢ),  κ₂ = 2Σ aᵢ²(1+2λᵢ),  κ₃ = 8Σ aᵢ³(1+3λᵢ),
+//
+// and matching them to α·χ²_m + β gives α = κ₃/(4κ₂), m = κ₂/(2α²),
+// β = κ₁ − αm. With all λᵢ = 0 this reduces exactly to Eq. 18. This is
+// an extension beyond the paper: it makes the spread IC accurate in the
+// overlapping-pattern regime. The search does not use it; the tests
+// below validate it against Monte Carlo as an alternative to Eq. 18.
+func MomentsNoncentral(gs []background.GroupStats, total int) SpreadMoments {
+	inv := 1 / float64(total)
+	var k1, k2, k3, a1, a2, a3 float64
+	for _, g := range gs {
+		a := g.S * inv
+		lam := g.MeanShift * g.MeanShift / g.S
+		c := float64(g.Count)
+		k1 += c * a * (1 + lam)
+		k2 += 2 * c * a * a * (1 + 2*lam)
+		k3 += 8 * c * a * a * a * (1 + 3*lam)
+		a1 += c * a
+		a2 += c * a * a
+		a3 += c * a * a * a
+	}
+	alpha := k3 / (4 * k2)
+	m := k2 / (2 * alpha * alpha)
+	return SpreadMoments{
+		Alpha: alpha, Beta: k1 - alpha*m, M: m,
+		A1: a1, A2: a2, A3: a3,
+	}
+}
+
+// SpreadICNoncentral is SpreadIC with the noncentral three-moment fit,
+// which stays accurate when committed patterns overlap and the
+// per-point means deviate from the center.
+func SpreadICNoncentral(m background.Reader, ext *bitset.Set, w, center mat.Vec, ghat float64) (float64, error) {
+	cnt := ext.Count()
+	if cnt == 0 {
+		return 0, background.ErrNoPoints
+	}
+	gs := m.SpreadStats(ext, w, center)
+	return SpreadICFromMoments(MomentsNoncentral(gs, cnt), ghat), nil
+}
+
+// SpreadApproxCDF evaluates the fitted distribution function
+// P(g ≤ x) = P(χ²_m ≤ (x−β)/α) for either moment fit — used for
+// goodness-of-fit tests and CDF plots.
+func SpreadApproxCDF(sm SpreadMoments, x float64) float64 {
+	u := (x - sm.Beta) / sm.Alpha
+	if u <= 0 {
+		return 0
+	}
+	return ChiSquaredCDF(u, sm.M)
+}
 
 // sampleMixture draws from g = Σ (cᵢ copies of) aᵢ·χ²₁(λᵢ) with
 // aᵢ = Sᵢ/total and λᵢ = shiftᵢ²/Sᵢ (one χ²₁ term per point).

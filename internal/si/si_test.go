@@ -10,7 +10,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/engine"
 	"repro/internal/mat"
-	"repro/internal/stats"
 )
 
 func newModel(t *testing.T, n, d int) *background.Model {
@@ -142,7 +141,7 @@ func TestSpreadICExactChiSquaredCase(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := 1.0 / k // wᵀΣw/|I| with Σ = I
-		want := -(stats.ChiSquaredLogPDF(ghat/a, k) - math.Log(a))
+		want := -(ChiSquaredLogPDF(ghat/a, k) - math.Log(a))
 		if math.Abs(ic-want) > 1e-9 {
 			t.Fatalf("ghat=%v: IC = %v, want exact χ² value %v", ghat, ic, want)
 		}

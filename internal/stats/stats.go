@@ -1,9 +1,9 @@
 // Package stats provides the descriptive statistics, probability
 // distributions and special functions used throughout the subgroup
 // discovery library: means and covariance matrices, percentiles,
-// the normal and chi-squared distributions, the regularized incomplete
-// gamma function, the digamma function, Gaussian kernel density
-// estimation (Fig. 1 of the paper) and empirical CDFs (Figs. 8c, 9b).
+// the normal distribution, the digamma function, Gaussian kernel
+// density estimation (Fig. 1 of the paper) and empirical CDFs (Figs.
+// 8c, 9b).
 //
 // It replaces the statistics toolbox of the MATLAB substrate used by the
 // original implementation, built only on the Go standard library.
@@ -473,142 +473,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
 }
 
-// NormalQuantile returns the q-th quantile of the standard normal
-// distribution using the Acklam rational approximation refined by one
-// Newton step; absolute error below 1e-9 over (1e-300, 1-1e-16).
-func NormalQuantile(q float64) float64 {
-	if q <= 0 {
-		return math.Inf(-1)
-	}
-	if q >= 1 {
-		return math.Inf(1)
-	}
-	// Acklam's coefficients.
-	a := []float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := []float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := []float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := []float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const plow = 0.02425
-	var x float64
-	switch {
-	case q < plow:
-		u := math.Sqrt(-2 * math.Log(q))
-		x = (((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1)
-	case q > 1-plow:
-		u := math.Sqrt(-2 * math.Log(1-q))
-		x = -(((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1)
-	default:
-		u := q - 0.5
-		r := u * u
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * u /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
-	// One Newton refinement.
-	e := NormalCDF(x, 0, 1) - q
-	x -= e / NormalPDF(x, 0, 1)
-	return x
-}
-
-// LogGammaPDFAffine is not defined here; see package si for the spread IC.
-
-// GammaIncP returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a,x)/Γ(a) for a > 0, x ≥ 0, using the series expansion for
-// x < a+1 and the continued fraction otherwise (Numerical Recipes style).
-func GammaIncP(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gammaSeries(a, x)
-	default:
-		return 1 - gammaContinuedFraction(a, x)
-	}
-}
-
-// GammaIncQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 − P(a, x).
-func GammaIncQ(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	case x < a+1:
-		return 1 - gammaSeries(a, x)
-	default:
-		return gammaContinuedFraction(a, x)
-	}
-}
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for n := 0; n < 500; n++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-16 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaContinuedFraction(a, x float64) float64 {
-	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-16 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ChiSquaredCDF returns P(X ≤ x) for X ~ χ²_k.
-func ChiSquaredCDF(x, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return GammaIncP(k/2, x/2)
-}
-
-// ChiSquaredLogPDF returns the log density of χ²_k at x (−Inf for x ≤ 0).
-func ChiSquaredLogPDF(x, k float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(k / 2)
-	return (k/2-1)*math.Log(x) - x/2 - (k/2)*math.Ln2 - lg
-}
-
 // Digamma returns ψ(x), the derivative of log Γ, for x > 0, via the
 // recurrence ψ(x) = ψ(x+1) − 1/x and the asymptotic series for large x.
 func Digamma(x float64) float64 {
@@ -652,9 +516,6 @@ func NewKDE(xs []float64, bandwidth float64) *KDE {
 	}
 	return &KDE{xs: append([]float64(nil), xs...), h: h}
 }
-
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.h }
 
 // PDF returns the estimated density at x.
 func (k *KDE) PDF(x float64) float64 {
