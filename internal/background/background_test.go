@@ -277,16 +277,12 @@ func TestSpreadStats(t *testing.T) {
 	if err := m.CommitLocation(ext, mat.Vec{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	center := mat.Vec{1, 1}
-	stats := m.SpreadStats(ext, unit(2, 0), center)
+	stats := m.SpreadStats(ext, unit(2, 0))
 	if len(stats) != 1 {
 		t.Fatalf("expected 1 group inside, got %d", len(stats))
 	}
 	if stats[0].Count != 10 || math.Abs(stats[0].S-1) > 1e-12 {
 		t.Fatalf("stats = %+v", stats[0])
-	}
-	if math.Abs(stats[0].MeanShift) > 1e-9 {
-		t.Fatalf("mean shift should be 0 after location commit, got %v", stats[0].MeanShift)
 	}
 }
 

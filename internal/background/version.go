@@ -62,9 +62,9 @@ type Reader interface {
 	// SubgroupMeanMarginal returns the background marginal of the
 	// subgroup mean statistic f_I(Y).
 	SubgroupMeanMarginal(ext *bitset.Set) (mat.Vec, *mat.Dense, error)
-	// SpreadStats returns per-group projected variances and mean
-	// shifts for a direction and center.
-	SpreadStats(ext *bitset.Set, w, center mat.Vec) []GroupStats
+	// SpreadStats returns per-group counts and projected variances for
+	// a direction.
+	SpreadStats(ext *bitset.Set, w mat.Vec) []GroupStats
 	// CountByGroup accumulates |ext ∩ group| per group.
 	CountByGroup(ext *bitset.Set, counts []int32) []int32
 	// DistinctSigmaChols returns the shared factorization when all
@@ -107,22 +107,14 @@ func (v *ModelVersion) Groups() []*Group { return v.groups }
 // immutable for the lifetime of the version.
 func (v *ModelVersion) Labels() []int32 { return v.labels }
 
-// GroupOf returns the group containing point i.
-func (v *ModelVersion) GroupOf(i int) *Group {
-	if i < 0 || i >= v.n {
-		return nil
-	}
-	return v.groups[v.labels[i]]
-}
-
 // SubgroupMeanMarginal implements Reader against this version.
 func (v *ModelVersion) SubgroupMeanMarginal(ext *bitset.Set) (mat.Vec, *mat.Dense, error) {
 	return subgroupMeanMarginal(v.groups, v.d, ext)
 }
 
 // SpreadStats implements Reader against this version.
-func (v *ModelVersion) SpreadStats(ext *bitset.Set, w, center mat.Vec) []GroupStats {
-	return groupSpreadStats(v.groups, v.labels, ext, w, center)
+func (v *ModelVersion) SpreadStats(ext *bitset.Set, w mat.Vec) []GroupStats {
+	return groupSpreadStats(v.groups, v.labels, ext, w)
 }
 
 // CountByGroup implements Reader against this version.
@@ -272,7 +264,7 @@ func subgroupMeanMarginal(groups []*Group, d int, ext *bitset.Set) (mu mat.Vec, 
 // AND-popcount pass per group — and the projected variance is
 // computed once per distinct Σ matrix (split siblings share Σ by
 // pointer until a spread commit diverges them).
-func groupSpreadStats(groups []*Group, labels []int32, ext *bitset.Set, w, center mat.Vec) []GroupStats {
+func groupSpreadStats(groups []*Group, labels []int32, ext *bitset.Set, w mat.Vec) []GroupStats {
 	counts := countByGroup(labels, len(groups), ext, nil)
 	var out []GroupStats
 	var prevSigma *mat.Dense
@@ -286,11 +278,7 @@ func groupSpreadStats(groups []*Group, labels []int32, ext *bitset.Set, w, cente
 			prevSigma = g.Sigma
 			prevS = w.Dot(g.Sigma.MulVec(w))
 		}
-		out = append(out, GroupStats{
-			Count:     int(ic),
-			S:         prevS,
-			MeanShift: w.Dot(center.Sub(g.Mu)),
-		})
+		out = append(out, GroupStats{Count: int(ic), S: prevS})
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func RefExpand(b *Batch, depth int, beam []Scored, numConds int) {
 	var scratch []CondID
 	for i := range beam {
 		p := &beam[i]
-		b.StartParent(p.Ext)
+		b.StartParent(p.Ext, p.Ids)
 		for ci := 0; ci < numConds; ci++ {
 			id := CondID(ci)
 			if ContainsID(p.Ids, id) {
@@ -119,7 +119,6 @@ func RefExpand(b *Batch, depth int, beam []Scored, numConds int) {
 			}
 			b.parentOf = append(b.parentOf, int32(len(b.parents)-1))
 			b.conds = append(b.conds, id)
-			b.ids = append(b.ids, scratch...)
 		}
 	}
 }
@@ -142,11 +141,12 @@ func BatchDiff(want, got *Batch) string {
 		}
 	}
 	for i := range want.conds {
+		wantIDs, gotIDs := want.AppendIDs(nil, i), got.AppendIDs(nil, i)
 		if want.parentOf[i] != got.parentOf[i] || want.conds[i] != got.conds[i] ||
-			!equalIDs(want.IDs(i), got.IDs(i)) {
+			!equalIDs(wantIDs, gotIDs) {
 			return fmt.Sprintf("candidate %d: parent %d cond %d ids %v, want parent %d cond %d ids %v",
-				i, got.parentOf[i], got.conds[i], got.IDs(i),
-				want.parentOf[i], want.conds[i], want.IDs(i))
+				i, got.parentOf[i], got.conds[i], gotIDs,
+				want.parentOf[i], want.conds[i], wantIDs)
 		}
 	}
 	return ""

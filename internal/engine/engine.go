@@ -10,10 +10,12 @@
 // scratch bitset (bitset.AndCountInto) and only materializes an
 // extension for candidates that survive support and scoring,
 // intentions are canonical ascending condition-ID slices (no string
-// keys), a scored candidate is a pointer-free Hit until a strategy keeps
-// it, candidate batches and result buffers are reused across searches,
-// and result logs are bounded top-k heaps rather than sort-and-truncate
-// over the whole level.
+// keys) that a batch builds on demand from the parent's, a scored
+// candidate is a pointer-free Hit until a strategy keeps it, each
+// worker keeps only a level's SelectTop best hits in a bounded heap
+// while it scores, candidate batches and heaps are reused across
+// searches, and result logs are bounded top-k heaps rather than
+// sort-and-truncate over the whole level.
 package engine
 
 import (
@@ -105,19 +107,17 @@ type Options struct {
 	Parallelism int       // worker goroutines (default GOMAXPROCS)
 	MinSupport  int       // minimum subgroup size (default 2)
 	Deadline    time.Time // zero means no time budget
-	// SelectTop, when positive, relaxes EvaluateBatch's ordering
-	// contract: only the first min(SelectTop, len) results are
-	// guaranteed to be the best of the batch, in engine order; the rest
-	// follow in unspecified order. Strategies that consume a bounded
-	// prefix (beam width, top-k log) set it to skip sorting the long
-	// tail of every level. The returned *set* of results is unchanged,
-	// so anything order-insensitive (the bounded top-k log) sees
-	// identical outcomes.
+	// SelectTop, which must be positive, is how many of a batch's best
+	// candidates EvaluateBatch returns, in engine order. Strategies that
+	// consume a bounded prefix (beam width, top-k log) set it to that
+	// prefix's length; a caller that reads every hit passes at least the
+	// batch's length. Each evaluation goroutine keeps its SelectTop best
+	// in a heap while it scores, so the rest of a level is never stored.
 	//
 	// SelectTop also arms bound pruning: with a BoundScorer, candidates
 	// whose admissible SI upper bound falls strictly below the running
 	// SelectTop-th best SI of the batch are dropped without scoring.
-	// Such candidates can neither enter the consumed prefix nor any
+	// Such candidates can neither enter the returned prefix nor any
 	// bounded top-k log fed from it, so results are bit-identical to the
 	// unpruned evaluation at every parallelism level.
 	SelectTop int
@@ -138,25 +138,25 @@ func (o Options) withDefaults() Options {
 
 // Batch is the columnar candidate arena for one search level: instead
 // of a slice of per-candidate structs (parent pointer + condition +
-// intention slice header each), a level is four flat streams — the
-// distinct parent extensions in first-use order, a per-candidate parent
-// index, a per-candidate condition, and one contiguous CondID arena
-// holding every candidate's canonical intention at a fixed stride (all
-// candidates of a level share one depth). The evaluation loop sweeps
-// the streams in order, and a caller reuses one Batch across levels
-// (Reset keeps the backing arrays), so steady-state level construction
-// allocates nothing.
+// intention slice header each), a level is a few flat streams — the
+// distinct parents' extensions and intentions in first-use order, a
+// per-candidate parent index and a per-candidate condition. A
+// candidate's intention is its parent's plus its condition, built on
+// demand (AppendIDs) by the few readers that need it. The evaluation
+// loop sweeps the streams in order, and a caller reuses one Batch
+// across levels (Reset keeps the backing arrays), so steady-state level
+// construction allocates nothing.
 //
 // Candidates sharing a parent must be appended contiguously (StartParent
 // once, then Add per refinement) — the evaluator amortizes per-parent
 // bound preparation over exactly these runs.
 type Batch struct {
-	depth    int
-	parents  []*bitset.Set // distinct parents; nil means the full dataset
-	parentOf []int32       // per candidate: index into parents
-	conds    []CondID      // per candidate: the refining condition
-	ids      []CondID      // intention arena, stride = depth
-	used     []bool        // Expand scratch: conditions of earlier parents
+	depth     int
+	parents   []*bitset.Set // distinct parents; nil means the full dataset
+	parentIds [][]CondID    // per distinct parent: its intention, caller-owned
+	parentOf  []int32       // per candidate: index into parents
+	conds     []CondID      // per candidate: the refining condition
+	used      []bool        // Expand scratch: conditions of earlier parents
 }
 
 // Reset clears the batch for a new level whose candidates all have
@@ -167,33 +167,34 @@ func (b *Batch) Reset(depth int) {
 	}
 	b.depth = depth
 	b.parents = b.parents[:0]
+	b.parentIds = b.parentIds[:0]
 	b.parentOf = b.parentOf[:0]
 	b.conds = b.conds[:0]
-	b.ids = b.ids[:0]
 }
 
-// StartParent begins a run of candidates refining ext. A nil ext means
-// the full dataset — the level-1 form that lets the evaluator skip the
-// intersection entirely (the extension IS the condition's) and, with a
-// StatScorerWorker, score it from the condition's cached target sum.
-func (b *Batch) StartParent(ext *bitset.Set) {
+// StartParent begins a run of candidates refining the parent with
+// extension ext and canonical intention ids (ascending, length = the
+// Reset depth − 1). A nil ext means the full dataset — the level-1 form
+// that lets the evaluator skip the intersection entirely (the extension
+// IS the condition's) and, with a StatScorerWorker, score it from the
+// condition's cached target sum. The batch keeps ids, not a copy: the
+// caller must leave it unchanged until the next Reset.
+func (b *Batch) StartParent(ext *bitset.Set, ids []CondID) {
+	if len(ids)+1 != b.depth {
+		panic("engine: Batch.StartParent intention length != depth-1")
+	}
 	b.parents = append(b.parents, ext)
+	b.parentIds = append(b.parentIds, ids)
 }
 
-// Add appends one candidate refining the current parent, whose
-// canonical intention is parentIDs (ascending, length = the Reset depth
-// − 1, not containing cond), with cond. The candidate's intention is
-// written into the batch arena, so callers may pass scratch.
-func (b *Batch) Add(cond CondID, parentIDs []CondID) {
+// Add appends one candidate refining the current parent with cond,
+// which the parent's intention must not contain.
+func (b *Batch) Add(cond CondID) {
 	if len(b.parents) == 0 {
 		panic("engine: Batch.Add before StartParent")
 	}
-	if len(parentIDs)+1 != b.depth {
-		panic("engine: Batch.Add intention length != depth")
-	}
 	b.parentOf = append(b.parentOf, int32(len(b.parents)-1))
 	b.conds = append(b.conds, cond)
-	b.ids = InsertSorted(b.ids, parentIDs, cond)
 }
 
 // Expand resets the batch to the level refining beam: each parent in
@@ -201,6 +202,7 @@ func (b *Batch) Add(cond CondID, parentIDs []CondID) {
 // every condition below numConds that the parent lacks, ascending. The
 // beam's intentions must be distinct and hold depth−1 conditions; a
 // single zero Scored expands to the depth-1 level of every condition.
+// The batch aliases the beam's Ids until the next Reset.
 //
 // A refinement X = Pᵢ ∪ {c} is dropped when an earlier parent Pⱼ (j < i)
 // already generated it, i.e. when Pⱼ ⊂ X. Pⱼ ⊄ Pᵢ, so that needs c ∈ Pⱼ:
@@ -216,13 +218,13 @@ func (b *Batch) Expand(depth int, beam []Scored, numConds int) {
 	clear(used)
 	for i := range beam {
 		p := &beam[i]
-		b.StartParent(p.Ext)
+		b.StartParent(p.Ext, p.Ids)
 		for c := range used {
 			id := CondID(c)
 			if ContainsID(p.Ids, id) || used[c] && generatedBefore(beam[:i], p.Ids, id) {
 				continue
 			}
-			b.Add(id, p.Ids)
+			b.Add(id)
 		}
 		for _, id := range p.Ids {
 			used[id] = true
@@ -244,20 +246,18 @@ func generatedBefore(earlier []Scored, ids []CondID, c CondID) bool {
 // Len returns the number of candidates in the batch.
 func (b *Batch) Len() int { return len(b.conds) }
 
-// IDs returns candidate i's canonical intention, aliasing the batch
-// arena (valid until the next Reset).
-func (b *Batch) IDs(i int) []CondID {
-	d := b.depth
-	return b.ids[i*d : (i+1)*d : (i+1)*d]
+// AppendIDs appends candidate i's canonical intention to dst and
+// returns the extended slice.
+func (b *Batch) AppendIDs(dst []CondID, i int) []CondID {
+	return InsertSorted(dst, b.parentIds[b.parentOf[i]], b.conds[i])
 }
 
 // Hit is one accepted (supported, scoreable) candidate as EvaluateBatch
 // returns it: its scores, its subgroup size and its index in the batch,
-// whose arena holds its intention (Batch.IDs). A Hit holds no pointer,
+// which builds its intention (Batch.AppendIDs). A Hit holds no pointer,
 // so candidates that never survive beam/log selection cost no
-// allocations and the result buffer costs the GC no scan. Size is at
-// least the evaluator's MinSupport, so a zero Size marks an unscored
-// slot. Callers pass the survivors to Evaluator.Materialize.
+// allocations and the heaps that select them cost the GC no scan.
+// Callers pass the survivors to Evaluator.Materialize.
 type Hit struct {
 	SI, IC     float64
 	Cand, Size int32
@@ -275,24 +275,14 @@ type Scored struct {
 }
 
 // better is the engine's total order on scored candidates: SI
-// descending, canonical intention ascending as the deterministic
-// tiebreak. Every strategy ranks with this one ordering, so beam,
-// exhaustive and heap-based logs agree on ties.
+// descending, canonical intention ascending (lexicographic) as the
+// deterministic tiebreak. Every strategy ranks with this one ordering,
+// so beam, exhaustive and heap-based logs agree on ties.
 func better(aSI float64, aIds []CondID, bSI float64, bIds []CondID) bool {
 	if aSI != bSI {
 		return aSI > bSI
 	}
-	return lessIDs(aIds, bIds)
-}
-
-// lessIDs compares canonical ID slices lexicographically.
-func lessIDs(a, b []CondID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+	return slices.Compare(aIds, bIds) < 0
 }
 
 // Evaluator scores batches of candidates against one Language and
@@ -300,7 +290,7 @@ func lessIDs(a, b []CondID) bool {
 // per-worker scorer scratch) across batches. An Evaluator is cheap to
 // create per search; it must not be shared between concurrent searches.
 // A search Releases its evaluator when done, which hands the batch and
-// result buffers on to the next search.
+// selection buffers on to the next search.
 type Evaluator struct {
 	*arena
 	lang    *Language
@@ -324,11 +314,10 @@ type Evaluator struct {
 	bounds []BoundWorker
 	// floorKey is the shared SI floor for the current batch, encoded as
 	// a monotone order key so a CAS-max works on the raw bits. Workers
-	// publish their local SelectTop-th best SI here; candidates whose
-	// inflated bound falls strictly below the floor are pruned.
+	// publish the root SI of their full top-SelectTop heap here;
+	// candidates whose inflated bound falls strictly below the floor are
+	// pruned.
 	floorKey atomic.Uint64
-	// floorHeaps[i] is goroutine i's reusable top-SelectTop SI min-heap.
-	floorHeaps [][]float64
 	// seedSI, when armed via SeedFloor, initializes the next batch's
 	// floor instead of -Inf.
 	seedSI  float64
@@ -341,17 +330,20 @@ type Evaluator struct {
 }
 
 // arena is the buffer set that grows with a search's size: the columnar
-// Batch, EvaluateBatch's result buffer, the next level's parents and
-// one bound scratch per evaluation goroutine, where BoundWorker.Prepare
-// keeps a parent's sorted residual prefix sums. Sets circulate through
-// a process-wide free list — NewEvaluator takes one, Release parks it —
-// so a warm search, even one with a fresh scorer on another dataset,
-// reuses the high-water buffers of earlier searches instead of
-// regrowing its own. out grows with append-style headroom, so a level a
-// little larger than the high-water mark does not reallocate either.
+// Batch, one top-SelectTop heap per evaluation goroutine and the buffer
+// that merges them, the next level's parents and one bound scratch per
+// evaluation goroutine, where BoundWorker.Prepare keeps a parent's
+// sorted residual prefix sums. Sets circulate through a process-wide
+// free list — NewEvaluator takes one, Release parks it — so a warm
+// search, even one with a fresh scorer on another dataset, reuses the
+// high-water buffers of earlier searches instead of regrowing its own.
+// Every buffer grows by append and keeps its capacity. Only the batch's
+// parentOf and conds columns grow with a level's candidate count; the
+// rest grows with SelectTop, the beam or the rows.
 type arena struct {
 	batch        Batch
-	out          []Hit
+	heaps        []hitHeap
+	merged       []Hit
 	parents      []Scored
 	boundScratch [][]float64
 }
@@ -378,9 +370,10 @@ func takeArena() *arena {
 
 // Release parks the evaluator's buffers on the free list. The evaluator,
 // its Batch and every slice EvaluateBatch or Parents returned are
-// invalid after it. The batch's parent column and the parent buffer are
+// invalid after it. The batch's parent columns and the parent buffer are
 // cleared first, so a parked set keeps no extension, mean or intention
-// alive; the result buffer holds no pointer and is left as it is.
+// alive; the heaps, the merge buffer and the per-candidate columns hold
+// no pointer and are left as they are.
 func (e *Evaluator) Release() {
 	a := e.arena
 	if a == nil {
@@ -388,6 +381,7 @@ func (e *Evaluator) Release() {
 	}
 	e.arena = nil
 	clear(a.batch.parents[:cap(a.batch.parents)])
+	clear(a.batch.parentIds[:cap(a.batch.parentIds)])
 	clear(a.parents[:cap(a.parents)])
 	arenas.Lock()
 	if len(arenas.free) < runtime.GOMAXPROCS(0) {
@@ -482,8 +476,12 @@ func InflateBound(ub float64) float64 { return ub + boundSlack*(math.Abs(ub)+1) 
 // Affects only speed, never results.
 const minBoundRun = 64
 
-// NewEvaluator builds an evaluator over the language.
+// NewEvaluator builds an evaluator over the language. opt.SelectTop
+// must be positive.
 func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
+	if opt.SelectTop <= 0 {
+		panic("engine: Options.SelectTop must be positive")
+	}
 	opt = opt.withDefaults()
 	e := &Evaluator{arena: takeArena(), lang: lang, sc: sc, opt: opt}
 	e.scratch = make([]*bitset.Set, opt.Parallelism)
@@ -491,6 +489,9 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 		e.scratch[i] = bitset.New(lang.N)
 	}
 	e.full = bitset.Full(lang.N)
+	if k := opt.Parallelism - len(e.heaps); k > 0 {
+		e.heaps = append(e.heaps, make([]hitHeap, k)...)
+	}
 	if ws, ok := sc.(WorkerScorer); ok {
 		e.workers = make([]ScorerWorker, opt.Parallelism)
 		e.statWorkers = make([]StatScorerWorker, opt.Parallelism)
@@ -510,7 +511,7 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 			e.statWorkers = nil
 		}
 	}
-	if bs, ok := sc.(BoundScorer); ok && !opt.DisableBounds && opt.SelectTop > 0 {
+	if bs, ok := sc.(BoundScorer); ok && !opt.DisableBounds {
 		if w0 := bs.NewBoundWorker(); w0 != nil {
 			if k := opt.Parallelism - len(e.boundScratch); k > 0 {
 				e.boundScratch = append(e.boundScratch, make([][]float64, k)...)
@@ -520,39 +521,39 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 			for i := 1; i < opt.Parallelism; i++ {
 				e.bounds[i] = bs.NewBoundWorker()
 			}
-			e.floorHeaps = make([][]float64, opt.Parallelism)
-			heapBuf := make([]float64, opt.Parallelism*opt.SelectTop)
-			for i := range e.floorHeaps {
-				e.floorHeaps[i] = heapBuf[i*opt.SelectTop : i*opt.SelectTop : (i+1)*opt.SelectTop]
-			}
 		}
 	}
 	e.ctrs = make([]int64, 3*opt.Parallelism)
 	return e
 }
 
-// EvaluateBatch scores all candidates in parallel and returns the
-// accepted ones as Hits sorted by the engine ordering (SI descending,
-// deterministic regardless of scheduling). With a WorkerScorer the
-// entire batch costs no per-candidate allocations: level-1 candidates
-// (nil parent) are scored from the condition's extension and cached
-// target sum, deeper ones through one fused AndCountInto +
-// worker-scratch scoring pass over the batch's columnar streams. The
-// returned slice is evaluator-owned scratch and a Hit's intention lives
-// in the batch, both valid until the next EvaluateBatch/Reset —
-// Materialize survivors before retaining.
+// EvaluateBatch scores all candidates in parallel and returns the best
+// min(SelectTop, accepted) of them as Hits sorted by the engine ordering
+// (SI descending, deterministic regardless of scheduling). With a
+// WorkerScorer the entire batch costs no per-candidate allocations:
+// level-1 candidates (nil parent) are scored from the condition's
+// extension and cached target sum, deeper ones through one fused
+// AndCountInto + worker-scratch scoring pass over the batch's columnar
+// streams. The returned slice is evaluator-owned scratch and a Hit's
+// intention is built from the batch, both valid until the next
+// EvaluateBatch/Reset — Materialize survivors before retaining.
 //
-// With bounds armed (BoundScorer + SelectTop, no DisableBounds), each
-// worker keeps a running min-heap of its SelectTop best SIs and
-// publishes the heap root to a shared atomic floor. Because a worker's
-// SelectTop-th best over a SUBSET of the batch can only underestimate
-// the batch-wide SelectTop-th best, the floor is always a valid lower
-// bound on the final prefix-entry SI; a candidate whose inflated upper
-// bound falls strictly below it can neither enter the SelectTop prefix
-// nor outrank prefix entries in any downstream bounded log, so skipping
-// its scoring pass leaves consumed results bit-identical at every
-// parallelism level. Which candidates get skipped DOES vary with
-// scheduling — only the Stats counters observe that.
+// Each worker keeps its SelectTop best hits in a min-heap on the engine
+// order while it scores, and EvaluateBatch sorts the union of the heaps
+// and cuts it at SelectTop. Every member of the batch's top SelectTop is
+// in its own worker's top SelectTop, so the cut is exactly the prefix a
+// sort of the whole batch would give.
+//
+// With bounds armed (BoundScorer, no DisableBounds), each worker also
+// publishes the root SI of its full heap to a shared atomic floor.
+// Because a worker's SelectTop-th best over a SUBSET of the batch can
+// only underestimate the batch-wide SelectTop-th best, the floor is
+// always a valid lower bound on the final prefix-entry SI; a candidate
+// whose inflated upper bound falls strictly below it can neither enter
+// the SelectTop prefix nor outrank prefix entries in any downstream
+// bounded log, so skipping its scoring pass leaves results bit-identical
+// at every parallelism level. Which candidates get skipped DOES vary
+// with scheduling — only the Stats counters observe that.
 //
 // When the evaluator's Deadline expires mid-batch the whole batch is
 // abandoned and timedOut is true with a nil result: a partial level is
@@ -563,8 +564,6 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 	if n > math.MaxInt32 {
 		panic("engine: batch too large for Hit.Cand")
 	}
-	e.out = slices.Grow(e.out[:0], n)
-	out := e.out[:n]
 	checkDeadline := !e.opt.Deadline.IsZero()
 	var expired atomic.Bool
 
@@ -588,12 +587,11 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 	}
 
 	nw := e.opt.Parallelism
-	if len(e.ctrs) < 3*nw {
-		e.ctrs = make([]int64, 3*nw)
-	}
 	ctrs := e.ctrs
-	for i := range ctrs {
-		ctrs[i] = 0
+	clear(ctrs)
+	heaps := e.heaps[:nw]
+	for w := range heaps {
+		heaps[w].h = heaps[w].h[:0]
 	}
 
 	var wg sync.WaitGroup
@@ -613,11 +611,10 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 			depth := b.depth
 			minSupport := e.opt.MinSupport
 			selectTop := e.opt.SelectTop
+			heap := &heaps[w]
 			var bw BoundWorker
-			var heap []float64
 			if pruning {
 				bw = e.bounds[w]
-				heap = e.floorHeaps[w][:0]
 			}
 			curPar := int32(-1)
 			boundReady := false
@@ -632,7 +629,6 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 						return
 					}
 				}
-				out[i].Size = 0 // unscored unless the candidate is kept below
 				pi := b.parentOf[i]
 				parent := b.parents[pi]
 				cond := b.conds[i]
@@ -690,25 +686,10 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 					continue
 				}
 				nScored++
-				out[i] = Hit{SI: si, IC: ic, Cand: int32(i), Size: int32(size)}
-				if heap != nil {
-					// Local top-SelectTop SI min-heap; once full, its root
-					// is this worker's floor contribution.
-					if len(heap) < selectTop {
-						heap = append(heap, si)
-						siftUpFloat(heap)
-						if len(heap) == selectTop {
-							e.raiseFloor(heap[0])
-						}
-					} else if si > heap[0] {
-						heap[0] = si
-						siftDownFloat(heap)
-						e.raiseFloor(heap[0])
-					}
+				hit := Hit{SI: si, IC: ic, Cand: int32(i), Size: int32(size)}
+				if heap.push(b, selectTop, hit) && pruning {
+					e.raiseFloor(heap.h[0].SI)
 				}
-			}
-			if pruning {
-				e.floorHeaps[w] = heap[:0]
 			}
 			ctrs[3*w], ctrs[3*w+1], ctrs[3*w+2] = nScored, nBound, nPruned
 		}(w, lo, hi)
@@ -723,63 +704,85 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 		e.stats.Pruned += ctrs[3*w+2]
 	}
 
-	kept = out[:0] // filter in place; out's backing array is ours
-	for _, h := range out {
-		if h.Size != 0 {
-			kept = append(kept, h)
-		}
+	kept = e.merged[:0]
+	for w := range heaps {
+		kept = append(kept, heaps[w].h...)
 	}
-	if e.opt.SelectTop > 0 {
-		selectTopHits(b, kept, e.opt.SelectTop)
-	} else {
-		sortHits(b, kept)
-	}
-	return kept, false
+	e.merged = kept
+	slices.SortFunc(kept, func(x, y Hit) int { return heaps[0].cmp(b, &x, &y) })
+	return kept[:min(len(kept), e.opt.SelectTop)], false
 }
 
-// siftUpFloat restores the min-heap property after appending to h.
-func siftUpFloat(h []float64) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
+// hitHeap is one evaluation goroutine's running best of a batch: a
+// min-heap of at most SelectTop hits on the engine order, whose root is
+// the worst hit it keeps. x and y are intention scratch for the SI ties
+// that the order breaks by intention.
+type hitHeap struct {
+	h    []Hit
+	x, y []CondID
 }
 
-// siftDownFloat restores the min-heap property after replacing h[0].
-func siftDownFloat(h []float64) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && h[l] < h[min] {
-			min = l
+// cmp is the engine order on two hits of b: negative when x ranks
+// first. Only an SI tie builds the two intentions, into the scratch.
+func (hh *hitHeap) cmp(b *Batch, x, y *Hit) int {
+	if x.SI != y.SI {
+		if x.SI > y.SI {
+			return -1
 		}
-		if r < len(h) && h[r] < h[min] {
-			min = r
+		return 1
+	}
+	hh.x = b.AppendIDs(hh.x[:0], int(x.Cand))
+	hh.y = b.AppendIDs(hh.y[:0], int(y.Cand))
+	return slices.Compare(hh.x, hh.y)
+}
+
+// push offers hit to the heap, which keeps the k best hits offered, and
+// reports whether the heap is now full with a new root.
+func (hh *hitHeap) push(b *Batch, k int, hit Hit) bool {
+	h := hh.h
+	if len(h) < k {
+		h = append(h, hit)
+		hh.h = h
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if hh.cmp(b, &h[i], &h[p]) < 0 {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
 		}
-		if min == i {
-			return
+		return len(h) == k
+	}
+	if hh.cmp(b, &hit, &h[0]) >= 0 {
+		return false
+	}
+	h[0] = hit
+	for i := 0; ; {
+		worst := i
+		if l := 2*i + 1; l < len(h) && hh.cmp(b, &h[l], &h[worst]) > 0 {
+			worst = l
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		if r := 2*i + 2; r < len(h) && hh.cmp(b, &h[r], &h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return true
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 
 // Materialize builds the owned Scored for a hit the caller is about to
-// retain (beam parent, top-k entry): a copy of its intention, its
-// extension and its mean. The extension is recomputed with the same
-// intersection kernel and the mean re-derived by the same scoring path,
-// so materialized values are bit-identical to the ones EvaluateBatch
-// ranked on; only the handful of survivors per level pay the clones. b
-// must be the batch the hit came from.
+// retain (beam parent, top-k entry): its intention, its extension and
+// its mean. The extension is recomputed with the same intersection
+// kernel and the mean re-derived by the same scoring path, so
+// materialized values are bit-identical to the ones EvaluateBatch ranked
+// on; only the handful of survivors per level pay the clones. b must be
+// the batch the hit came from.
 func (e *Evaluator) Materialize(b *Batch, h Hit) Scored {
 	s := Scored{
-		Ids:  slices.Clone(b.IDs(int(h.Cand))),
+		Ids:  b.AppendIDs(make([]CondID, 0, b.depth), int(h.Cand)),
 		Size: int(h.Size),
 		SI:   h.SI, IC: h.IC,
 	}
@@ -820,90 +823,6 @@ func SortScored(s []Scored) {
 	sort.Slice(s, func(i, j int) bool {
 		return better(s[i].SI, s[i].Ids, s[j].SI, s[j].Ids)
 	})
-}
-
-// sortHits sorts hits of batch b by the engine ordering.
-func sortHits(b *Batch, s []Hit) {
-	sort.Slice(s, func(i, j int) bool { return b.hitBefore(&s[i], &s[j]) })
-}
-
-// hitBefore is better on two hits of b. It reads the tie-breaking
-// intentions from the batch arena only on an SI tie, so the common case
-// inlines into the sorts.
-func (b *Batch) hitBefore(x, y *Hit) bool {
-	if x.SI != y.SI {
-		return x.SI > y.SI
-	}
-	return b.lessCands(x.Cand, y.Cand)
-}
-
-// lessCands compares candidates i and j of b by intention.
-func (b *Batch) lessCands(i, j int32) bool {
-	return lessIDs(b.IDs(int(i)), b.IDs(int(j)))
-}
-
-// selectTopHits partially orders hits of batch b so that s[:k] holds the
-// k best by the engine ordering, sorted, while s[k:] is left in
-// unspecified order — equivalent to sortHits for every read of the
-// first k entries, at O(n + k·log k) instead of O(n·log n). The engine
-// ordering is strict and total (ties broken by canonical intention), so
-// the selected prefix is the same set a full sort would produce.
-func selectTopHits(b *Batch, s []Hit, k int) {
-	if k <= 0 {
-		return
-	}
-	if k >= len(s) {
-		sortHits(b, s)
-		return
-	}
-	lo, hi := 0, len(s) // invariant: the k-boundary lies within s[lo:hi]
-	for hi-lo > 12 {
-		// Median-of-three pivot (by value copy; Hoare partition).
-		mid := int(uint(lo+hi) >> 1)
-		if b.hitBefore(&s[mid], &s[lo]) {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if b.hitBefore(&s[hi-1], &s[lo]) {
-			s[hi-1], s[lo] = s[lo], s[hi-1]
-		}
-		if b.hitBefore(&s[hi-1], &s[mid]) {
-			s[hi-1], s[mid] = s[mid], s[hi-1]
-		}
-		p := s[mid]
-		i, j := lo, hi-1
-		for i <= j {
-			for b.hitBefore(&s[i], &p) {
-				i++
-			}
-			for b.hitBefore(&p, &s[j]) {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j + 1
-		case k >= i:
-			lo = i
-		default:
-			hi = lo // boundary settled between j and i
-		}
-	}
-	// Small window: insertion sort settles every position in it.
-	for i := lo + 1; i < hi; i++ {
-		v := s[i]
-		j := i
-		for j > lo && b.hitBefore(&v, &s[j-1]) {
-			s[j] = s[j-1]
-			j--
-		}
-		s[j] = v
-	}
-	sortHits(b, s[:k])
 }
 
 // InsertSorted appends parent's ascending IDs with id spliced in at its

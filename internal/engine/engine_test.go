@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -78,16 +79,17 @@ func TestEvaluateBatchMatchesDirectScoring(t *testing.T) {
 	full := bitset.Full(ds.N())
 	batch := &Batch{}
 	batch.Reset(1)
-	batch.StartParent(full)
+	batch.StartParent(full, nil)
 	for i := range lang.Conds {
-		batch.Add(CondID(i), nil)
+		batch.Add(CondID(i))
 	}
 	for _, par := range []int{1, 3, 8} {
-		ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: par, MinSupport: 2})
+		ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: par, MinSupport: 2, SelectTop: batch.Len()})
 		got, timedOut := ev.EvaluateBatch(batch)
 		if timedOut {
 			t.Fatal("no deadline was set")
 		}
+		var order hitHeap // cmp's intention scratch
 		for k, h := range got {
 			s := ev.Materialize(batch, h)
 			if s.Ext.Count() != s.Size {
@@ -96,7 +98,7 @@ func TestEvaluateBatchMatchesDirectScoring(t *testing.T) {
 			if !s.Ext.Equal(lang.Exts[s.Ids[0]]) {
 				t.Fatalf("par=%d: extension of %v differs from condition extension", par, s.Ids)
 			}
-			if k > 0 && batch.hitBefore(&h, &got[k-1]) {
+			if k > 0 && order.cmp(batch, &h, &got[k-1]) < 0 {
 				t.Fatalf("par=%d: output not sorted at %d", par, k)
 			}
 		}
@@ -121,9 +123,9 @@ func TestEvaluateBatchScratchIsolation(t *testing.T) {
 	full := bitset.Full(ds.N())
 	batch := &Batch{}
 	batch.Reset(1)
-	batch.StartParent(full)
-	batch.Add(0, nil)
-	ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: 1})
+	batch.StartParent(full, nil)
+	batch.Add(0)
+	ev := NewEvaluator(lang, sizeScorer{}, Options{Parallelism: 1, SelectTop: 1})
 	first, _ := ev.EvaluateBatch(batch)
 	if len(first) != 1 {
 		t.Fatal("candidate rejected")
@@ -133,8 +135,8 @@ func TestEvaluateBatchScratchIsolation(t *testing.T) {
 	snapshot := ext.Clone()
 	idsSnapshot := append([]CondID(nil), ids...)
 	batch.Reset(1)
-	batch.StartParent(full)
-	batch.Add(1, nil)
+	batch.StartParent(full, nil)
+	batch.Add(1)
 	ev.EvaluateBatch(batch)
 	if !ext.Equal(snapshot) {
 		t.Fatal("earlier result mutated by later batch (scratch leaked)")
@@ -150,12 +152,13 @@ func TestEvaluateBatchExpiredDeadlineAbandonsBatch(t *testing.T) {
 	full := bitset.Full(ds.N())
 	batch := &Batch{}
 	batch.Reset(1)
-	batch.StartParent(full)
+	batch.StartParent(full, nil)
 	for i := range lang.Conds {
-		batch.Add(CondID(i), nil)
+		batch.Add(CondID(i))
 	}
 	ev := NewEvaluator(lang, sizeScorer{}, Options{
 		Parallelism: 2,
+		SelectTop:   1,
 		Deadline:    time.Now().Add(-time.Second),
 	})
 	got, timedOut := ev.EvaluateBatch(batch)
@@ -397,8 +400,8 @@ func (meanScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Ve
 // search wrote that can hold a pointer. A search whose large level
 // precedes a small one, and then a small search on the arena the large
 // level grew, must each leave no Ids, Ext or Mean pointer in the parked
-// parent buffer and no extension in the batch's parent column; the
-// result buffer holds no pointer at all.
+// parent buffer and no extension or intention in the batch's parent
+// columns; the heaps and the merge buffer hold no pointer at all.
 func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 	arenas.Lock()
 	arenas.free = nil // the next takeArena returns the set parked last
@@ -406,7 +409,7 @@ func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 	ds := testDS(120, 9)
 	lang := LanguageFor(ds, 4)
 	search := func(widths ...int) *arena {
-		ev := NewEvaluator(lang, meanScorer{}, Options{Parallelism: 2, MinSupport: 1})
+		ev := NewEvaluator(lang, meanScorer{}, Options{Parallelism: 2, MinSupport: 1, SelectTop: len(lang.Conds)})
 		b := ev.Batch()
 		var root [1]Scored
 		b.Expand(1, root[:], len(lang.Conds))
@@ -440,6 +443,11 @@ func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 				t.Fatalf("parked batch parent %d still holds an extension", i)
 			}
 		}
+		for i, ids := range a.batch.parentIds[:cap(a.batch.parentIds)] {
+			if ids != nil {
+				t.Fatalf("parked batch parent %d still holds an intention", i)
+			}
+		}
 	}
 	large := search(len(lang.Conds), 1)
 	checkParked(large)
@@ -448,4 +456,89 @@ func TestReleaseClearsEveryWrittenSlot(t *testing.T) {
 		t.Fatal("the small search did not reuse the large search's arena")
 	}
 	checkParked(small)
+}
+
+// boundedSizeScorer is sizeScorer with its exact, hence admissible,
+// bound: any subgroup of size k scores k.
+type boundedSizeScorer struct{ sizeScorer }
+
+func (boundedSizeScorer) NewBoundWorker() BoundWorker { return sizeBound{} }
+
+type sizeBound struct{}
+
+func (sizeBound) Prepare(*bitset.Set, *[]float64) bool { return true }
+func (sizeBound) BoundSI(size, _ int) float64          { return float64(size) }
+
+// TestEvaluateBatchSelectTopMatchesFullSort: on a level of several
+// parents whose candidates tie in SI by the dozen, EvaluateBatch
+// returns exactly the first SelectTop hits of a reference that scores
+// every candidate directly and sorts them all by the engine order, at
+// every parallelism, with and without bound pruning.
+func TestEvaluateBatchSelectTopMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n, cols = 60, 12
+	ds := &dataset.Dataset{Name: "wide", TargetNames: []string{"t"}, Y: mat.NewDense(n, 1)}
+	for c := 0; c < cols; c++ {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		ds.Descriptors = append(ds.Descriptors, dataset.Column{Name: fmt.Sprint("x", c), Kind: dataset.Numeric, Values: v})
+	}
+	lang := LanguageFor(ds, 4)
+	var beam []Scored
+	for _, c := range []CondID{3, 0, 17, 40, 9} {
+		beam = append(beam, Scored{Ids: []CondID{c}, Ext: lang.Exts[c]})
+	}
+	batch := &Batch{}
+	batch.Expand(2, beam, len(lang.Conds))
+
+	// The reference: every supported candidate, scored directly and
+	// sorted by SI, then intention.
+	const minSupport = 2
+	var want []Hit
+	for i := range batch.Len() {
+		ext := batch.parents[batch.parentOf[i]].And(lang.Exts[batch.conds[i]])
+		if size := ext.Count(); size >= minSupport {
+			want = append(want, Hit{SI: float64(size), IC: float64(size), Cand: int32(i), Size: int32(size)})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		return better(want[i].SI, batch.AppendIDs(nil, int(want[i].Cand)),
+			want[j].SI, batch.AppendIDs(nil, int(want[j].Cand)))
+	})
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		if want[i].SI == want[i-1].SI {
+			ties++
+		}
+	}
+	t.Logf("%d candidates, %d hits, %d ties", batch.Len(), len(want), ties)
+	if ties < len(want)/2 {
+		t.Fatalf("only %d of %d hits tie with their predecessor; the tie-break goes untested", ties, len(want))
+	}
+
+	var pruned int64
+	for _, sc := range []Scorer{sizeScorer{}, boundedSizeScorer{}} {
+		for _, par := range []int{1, 2, 3, 7} {
+			for _, k := range []int{1, 5, batch.Len()} {
+				ev := NewEvaluator(lang, sc, Options{Parallelism: par, MinSupport: minSupport, SelectTop: k})
+				got, _ := ev.EvaluateBatch(batch)
+				pruned += ev.Stats().Pruned
+				ev.Release()
+				w := want[:min(k, len(want))]
+				if len(got) != len(w) {
+					t.Fatalf("%T, par=%d, k=%d: %d hits, want %d", sc, par, k, len(got), len(w))
+				}
+				for i := range w {
+					if got[i] != w[i] {
+						t.Fatalf("%T, par=%d, k=%d: hit %d is %+v, want %+v", sc, par, k, i, got[i], w[i])
+					}
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("the bounded scorer pruned nothing; the floor goes untested")
+	}
 }

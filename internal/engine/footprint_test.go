@@ -12,13 +12,16 @@ import (
 	"repro/internal/si"
 )
 
-// TestResultSlotFootprint pins the cost of the evaluator arena's result
-// buffer, which stays parked on the free list between searches. Its
-// record holds no pointer, so the GC never scans it, and after the
-// paper's beam on the crime replica (width 40, depth 4, tens of
-// thousands of candidates a level) it costs at most 24 bytes per slot
-// of capacity.
-func TestResultSlotFootprint(t *testing.T) {
+// TestParkedArenaFootprint pins what an evaluator arena costs while it
+// waits on the free list between searches. After the paper's beam on
+// the crime replica (width 40, depth 4, tens of thousands of candidates
+// a level), only the batch's parent index and condition columns may grow
+// with a level's candidate count: together at most 8 bytes per
+// candidate of capacity, in records that hold no pointer, so the GC
+// never scans them. Everything else in the set (the heaps and their
+// merge buffer, the beam's parents, the bound scratch) grows with
+// SelectTop, the beam width or the rows, and must stay under 64 KiB.
+func TestParkedArenaFootprint(t *testing.T) {
 	ds := gen.CrimeLike(gen.SeedCrime).DS
 	m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))
 	if err != nil {
@@ -29,25 +32,41 @@ func TestResultSlotFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := search.Params{BeamWidth: 40, MaxDepth: 4, Parallelism: 2}
-	search.Beam(ds, sc, p) // warm: the arena reaches its high-water mark
+	engine.DropParkedArenas() // no buffer grown by another test's search
+	search.Beam(ds, sc, p)    // warm: the arena reaches its high-water mark
 	res := search.Beam(ds, sc, p)
 
-	rec, slots, perSlot := engine.ParkedResultFootprint()
-	if rec == nil {
-		t.Fatal("no arena was parked after the search")
+	cols := engine.ParkedColumns()
+	candidates := 0
+	for _, c := range cols {
+		if c.Path == "arena.batch.conds" {
+			candidates = c.Cap
+		}
 	}
-	if !pointerFree(rec) {
-		t.Errorf("result record %v holds a pointer; the GC scans the parked buffer", rec)
+	if want := res.Evaluated / res.Levels; candidates < want {
+		t.Fatalf("parked batch holds %d candidates, fewer than the %d of an average level", candidates, want)
 	}
-	if rec.Size() > 24 {
-		t.Errorf("result record %v is %d bytes, want at most 24", rec, rec.Size())
+	perCandidate, rest, nRest := 0, 0, 0
+	for _, c := range cols {
+		if c.Cap < candidates {
+			rest += c.Bytes
+			nRest++
+			continue
+		}
+		perCandidate += c.Bytes
+		t.Logf("%s: %d × %v, %d bytes", c.Path, c.Cap, c.Elem, c.Bytes)
+		if !pointerFree(c.Elem) {
+			t.Errorf("per-candidate column %s holds %v, a pointer the GC must scan", c.Path, c.Elem)
+		}
 	}
-	if want := res.Evaluated / res.Levels; slots < want {
-		t.Fatalf("result buffer has %d slots, fewer than the %d candidates of an average level", slots, want)
+	t.Logf("%d candidates: per-candidate columns %.1f bytes each, the other %d columns %d bytes",
+		candidates, float64(perCandidate)/float64(candidates), nRest, rest)
+	if perCandidate > 8*candidates {
+		t.Errorf("per-candidate columns cost %.1f bytes per candidate, want at most 8",
+			float64(perCandidate)/float64(candidates))
 	}
-	t.Logf("%v: %d slots, %.1f bytes per slot", rec, slots, perSlot)
-	if perSlot > 24 {
-		t.Errorf("parked result buffer costs %.1f bytes per slot, want at most 24", perSlot)
+	if rest > 64<<10 {
+		t.Errorf("the other columns cost %d bytes, want at most %d", rest, 64<<10)
 	}
 }
 

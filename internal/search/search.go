@@ -124,12 +124,12 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 	p = p.withDefaults()
 	lang := engine.LanguageFor(ds, p.NumSplits)
 	// The beam consumes a bounded prefix of every level: BeamWidth
-	// parents plus whatever can still enter the TopK log. Selecting that
-	// prefix instead of sorting the whole level keeps the long tail of
-	// thousands of scored-but-doomed candidates out of the sort, and —
-	// because the prefix holds the exact top entries in order — the log
-	// accepts them first and rejects everything behind them with one
-	// heap-root compare each.
+	// parents plus whatever can still enter the TopK log. The evaluator
+	// returns only that prefix, chosen while the level is scored, so the
+	// long tail of thousands of scored-but-doomed candidates is never
+	// stored or sorted, and — because the prefix holds the exact top
+	// entries in order — the log accepts them first and rejects
+	// everything behind them with one heap-root compare each.
 	selectTop := p.BeamWidth
 	if p.TopK > selectTop {
 		selectTop = p.TopK
@@ -154,6 +154,7 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 	// through Release, across searches): its streams only ever grow to
 	// the high-water candidate count.
 	batch := ev.Batch()
+	ids := make([]engine.CondID, 0, p.MaxDepth) // a hit's intention, for the log
 	var root [1]engine.Scored
 	batch.Expand(1, root[:], len(lang.Conds))
 
@@ -193,7 +194,8 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 		}
 		beam := ev.Parents(width)
 		for i, h := range level {
-			logged := top.WouldAccept(h.SI, batch.IDs(int(h.Cand)))
+			ids = batch.AppendIDs(ids[:0], int(h.Cand))
+			logged := top.WouldAccept(h.SI, ids)
 			if !logged && i >= width {
 				continue
 			}

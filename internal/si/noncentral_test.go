@@ -26,7 +26,7 @@ import (
 // an extension beyond the paper: it makes the spread IC accurate in the
 // overlapping-pattern regime. The search does not use it; the tests
 // below validate it against Monte Carlo as an alternative to Eq. 18.
-func MomentsNoncentral(gs []background.GroupStats, total int) SpreadMoments {
+func MomentsNoncentral(gs []shiftedGroup, total int) SpreadMoments {
 	inv := 1 / float64(total)
 	var k1, k2, k3, a1, a2, a3 float64
 	for _, g := range gs {
@@ -48,6 +48,44 @@ func MomentsNoncentral(gs []background.GroupStats, total int) SpreadMoments {
 	}
 }
 
+// shiftedGroup is what the noncentral fit needs of one group inside an
+// extension: its count, its projected variance wᵀΣ_g·w and its mean
+// shift wᵀ(center − µ_g).
+type shiftedGroup struct {
+	Count        int
+	S, MeanShift float64
+}
+
+// centralStats drops the mean shifts, for the central fit (Eq. 18).
+func centralStats(gs []shiftedGroup) []background.GroupStats {
+	out := make([]background.GroupStats, len(gs))
+	for i, g := range gs {
+		out[i] = background.GroupStats{Count: g.Count, S: g.S}
+	}
+	return out
+}
+
+// shiftedGroups reads, from the model's groups and labeling, every
+// group intersecting ext with its count there, its projected variance
+// along w and its mean shift from center.
+func shiftedGroups(m background.Reader, ext *bitset.Set, w, center mat.Vec) []shiftedGroup {
+	groups, labels := m.Groups(), m.Labels()
+	counts := make([]int, len(groups))
+	ext.ForEach(func(i int) { counts[labels[i]]++ })
+	var gs []shiftedGroup
+	for gi, g := range groups {
+		if counts[gi] == 0 {
+			continue
+		}
+		gs = append(gs, shiftedGroup{
+			Count:     counts[gi],
+			S:         w.Dot(g.Sigma.MulVec(w)),
+			MeanShift: w.Dot(center.Sub(g.Mu)),
+		})
+	}
+	return gs
+}
+
 // SpreadICNoncentral is SpreadIC with the noncentral three-moment fit,
 // which stays accurate when committed patterns overlap and the
 // per-point means deviate from the center.
@@ -56,8 +94,27 @@ func SpreadICNoncentral(m background.Reader, ext *bitset.Set, w, center mat.Vec,
 	if cnt == 0 {
 		return 0, background.ErrNoPoints
 	}
-	gs := m.SpreadStats(ext, w, center)
-	return SpreadICFromMoments(MomentsNoncentral(gs, cnt), ghat), nil
+	return SpreadICFromMoments(MomentsNoncentral(shiftedGroups(m, ext, w, center), cnt), ghat), nil
+}
+
+func TestShiftedGroupsAfterLocationCommit(t *testing.T) {
+	// A location commit pins the group's mean to the committed one, so
+	// around that center the shift vanishes.
+	m := newModel(t, 20, 2)
+	ext := bsFrom(20, seq(0, 10))
+	if err := m.CommitLocation(ext, vec2(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	gs := shiftedGroups(m, ext, vec2(1, 0), vec2(1, 1))
+	if len(gs) != 1 {
+		t.Fatalf("expected 1 group inside, got %d", len(gs))
+	}
+	if gs[0].Count != 10 || math.Abs(gs[0].S-1) > 1e-12 {
+		t.Fatalf("group = %+v", gs[0])
+	}
+	if math.Abs(gs[0].MeanShift) > 1e-9 {
+		t.Fatalf("mean shift should be 0 after location commit, got %v", gs[0].MeanShift)
+	}
 }
 
 // SpreadApproxCDF evaluates the fitted distribution function
@@ -73,7 +130,7 @@ func SpreadApproxCDF(sm SpreadMoments, x float64) float64 {
 
 // sampleMixture draws from g = Σ (cᵢ copies of) aᵢ·χ²₁(λᵢ) with
 // aᵢ = Sᵢ/total and λᵢ = shiftᵢ²/Sᵢ (one χ²₁ term per point).
-func sampleMixture(rng *rand.Rand, gs []background.GroupStats, total int) float64 {
+func sampleMixture(rng *rand.Rand, gs []shiftedGroup, total int) float64 {
 	var sum float64
 	for _, g := range gs {
 		a := g.S / float64(total)
@@ -102,11 +159,11 @@ func maxCDFError(sm SpreadMoments, samples []float64) float64 {
 }
 
 func TestNoncentralReducesToCentral(t *testing.T) {
-	gs := []background.GroupStats{
+	gs := []shiftedGroup{
 		{Count: 10, S: 1.5, MeanShift: 0},
 		{Count: 20, S: 0.5, MeanShift: 0},
 	}
-	a := Moments(gs, 30)
+	a := Moments(centralStats(gs), 30)
 	b := MomentsNoncentral(gs, 30)
 	if math.Abs(a.Alpha-b.Alpha) > 1e-12 || math.Abs(a.Beta-b.Beta) > 1e-12 ||
 		math.Abs(a.M-b.M) > 1e-9 {
@@ -115,7 +172,7 @@ func TestNoncentralReducesToCentral(t *testing.T) {
 }
 
 func TestNoncentralMatchesTrueMoments(t *testing.T) {
-	gs := []background.GroupStats{
+	gs := []shiftedGroup{
 		{Count: 12, S: 2.0, MeanShift: 1.5},
 		{Count: 8, S: 0.7, MeanShift: -0.6},
 	}
@@ -142,7 +199,7 @@ func TestNoncentralMatchesTrueMoments(t *testing.T) {
 func TestNoncentralBeatsCentralUnderShift(t *testing.T) {
 	// With substantial mean shifts the noncentral fit must match the
 	// Monte Carlo distribution much better than the central one.
-	gs := []background.GroupStats{
+	gs := []shiftedGroup{
 		{Count: 25, S: 1.0, MeanShift: 2.0},
 		{Count: 15, S: 0.5, MeanShift: -1.5},
 	}
@@ -152,7 +209,7 @@ func TestNoncentralBeatsCentralUnderShift(t *testing.T) {
 	for i := range samples {
 		samples[i] = sampleMixture(rng, gs, total)
 	}
-	central := maxCDFError(Moments(gs, total), samples)
+	central := maxCDFError(Moments(centralStats(gs), total), samples)
 	noncentral := maxCDFError(MomentsNoncentral(gs, total), samples)
 	if noncentral > 0.02 {
 		t.Fatalf("noncentral fit KS error %v too large", noncentral)
@@ -166,7 +223,7 @@ func TestNoncentralBeatsCentralUnderShift(t *testing.T) {
 }
 
 func TestNoncentralFitAccurateWithoutShift(t *testing.T) {
-	gs := []background.GroupStats{
+	gs := []shiftedGroup{
 		{Count: 30, S: 1.2, MeanShift: 0},
 		{Count: 10, S: 3.0, MeanShift: 0},
 	}
@@ -176,7 +233,7 @@ func TestNoncentralFitAccurateWithoutShift(t *testing.T) {
 	for i := range samples {
 		samples[i] = sampleMixture(rng, gs, total)
 	}
-	if err := maxCDFError(Moments(gs, total), samples); err > 0.02 {
+	if err := maxCDFError(Moments(centralStats(gs), total), samples); err > 0.02 {
 		t.Fatalf("central fit KS error %v too large in its own regime", err)
 	}
 }
@@ -202,7 +259,7 @@ func TestSpreadICNoncentralEndToEnd(t *testing.T) {
 	ext := bsFrom(n, q)
 	center := vec2(1, 0) // not the model mean of either group
 	w := vec2(1, 0)
-	cIC, err := SpreadIC(m, ext, w, center, 1.2)
+	cIC, err := SpreadIC(m, ext, w, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}

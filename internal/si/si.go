@@ -109,24 +109,6 @@ type SpreadMoments struct {
 	A1, A2, A3     float64 // moment sums Σᵢ aᵢᵏ, exposed for the optimizer
 }
 
-// Moments computes the approximation coefficients from the per-group
-// spread statistics returned by the background model: with
-// aᵢ = wᵀΣᵢw/|I| (constant within a group),
-//
-//	α = A3/A2,  β = A1 − A2²/A3,  m = A2³/A3²,  Aₖ = Σ_{i∈I} aᵢᵏ.
-func Moments(gs []background.GroupStats, total int) SpreadMoments {
-	inv := 1 / float64(total)
-	var a1, a2, a3 float64
-	for _, g := range gs {
-		a := g.S * inv
-		c := float64(g.Count)
-		a1 += c * a
-		a2 += c * a * a
-		a3 += c * a * a * a
-	}
-	return MomentsFromSums(a1, a2, a3)
-}
-
 // MomentsFromSums builds the three-moment fit directly from the moment
 // sums A₁..A₃ — the form the spread optimizer uses, whose evaluation
 // engine maintains the sums itself (from precomputed quadratic forms)
@@ -159,26 +141,6 @@ func SpreadICFromMoments(sm SpreadMoments, ghat float64) float64 {
 	lg, _ := math.Lgamma(sm.M / 2)
 	return sm.M/2*math.Ln2 + lg + math.Log(sm.Alpha) -
 		(sm.M/2-1)*math.Log(u) + u/2
-}
-
-// SpreadIC computes the IC of a spread pattern for direction w and
-// observed variance ghat around center (the subgroup mean).
-func SpreadIC(m background.Reader, ext *bitset.Set, w, center mat.Vec, ghat float64) (float64, error) {
-	cnt := ext.Count()
-	if cnt == 0 {
-		return 0, background.ErrNoPoints
-	}
-	gs := m.SpreadStats(ext, w, center)
-	return SpreadICFromMoments(Moments(gs, cnt), ghat), nil
-}
-
-// SpreadSI computes SI = IC/DL for a spread pattern.
-func SpreadSI(m background.Reader, ext *bitset.Set, w, center mat.Vec, ghat float64, numConds int, p Params) (si, ic float64, err error) {
-	ic, err = SpreadIC(m, ext, w, center, ghat)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ic / p.DL(numConds, true), ic, nil
 }
 
 // SpreadICGradientTerms returns the IC and its partial derivatives with
