@@ -26,8 +26,10 @@ var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 // testOnlyExports lists each exported top-level func or method
 // declared in a non-test file under root/internal whose name no
 // non-test .go file of the tree uses. A name counts as used wherever
-// it appears as an identifier other than a func declaration's name, so
-// a call through an interface or a field of the same name counts too.
+// it appears as an identifier other than a func declaration's name or
+// a method name declared in an interface type, so a call through an
+// interface or a field of the same name counts too, but an interface
+// that merely lists the method does not.
 // The walk skips what the go tool skips: testdata and directories whose
 // name starts with "." or "_". Hits come in walk order, which is
 // lexical. Two kinds of declaration are exempt:
@@ -99,8 +101,17 @@ func testOnlyExports(root string) ([]string, error) {
 			}
 		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						declared[name] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					used[n.Name] = true
+				}
 			}
 			return true
 		})

@@ -15,6 +15,9 @@ func TestTestOnlyExports(t *testing.T) {
 		{"testonly", []string{"lib.Helper"}},
 		// The same function with a non-test caller.
 		{"used", nil},
+		// lib.T.Stats is named in non-test code only where interface
+		// Reader declares it, and called only from lib_test.go.
+		{"iface", []string{"lib.T.Stats"}},
 		// lib.T.Method is reached through the root's type T = lib.T,
 		// and package fake is imported only by a _test.go file.
 		{"alias", nil},

@@ -596,26 +596,6 @@ func (m *Model) SubgroupMeanMarginal(ext *bitset.Set) (mu mat.Vec, cov *mat.Dens
 	return subgroupMeanMarginal(m.groups, m.d, ext)
 }
 
-// GroupStats describes, for one parameter group intersecting an
-// extension, the quantities the spread-pattern IC needs.
-type GroupStats struct {
-	Count int     // points of the group inside the extension
-	S     float64 // wᵀ·Σ_g·w
-}
-
-// SpreadStats returns, for every group intersecting ext, its count
-// inside ext and its projected variance wᵀΣw along the direction w. The
-// extension need not align with group boundaries.
-//
-// The per-group intersection counts come from one fused trailing-zeros
-// pass over ext via the dense labeling — O(n/64 + |I|) instead of one
-// AND-popcount pass per group — and the projected variance is computed
-// once per distinct Σ matrix (split siblings share Σ by pointer until a
-// spread commit diverges them).
-func (m *Model) SpreadStats(ext *bitset.Set, w mat.Vec) []GroupStats {
-	return groupSpreadStats(m.groups, m.labels, ext, w)
-}
-
 // CountByGroup accumulates |ext ∩ group| for every group in one
 // trailing-zeros pass over ext, writing into counts (reallocated when
 // too small) and returning it. This is the fused sufficient-statistics

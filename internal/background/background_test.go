@@ -271,21 +271,6 @@ func TestSubgroupMeanMarginalMixesGroups(t *testing.T) {
 	}
 }
 
-func TestSpreadStats(t *testing.T) {
-	m := newModel(t, 20, 2)
-	ext := bitset.FromIndices(20, seq(0, 10))
-	if err := m.CommitLocation(ext, mat.Vec{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	stats := m.SpreadStats(ext, unit(2, 0))
-	if len(stats) != 1 {
-		t.Fatalf("expected 1 group inside, got %d", len(stats))
-	}
-	if stats[0].Count != 10 || math.Abs(stats[0].S-1) > 1e-12 {
-		t.Fatalf("stats = %+v", stats[0])
-	}
-}
-
 func TestDistinctSigmaCholsFastPath(t *testing.T) {
 	m := newModel(t, 30, 2)
 	if _, ok, err := m.DistinctSigmaChols(); err != nil || !ok {

@@ -62,9 +62,6 @@ type Reader interface {
 	// SubgroupMeanMarginal returns the background marginal of the
 	// subgroup mean statistic f_I(Y).
 	SubgroupMeanMarginal(ext *bitset.Set) (mat.Vec, *mat.Dense, error)
-	// SpreadStats returns per-group counts and projected variances for
-	// a direction.
-	SpreadStats(ext *bitset.Set, w mat.Vec) []GroupStats
 	// CountByGroup accumulates |ext ∩ group| per group.
 	CountByGroup(ext *bitset.Set, counts []int32) []int32
 	// DistinctSigmaChols returns the shared factorization when all
@@ -110,11 +107,6 @@ func (v *ModelVersion) Labels() []int32 { return v.labels }
 // SubgroupMeanMarginal implements Reader against this version.
 func (v *ModelVersion) SubgroupMeanMarginal(ext *bitset.Set) (mat.Vec, *mat.Dense, error) {
 	return subgroupMeanMarginal(v.groups, v.d, ext)
-}
-
-// SpreadStats implements Reader against this version.
-func (v *ModelVersion) SpreadStats(ext *bitset.Set, w mat.Vec) []GroupStats {
-	return groupSpreadStats(v.groups, v.labels, ext, w)
 }
 
 // CountByGroup implements Reader against this version.
@@ -256,31 +248,6 @@ func subgroupMeanMarginal(groups []*Group, d int, ext *bitset.Set) (mu mat.Vec, 
 	mu.Scale(1 / float64(cnt))
 	cov.Scale(1 / float64(cnt*cnt))
 	return mu, cov, nil
-}
-
-// groupSpreadStats is the shared implementation of SpreadStats: the
-// per-group intersection counts come from one fused trailing-zeros
-// pass over ext via the dense labeling — O(n/64 + |I|) instead of one
-// AND-popcount pass per group — and the projected variance is
-// computed once per distinct Σ matrix (split siblings share Σ by
-// pointer until a spread commit diverges them).
-func groupSpreadStats(groups []*Group, labels []int32, ext *bitset.Set, w mat.Vec) []GroupStats {
-	counts := countByGroup(labels, len(groups), ext, nil)
-	var out []GroupStats
-	var prevSigma *mat.Dense
-	var prevS float64
-	for gi, g := range groups {
-		ic := counts[gi]
-		if ic == 0 {
-			continue
-		}
-		if g.Sigma != prevSigma {
-			prevSigma = g.Sigma
-			prevS = w.Dot(g.Sigma.MulVec(w))
-		}
-		out = append(out, GroupStats{Count: int(ic), S: prevS})
-	}
-	return out
 }
 
 // countByGroup is the shared fused sufficient-statistics kernel: one

@@ -1,8 +1,8 @@
 // Package engine owns the candidate-evaluation pipeline shared by
 // every subgroup search strategy: the beam search and the exact search
-// (the beam's oracle, the optimal-SI search and the baseline impact
-// search), over the SI measure or a baseline quality, all score
-// candidates through this package.
+// (the beam's oracle and the optimal-SI search) both score candidates
+// through this package, with whatever Scorer they are given — the SI
+// measure in production.
 //
 // The pipeline is built to keep the steady-state hot path free of
 // allocations: condition extensions are precomputed per dataset and
@@ -31,49 +31,29 @@ import (
 	"repro/internal/mat"
 )
 
-// Scorer evaluates a candidate subgroup extension described by numConds
-// conditions. ok=false rejects the candidate (too small, degenerate...).
-// Implementations must be safe for concurrent use and must not retain
-// ext, which is worker-owned scratch.
+// Scorer mints the per-goroutine contexts the engine scores and bounds
+// candidates with. NewBoundWorker returns nil when no admissible bound
+// is available for the current model/dataset shape: bounds are an
+// optimization, never a requirement, and a nil bound worker means no
+// pruning. Searches with bounds disabled never call it.
 type Scorer interface {
-	Score(ext *bitset.Set, numConds int) (si, ic float64, mean mat.Vec, ok bool)
-}
-
-// ScorerWorker is a single-goroutine scoring context with reusable
-// internal scratch: its steady-state Score path performs no heap
-// allocations. The returned mean is worker-owned scratch, valid only
-// until the worker's next call — callers clone what they retain.
-type ScorerWorker interface {
-	Score(ext *bitset.Set, numConds int) (si, ic float64, mean mat.Vec, ok bool)
-}
-
-// WorkerScorer is a Scorer that can mint independent per-goroutine
-// workers. The engine gives each evaluation goroutine its own worker,
-// making the whole batch-scoring path allocation-free.
-type WorkerScorer interface {
-	Scorer
-	NewWorker() ScorerWorker
-}
-
-// StatScorerWorker scores a candidate from its extension together with
-// the sum of target rows over it and its size, so the scorer reads no
-// target row. The evaluator passes a condition's Language-cached sum and
-// size for level-1 candidates. ext and ysum are caller-owned and must
-// not be modified or retained. Workers must produce bit-identical
-// results through Score and ScoreStats.
-type StatScorerWorker interface {
-	ScorerWorker
-	ScoreStats(ext *bitset.Set, ysum mat.Vec, size, numConds int) (si, ic float64, mean mat.Vec, ok bool)
-}
-
-// BoundScorer is a Scorer that can also produce admissible SI upper
-// bounds for candidate refinements, enabling the evaluator to skip the
-// full scoring pass for candidates that provably cannot enter the
-// consumed result prefix. NewBoundWorker returns nil when no bound is
-// available for the current model/dataset shape (bounds are an
-// optimization, never a requirement).
-type BoundScorer interface {
+	NewWorker() Worker
 	NewBoundWorker() BoundWorker
+}
+
+// Worker is a single-goroutine scoring context. Score evaluates a
+// candidate extension described by numConds conditions; ok=false
+// rejects the candidate (too small, degenerate...). ScoreStats scores
+// the same candidate given also the sum of target rows over ext and its
+// size, so it reads no target row: the evaluator passes a condition's
+// Language-cached sum and size for level-1 candidates. Both paths must
+// give bit-identical results. ext and ysum are caller-owned and must not
+// be modified or retained. The returned mean may be worker-owned
+// scratch, valid only until the worker's next call — callers clone what
+// they retain.
+type Worker interface {
+	Score(ext *bitset.Set, numConds int) (si, ic float64, mean mat.Vec, ok bool)
+	ScoreStats(ext *bitset.Set, ysum mat.Vec, size, numConds int) (si, ic float64, mean mat.Vec, ok bool)
 }
 
 // BoundWorker is a single-goroutine bounding context. Prepare readies
@@ -114,7 +94,7 @@ type Options struct {
 	// batch's length. Each evaluation goroutine keeps its SelectTop best
 	// in a heap while it scores, so the rest of a level is never stored.
 	//
-	// SelectTop also arms bound pruning: with a BoundScorer, candidates
+	// SelectTop also arms bound pruning: with a bound worker, candidates
 	// whose admissible SI upper bound falls strictly below the running
 	// SelectTop-th best SI of the batch are dropped without scoring.
 	// Such candidates can neither enter the returned prefix nor any
@@ -176,7 +156,7 @@ func (b *Batch) Reset(depth int) {
 // extension ext and canonical intention ids (ascending, length = the
 // Reset depth − 1). A nil ext means the full dataset — the level-1 form
 // that lets the evaluator skip the intersection entirely (the extension
-// IS the condition's) and, with a StatScorerWorker, score it from the
+// IS the condition's) and score it through Worker.ScoreStats from the
 // condition's cached target sum. The batch keeps ids, not a copy: the
 // caller must leave it unchanged until the next Reset.
 func (b *Batch) StartParent(ext *bitset.Set, ids []CondID) {
@@ -286,31 +266,26 @@ func better(aSI float64, aIds []CondID, bSI float64, bIds []CondID) bool {
 }
 
 // Evaluator scores batches of candidates against one Language and
-// Scorer, reusing per-worker scratch bitsets (and, for WorkerScorers,
-// per-worker scorer scratch) across batches. An Evaluator is cheap to
-// create per search; it must not be shared between concurrent searches.
+// Scorer, reusing per-goroutine scratch bitsets and scoring Workers
+// across batches. An Evaluator is cheap to create per search; it must
+// not be shared between concurrent searches.
 // A search Releases its evaluator when done, which hands the batch and
 // selection buffers on to the next search.
 type Evaluator struct {
 	*arena
 	lang    *Language
-	sc      Scorer
 	opt     Options
 	scratch []*bitset.Set
-	full    *bitset.Set
 
-	// workers[i] is goroutine i's scoring context when sc is a
-	// WorkerScorer; nil entries fall back to the concurrent sc.Score.
-	workers []ScorerWorker
-	// statWorkers mirrors workers when every one supports stat scoring;
-	// condSums and condSizes are then the Language's cached per-condition
-	// target sums and sizes, which score level-1 candidates.
-	statWorkers []StatScorerWorker
-	condSums    []mat.Vec
-	condSizes   []int
+	// workers[i] is goroutine i's scoring context. condSums and condSizes
+	// are the Language's cached per-condition target sums and sizes,
+	// which score level-1 candidates.
+	workers   []Worker
+	condSums  []mat.Vec
+	condSizes []int
 
-	// bounds[i] is goroutine i's bound worker when sc is a BoundScorer
-	// that offers bounds for this model; nil slice → no pruning.
+	// bounds[i] is goroutine i's bound worker when the scorer offers
+	// bounds for this model; nil slice → no pruning.
 	bounds []BoundWorker
 	// floorKey is the shared SI floor for the current batch, encoded as
 	// a monotone order key so a CAS-max works on the raw bits. Workers
@@ -483,60 +458,43 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 		panic("engine: Options.SelectTop must be positive")
 	}
 	opt = opt.withDefaults()
-	e := &Evaluator{arena: takeArena(), lang: lang, sc: sc, opt: opt}
+	e := &Evaluator{arena: takeArena(), lang: lang, opt: opt, ctrs: make([]int64, 3*opt.Parallelism)}
 	e.scratch = make([]*bitset.Set, opt.Parallelism)
+	e.workers = make([]Worker, opt.Parallelism)
 	for i := range e.scratch {
 		e.scratch[i] = bitset.New(lang.N)
+		e.workers[i] = sc.NewWorker()
 	}
-	e.full = bitset.Full(lang.N)
+	e.condSums, e.condSizes = lang.CondTargetStats()
 	if k := opt.Parallelism - len(e.heaps); k > 0 {
 		e.heaps = append(e.heaps, make([]hitHeap, k)...)
 	}
-	if ws, ok := sc.(WorkerScorer); ok {
-		e.workers = make([]ScorerWorker, opt.Parallelism)
-		e.statWorkers = make([]StatScorerWorker, opt.Parallelism)
-		allStat := true
-		for i := range e.workers {
-			w := ws.NewWorker()
-			e.workers[i] = w
-			if sw, ok := w.(StatScorerWorker); ok {
-				e.statWorkers[i] = sw
-			} else {
-				allStat = false
-			}
+	if opt.DisableBounds {
+		return e
+	}
+	if w0 := sc.NewBoundWorker(); w0 != nil {
+		if k := opt.Parallelism - len(e.boundScratch); k > 0 {
+			e.boundScratch = append(e.boundScratch, make([][]float64, k)...)
 		}
-		if allStat {
-			e.condSums, e.condSizes = lang.CondTargetStats()
-		} else {
-			e.statWorkers = nil
+		e.bounds = make([]BoundWorker, opt.Parallelism)
+		e.bounds[0] = w0
+		for i := 1; i < opt.Parallelism; i++ {
+			e.bounds[i] = sc.NewBoundWorker()
 		}
 	}
-	if bs, ok := sc.(BoundScorer); ok && !opt.DisableBounds {
-		if w0 := bs.NewBoundWorker(); w0 != nil {
-			if k := opt.Parallelism - len(e.boundScratch); k > 0 {
-				e.boundScratch = append(e.boundScratch, make([][]float64, k)...)
-			}
-			e.bounds = make([]BoundWorker, opt.Parallelism)
-			e.bounds[0] = w0
-			for i := 1; i < opt.Parallelism; i++ {
-				e.bounds[i] = bs.NewBoundWorker()
-			}
-		}
-	}
-	e.ctrs = make([]int64, 3*opt.Parallelism)
 	return e
 }
 
 // EvaluateBatch scores all candidates in parallel and returns the best
 // min(SelectTop, accepted) of them as Hits sorted by the engine ordering
-// (SI descending, deterministic regardless of scheduling). With a
-// WorkerScorer the entire batch costs no per-candidate allocations:
-// level-1 candidates (nil parent) are scored from the condition's
-// extension and cached target sum, deeper ones through one fused
-// AndCountInto + worker-scratch scoring pass over the batch's columnar
-// streams. The returned slice is evaluator-owned scratch and a Hit's
-// intention is built from the batch, both valid until the next
-// EvaluateBatch/Reset — Materialize survivors before retaining.
+// (SI descending, deterministic regardless of scheduling). The batch
+// costs no per-candidate allocations: level-1 candidates (nil parent)
+// are scored through Worker.ScoreStats from the condition's extension
+// and cached target sum, deeper ones through one fused AndCountInto +
+// Worker.Score pass over the batch's columnar streams. The returned
+// slice is evaluator-owned scratch and a Hit's intention is built from
+// the batch, both valid until the next EvaluateBatch/Reset —
+// Materialize survivors before retaining.
 //
 // Each worker keeps its SelectTop best hits in a min-heap on the engine
 // order while it scores, and EvaluateBatch sorts the union of the heaps
@@ -544,7 +502,7 @@ func NewEvaluator(lang *Language, sc Scorer, opt Options) *Evaluator {
 // in its own worker's top SelectTop, so the cut is exactly the prefix a
 // sort of the whole batch would give.
 //
-// With bounds armed (BoundScorer, no DisableBounds), each worker also
+// With bounds armed (a bound worker, no DisableBounds), each worker also
 // publishes the root SI of its full heap to a shared atomic floor.
 // Because a worker's SelectTop-th best over a SUBSET of the batch can
 // only underestimate the batch-wide SelectTop-th best, the floor is
@@ -612,6 +570,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 			minSupport := e.opt.MinSupport
 			selectTop := e.opt.SelectTop
 			heap := &heaps[w]
+			worker := e.workers[w]
 			var bw BoundWorker
 			if pruning {
 				bw = e.bounds[w]
@@ -635,37 +594,27 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 				var si, ic float64
 				var size int
 				var ok bool
-				if parent == nil && e.statWorkers != nil {
+				if parent == nil {
 					size = e.condSizes[cond]
 					if size < minSupport {
 						continue
 					}
-					si, ic, _, ok = e.statWorkers[w].ScoreStats(
-						e.lang.Exts[cond], e.condSums[cond], size, depth)
+					si, ic, _, ok = worker.ScoreStats(e.lang.Exts[cond], e.condSums[cond], size, depth)
 				} else {
-					pset := parent
-					if pset == nil {
-						pset = e.full
-					}
 					if bw != nil && pi != curPar {
+						// Prepare sorts the parent's residuals, so it only
+						// pays when enough candidates of this parent land in
+						// this worker's range to amortize the O(m log m):
+						// short runs are cheaper to just score.
 						curPar = pi
-						boundReady = false
-						if parent != nil {
-							// Prepare sorts the parent's residuals, so it only
-							// pays when enough candidates of this parent land in
-							// this worker's range to amortize the O(m log m):
-							// short runs are cheaper to just score.
-							runLen := 1
-							for j := i + 1; j < hi && b.parentOf[j] == pi; j++ {
-								runLen++
-							}
-							if runLen >= minBoundRun {
-								boundReady = bw.Prepare(parent, &e.boundScratch[w])
-							}
+						runLen := 1
+						for j := i + 1; j < hi && b.parentOf[j] == pi; j++ {
+							runLen++
 						}
+						boundReady = runLen >= minBoundRun && bw.Prepare(parent, &e.boundScratch[w])
 					}
 					scratch := e.scratch[w]
-					size = bitset.AndCountInto(scratch, pset, e.lang.Exts[cond])
+					size = bitset.AndCountInto(scratch, parent, e.lang.Exts[cond])
 					if size < minSupport {
 						continue
 					}
@@ -676,11 +625,7 @@ func (e *Evaluator) EvaluateBatch(b *Batch) (kept []Hit, timedOut bool) {
 							continue
 						}
 					}
-					if e.workers != nil {
-						si, ic, _, ok = e.workers[w].Score(scratch, depth)
-					} else {
-						si, ic, _, ok = e.sc.Score(scratch, depth)
-					}
+					si, ic, _, ok = worker.Score(scratch, depth)
 				}
 				if !ok {
 					continue
@@ -788,31 +733,22 @@ func (e *Evaluator) Materialize(b *Batch, h Hit) Scored {
 	}
 	parent := b.parents[b.parentOf[h.Cand]]
 	cond := b.conds[h.Cand]
-	numConds := b.depth
+	w := e.workers[0]
+	var mean mat.Vec
+	var ok bool
 	if parent == nil {
+		// The path the batch took: the cached sum, no target row read.
 		s.Ext = e.lang.Exts[cond].Clone()
-		if e.statWorkers != nil {
-			// The path the batch took: the cached sum, no target row read.
-			_, _, mean, ok := e.statWorkers[0].ScoreStats(
-				s.Ext, e.condSums[cond], e.condSizes[cond], numConds)
-			if ok {
-				s.Mean = mean.Clone()
-			}
-			return s
-		}
+		_, _, mean, ok = w.ScoreStats(s.Ext, e.condSums[cond], e.condSizes[cond], b.depth)
 	} else {
-		ext := bitset.New(e.lang.N)
-		bitset.AndCountInto(ext, parent, e.lang.Exts[cond])
-		s.Ext = ext
+		// Score the just-built extension directly — same bits as the
+		// batch pass, so the same floats come back.
+		s.Ext = bitset.New(e.lang.N)
+		bitset.AndCountInto(s.Ext, parent, e.lang.Exts[cond])
+		_, _, mean, ok = w.Score(s.Ext, b.depth)
 	}
-	// Score the just-built extension directly — same bits as the batch
-	// pass, so the same floats come back.
-	if e.workers != nil {
-		if _, _, mean, ok := e.workers[0].Score(s.Ext, numConds); ok {
-			s.Mean = mean.Clone()
-		}
-	} else if _, _, mean, ok := e.sc.Score(s.Ext, numConds); ok {
-		s.Mean = mean
+	if ok {
+		s.Mean = mean.Clone()
 	}
 	return s
 }
@@ -877,9 +813,11 @@ type TopK struct {
 	h []Scored // min-heap: h[0] is the worst retained item
 }
 
-// NewTopK returns an empty log bounded to k items (k ≤ 0 keeps
-// everything unbounded — not used by the strategies, but safe).
+// NewTopK returns an empty log bounded to k items. k must be positive.
 func NewTopK(k int) *TopK {
+	if k <= 0 {
+		panic("engine: TopK bound must be positive")
+	}
 	return &TopK{k: k}
 }
 
@@ -892,7 +830,7 @@ func (t *TopK) worse(i, j int) bool {
 // would enter the log. Callers use it to skip cloning extensions for
 // candidates that cannot make the cut.
 func (t *TopK) WouldAccept(si float64, ids []CondID) bool {
-	if t.k <= 0 || len(t.h) < t.k {
+	if len(t.h) < t.k {
 		return true
 	}
 	return better(si, ids, t.h[0].SI, t.h[0].Ids)
@@ -900,7 +838,7 @@ func (t *TopK) WouldAccept(si float64, ids []CondID) bool {
 
 // Add offers a scored candidate to the log.
 func (t *TopK) Add(s Scored) {
-	if t.k > 0 && len(t.h) == t.k {
+	if len(t.h) == t.k {
 		if !better(s.SI, s.Ids, t.h[0].SI, t.h[0].Ids) {
 			return
 		}
@@ -950,7 +888,7 @@ func (t *TopK) Len() int { return len(t.h) }
 // requires strictly better ordering to displace the root, so equal-SI
 // candidates are also rejected once the log is full).
 func (t *TopK) Floor() (si float64, full bool) {
-	if t.k <= 0 || len(t.h) < t.k {
+	if len(t.h) < t.k {
 		return 0, false
 	}
 	return t.h[0].SI, true

@@ -65,12 +65,20 @@ func TestLanguageExtensionsMatchConditions(t *testing.T) {
 	}
 }
 
-// sizeScorer scores a subgroup by its size.
+// sizeScorer scores a subgroup by its size. It is its own worker and
+// offers no bound.
 type sizeScorer struct{}
+
+func (s sizeScorer) NewWorker() Worker         { return s }
+func (sizeScorer) NewBoundWorker() BoundWorker { return nil }
 
 func (sizeScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
 	s := float64(ext.Count())
 	return s, s, nil, true
+}
+
+func (s sizeScorer) ScoreStats(ext *bitset.Set, _ mat.Vec, _, numConds int) (float64, float64, mat.Vec, bool) {
+	return s.Score(ext, numConds)
 }
 
 func TestEvaluateBatchMatchesDirectScoring(t *testing.T) {
@@ -170,6 +178,65 @@ func TestEvaluateBatchExpiredDeadlineAbandonsBatch(t *testing.T) {
 	}
 }
 
+// sumScorer scores a subgroup by its target mean. Score sums the
+// target rows of ext; ScoreStats reads none and takes the mean from the
+// ysum and size it is passed, so a wrong cached sum or size shows.
+type sumScorer struct{ y *mat.Dense }
+
+func (s sumScorer) NewWorker() Worker         { return s }
+func (sumScorer) NewBoundWorker() BoundWorker { return nil }
+
+func (s sumScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
+	ysum := make(mat.Vec, s.y.C)
+	ext.ForEach(func(i int) {
+		for j, v := range s.y.Row(i) {
+			ysum[j] += v
+		}
+	})
+	return s.ScoreStats(nil, ysum, ext.Count(), numConds)
+}
+
+func (sumScorer) ScoreStats(_ *bitset.Set, ysum mat.Vec, size, _ int) (float64, float64, mat.Vec, bool) {
+	if size == 0 {
+		return 0, 0, nil, false
+	}
+	mean := ysum.Clone().Scale(1 / float64(size))
+	return mean[0], float64(size), mean, true
+}
+
+// TestLevelOneScoresFromCachedStats: a level-1 candidate (nil parent)
+// is scored from its condition's Language-cached target sum and size,
+// and EvaluateBatch plus Materialize must give the SI and mean that
+// scoring the condition's extension directly gives, at every
+// parallelism.
+func TestLevelOneScoresFromCachedStats(t *testing.T) {
+	ds := testDS(90, 11)
+	lang := LanguageFor(ds, 4)
+	sc := sumScorer{ds.Y}
+	batch := &Batch{}
+	var root [1]Scored
+	batch.Expand(1, root[:], len(lang.Conds))
+	for _, par := range []int{1, 2, 3} {
+		ev := NewEvaluator(lang, sc, Options{Parallelism: par, MinSupport: 1, SelectTop: batch.Len()})
+		got, _ := ev.EvaluateBatch(batch)
+		if len(got) != len(lang.Conds) {
+			t.Fatalf("par=%d: %d hits, want one per condition (%d)", par, len(got), len(lang.Conds))
+		}
+		for _, h := range got {
+			s := ev.Materialize(batch, h)
+			wantSI, wantIC, wantMean, _ := sc.Score(lang.Exts[s.Ids[0]], 1)
+			if h.SI != wantSI || h.IC != wantIC || s.SI != wantSI || !s.Ext.Equal(lang.Exts[s.Ids[0]]) {
+				t.Fatalf("par=%d, cond %d: hit SI %v IC %v, materialized SI %v; direct SI %v IC %v",
+					par, s.Ids[0], h.SI, h.IC, s.SI, wantSI, wantIC)
+			}
+			if len(s.Mean) != 1 || s.Mean[0] != wantMean[0] {
+				t.Fatalf("par=%d, cond %d: materialized mean %v, direct %v", par, s.Ids[0], s.Mean, wantMean)
+			}
+		}
+		ev.Release()
+	}
+}
+
 func TestLanguageCacheDropsCollectedDataset(t *testing.T) {
 	// A cached Language must not keep its dataset alive, and once the
 	// dataset is collected its Languages must leave the cache.
@@ -260,10 +327,19 @@ func TestTopKMatchesSortTruncate(t *testing.T) {
 	}
 }
 
+func TestNewTopKRejectsNonPositiveBound(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewTopK(0) did not panic")
+		}
+	}()
+	NewTopK(0)
+}
+
 // topkWouldChange predicts whether Add would retain the item, from the
 // heap's public state.
 func topkWouldChange(t *TopK, it Scored) bool {
-	if t.k <= 0 || len(t.h) < t.k {
+	if len(t.h) < t.k {
 		return true
 	}
 	return better(it.SI, it.Ids, t.h[0].SI, t.h[0].Ids)
@@ -391,9 +467,16 @@ func TestSortScoredDeterministicOnTies(t *testing.T) {
 // materialized results hold all three pointer fields.
 type meanScorer struct{}
 
+func (s meanScorer) NewWorker() Worker         { return s }
+func (meanScorer) NewBoundWorker() BoundWorker { return nil }
+
 func (meanScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
 	s := float64(ext.Count())
 	return s, s, mat.Vec{s}, true
+}
+
+func (s meanScorer) ScoreStats(ext *bitset.Set, _ mat.Vec, _, numConds int) (float64, float64, mat.Vec, bool) {
+	return s.Score(ext, numConds)
 }
 
 // TestReleaseClearsEveryWrittenSlot: Release clears every arena slot a

@@ -228,7 +228,7 @@ func (o EnumOptions) withDefaults() EnumOptions {
 // ascending-ID order, skipping nodes below MinSupport. The walk's
 // pre-order is the engine's tie order (intention ascending). It is the
 // walk under search.Exhaustive, the one exact search; the optimal-SI
-// and baseline impact searches are that search with their own scorers.
+// search is that search with a one-entry log.
 //
 // visit receives the node's canonical IDs, its extension and its size,
 // and returns whether to descend into the node's refinements (returning

@@ -145,11 +145,6 @@ func (m *Dense) Scale(a float64) {
 	}
 }
 
-// MulVec returns m·v as a new vector. len(v) must equal m.C.
-func (m *Dense) MulVec(v Vec) Vec {
-	return m.MulVecInto(make(Vec, m.R), v)
-}
-
 // MulVecInto computes m·v into dst (len m.R, must not alias v) and
 // returns it, with no allocations.
 func (m *Dense) MulVecInto(dst Vec, v Vec) Vec {

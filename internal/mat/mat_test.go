@@ -32,6 +32,12 @@ func (m *Dense) Mul(b *Dense) *Dense {
 	return out
 }
 
+// MulVec returns m·v as a new vector. len(v) must equal m.C. The
+// library itself multiplies into caller scratch (MulVecInto).
+func (m *Dense) MulVec(v Vec) Vec {
+	return m.MulVecInto(make(Vec, m.R), v)
+}
+
 // Inverse returns A⁻¹ as a new dense matrix.
 func (c *Cholesky) Inverse() *Dense {
 	n := c.N

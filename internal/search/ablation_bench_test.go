@@ -14,7 +14,7 @@ import (
 // Ablation: parallel candidate evaluation versus serial, and the
 // branch-and-bound optimal search versus blind exhaustive enumeration.
 
-func benchScorerFor(b *testing.B, ds *dataset.Dataset) Scorer {
+func benchScorerFor(b *testing.B, ds *dataset.Dataset) *si.LocationScorer {
 	b.Helper()
 	m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))
 	if err != nil {

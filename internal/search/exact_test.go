@@ -17,7 +17,7 @@ import (
 // empirical prior after location commits on two condition extensions:
 // the model has several groups and still a shared Σ, so the bound is
 // active.
-func crimeCommitted(t *testing.T) (*dataset.Dataset, Scorer) {
+func crimeCommitted(t *testing.T) (*dataset.Dataset, *si.LocationScorer) {
 	t.Helper()
 	ds := gen.CrimeLike(gen.SeedCrime).DS
 	m, err := background.New(ds.N(), stats.MeanVec(ds.Y, nil), stats.CovMat(ds.Y, nil))
@@ -41,7 +41,7 @@ func crimeCommitted(t *testing.T) (*dataset.Dataset, Scorer) {
 // spreadCommitted returns an SI scorer over a d=2 model after a
 // location and a spread commit on the same subgroup: the spread refit
 // gives that group its own Σ, so the scorer offers no bound.
-func spreadCommitted(t *testing.T, ds *dataset.Dataset) Scorer {
+func spreadCommitted(t *testing.T, ds *dataset.Dataset) *si.LocationScorer {
 	t.Helper()
 	m, err := background.New(ds.N(), make(mat.Vec, 2), mat.Eye(2))
 	if err != nil {
@@ -76,7 +76,7 @@ func TestExhaustivePrunedMatchesUnpruned(t *testing.T) {
 	cases := []struct {
 		name   string
 		ds     *dataset.Dataset
-		sc     Scorer
+		sc     engine.Scorer
 		p      Params
 		bounds bool
 	}{

@@ -15,7 +15,7 @@ import (
 )
 
 // The impact quality of Boley et al. (ECML-PKDD 2017) is the one
-// BoundScorer besides SI. Its exact search checks that Exhaustive's
+// bounded scorer besides SI. Its exact search checks that Exhaustive's
 // pruning by a tight optimistic estimate loses nothing.
 
 // ImpactScorer scores subgroups by the impact quality of Boley et al.,
@@ -35,7 +35,10 @@ func NewImpactScorer(ds *dataset.Dataset, j int) *ImpactScorer {
 	return &ImpactScorer{y: y, mu0: stats.Mean(y), n: ds.N()}
 }
 
-// Score implements search.Scorer.
+// NewWorker implements engine.Scorer: the scorer is its own worker.
+func (s *ImpactScorer) NewWorker() engine.Worker { return s }
+
+// Score implements engine.Worker.
 func (s *ImpactScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
 	cnt := ext.Count()
 	if cnt == 0 {
@@ -48,7 +51,12 @@ func (s *ImpactScorer) Score(ext *bitset.Set, numConds int) (float64, float64, m
 	return q, q, mat.Vec{mean}, true
 }
 
-// NewBoundWorker implements engine.BoundScorer.
+// ScoreStats implements engine.Worker through Score.
+func (s *ImpactScorer) ScoreStats(ext *bitset.Set, _ mat.Vec, _, numConds int) (float64, float64, mat.Vec, bool) {
+	return s.Score(ext, numConds)
+}
+
+// NewBoundWorker implements engine.Scorer.
 func (s *ImpactScorer) NewBoundWorker() engine.BoundWorker { return &impactBound{s: s} }
 
 // impactBound answers size-k quality bounds from the prefix sums of a

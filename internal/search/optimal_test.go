@@ -13,7 +13,7 @@ import (
 
 // freshScorer builds an SI scorer over a fresh N(mu, sigma2) model so
 // Exhaustive can serve as the oracle for OptimalLocation1D.
-func freshScorer(t *testing.T, n int, y *mat.Dense, mu, sigma2 float64, p si.Params) Scorer {
+func freshScorer(t *testing.T, n int, y *mat.Dense, mu, sigma2 float64, p si.Params) *si.LocationScorer {
 	t.Helper()
 	cov := mat.NewDense(1, 1)
 	cov.Set(0, 0, sigma2)

@@ -102,6 +102,7 @@ func TestBoundAdmissibility(t *testing.T) {
 			if bw == nil {
 				t.Fatal("expected a bound worker for this model shape")
 			}
+			w := sc.NewWorker()
 			lang := engine.LanguageFor(tc.ds, 4)
 			rng := rand.New(rand.NewSource(99))
 			n := tc.ds.N()
@@ -133,7 +134,7 @@ func TestBoundAdmissibility(t *testing.T) {
 						continue
 					}
 					for _, numConds := range []int{1, 2, 3} {
-						trueSI, _, _, ok := sc.Score(scratch, numConds)
+						trueSI, _, _, ok := w.Score(scratch, numConds)
 						if !ok {
 							continue
 						}

@@ -9,8 +9,8 @@
 // The strategies are thin drivers over the shared candidate-evaluation
 // pipeline of package engine: cached condition extensions, pooled
 // scratch bitsets, reused candidate arenas and bounded top-k logs. The
-// search is generic over a Scorer, so both the SI measure and the
-// baseline quality measures (package baseline) run on the same engine.
+// strategies take any engine.Scorer; production scores with the SI
+// measure (si.LocationScorer).
 package search
 
 import (
@@ -22,12 +22,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/pattern"
 )
-
-// Scorer evaluates a candidate subgroup extension described by numConds
-// conditions. ok=false rejects the candidate (too small, degenerate...).
-// Implementations must be safe for concurrent use and must not retain
-// the extension, which is engine-owned scratch.
-type Scorer = engine.Scorer
 
 // Params configure the beam search. The zero value is completed by
 // sensible defaults matching the paper's experimental setup.
@@ -120,7 +114,7 @@ func patterns(lang *engine.Language, log []engine.Scored) []Found {
 
 // Beam runs the level-wise beam search over the dataset's condition
 // language, scoring candidates with sc.
-func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
+func Beam(ds *dataset.Dataset, sc engine.Scorer, p Params) *Results {
 	p = p.withDefaults()
 	lang := engine.LanguageFor(ds, p.NumSplits)
 	// The beam consumes a bounded prefix of every level: BeamWidth
@@ -232,8 +226,8 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 // into a TopK log, and returns the same log an unpruned walk would.
 // BeamWidth and Parallelism are ignored (the walk is sequential); a
 // Deadline marks the results TimedOut when the walk is cut short.
-// Exponential — the oracle the beam is tested against, the optimal
-// search of the paper's §V and the baselines' exact searches.
+// Exponential — the oracle the beam is tested against and the optimal
+// search of the paper's §V.
 //
 // Unless NoPrune is set, a scorer with a BoundWorker prunes the walk
 // with the beam's own admissible bound (DESIGN §9). Once the log is
@@ -249,23 +243,17 @@ func Beam(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 // Patterns. The log's tie order — SI descending, intention ascending —
 // is the walk's pre-order, so among equal scores the first visited
 // wins, as in a first-strictly-greater scan.
-func Exhaustive(ds *dataset.Dataset, sc Scorer, p Params) *Results {
+func Exhaustive(ds *dataset.Dataset, sc engine.Scorer, p Params) *Results {
 	p = p.withDefaults()
 	lang := engine.LanguageFor(ds, p.NumSplits)
 	res := &Results{}
 	top := engine.NewTopK(p.TopK)
-	// With a worker-capable scorer the whole walk scores through
-	// reusable scratch; the worker's mean is cloned only for candidates
-	// that actually enter the log.
-	score := sc.Score
-	usingWorker := false
-	if ws, ok := sc.(engine.WorkerScorer); ok {
-		score = ws.NewWorker().Score
-		usingWorker = true
-	}
+	// The whole walk scores through one worker's reusable scratch; the
+	// worker's mean is cloned only for candidates that enter the log.
+	w := sc.NewWorker()
 	var bw engine.BoundWorker
-	if bs, ok := sc.(engine.BoundScorer); ok && !p.NoPrune {
-		bw = bs.NewBoundWorker()
+	if !p.NoPrune {
+		bw = sc.NewBoundWorker()
 	}
 	var boundScratch []float64
 	// The enumeration defaults an unset MinSupport; starting the size
@@ -280,17 +268,14 @@ func Exhaustive(ds *dataset.Dataset, sc Scorer, p Params) *Results {
 		if len(ids) > res.Levels {
 			res.Levels = len(ids)
 		}
-		si, ic, mean, ok := score(ext, len(ids))
+		si, ic, mean, ok := w.Score(ext, len(ids))
 		if ok && top.WouldAccept(si, ids) {
-			if usingWorker {
-				mean = mean.Clone()
-			}
 			top.Add(engine.Scored{
 				Ids:  append([]engine.CondID(nil), ids...),
 				Ext:  ext.Clone(),
 				Size: size,
 				SI:   si, IC: ic,
-				Mean: mean,
+				Mean: mean.Clone(),
 			})
 		}
 		if bw == nil || !worthBounding(len(lang.Conds)-1-int(ids[len(ids)-1]), p.MaxDepth-len(ids)) {

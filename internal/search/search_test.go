@@ -8,6 +8,7 @@ import (
 	"repro/internal/background"
 	"repro/internal/bitset"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/mat"
 	"repro/internal/pattern"
 	"repro/internal/si"
@@ -44,7 +45,7 @@ func plantedDS(n int, seed int64) *dataset.Dataset {
 	}
 }
 
-func scorerFor(t *testing.T, ds *dataset.Dataset) Scorer {
+func scorerFor(t *testing.T, ds *dataset.Dataset) *si.LocationScorer {
 	t.Helper()
 	m, err := background.New(ds.N(), make(mat.Vec, ds.Dy()), mat.Eye(ds.Dy()))
 	if err != nil {
@@ -186,11 +187,19 @@ func TestExtensionsAreConsistent(t *testing.T) {
 }
 
 // constScorer scores every subgroup by its size (for engine-only tests).
+// It is its own worker and offers no bound.
 type constScorer struct{}
+
+func (s constScorer) NewWorker() engine.Worker         { return s }
+func (constScorer) NewBoundWorker() engine.BoundWorker { return nil }
 
 func (constScorer) Score(ext *bitset.Set, numConds int) (float64, float64, mat.Vec, bool) {
 	s := float64(ext.Count())
 	return s, s, nil, true
+}
+
+func (s constScorer) ScoreStats(ext *bitset.Set, _ mat.Vec, _, numConds int) (float64, float64, mat.Vec, bool) {
+	return s.Score(ext, numConds)
 }
 
 func TestBeamWithCustomScorer(t *testing.T) {

@@ -67,7 +67,7 @@ func TestBeamTopOneInvariant(t *testing.T) {
 }
 
 // locationScorer scores against m's published version.
-func locationScorer(t *testing.T, m *background.Model, ds *dataset.Dataset) Scorer {
+func locationScorer(t *testing.T, m *background.Model, ds *dataset.Dataset) *si.LocationScorer {
 	t.Helper()
 	sc, err := si.NewLocationScorer(m.Snapshot(), ds.Y, si.Default())
 	if err != nil {

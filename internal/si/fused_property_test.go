@@ -137,8 +137,8 @@ func bitsEqual(a, b float64) bool {
 // TestFusedScorerMatchesNaiveBitForBit drives randomized models
 // (varying group counts, both the shared-Σ and the general covariance
 // path) and asserts that the fused single-pass scorer — through the
-// concurrent Score, the per-worker Score, and the sufficient-statistics
-// ScoreStats entry points — reproduces the naive multi-pass scorer's
+// worker's Score and its sufficient-statistics ScoreStats entry
+// points — reproduces the naive multi-pass scorer's
 // SI, IC and subgroup mean exactly, bit for bit. ScoreStats takes its
 // group counts from the extension in one of three ways (one group, the
 // AND-popcounts, or the label walk); the trials must reach all three.
@@ -187,9 +187,6 @@ func TestFusedScorerMatchesNaiveBitForBit(t *testing.T) {
 				name  string
 				score func() (float64, float64, mat.Vec, bool)
 			}{
-				{"Score", func() (float64, float64, mat.Vec, bool) {
-					return sc.Score(ext, numConds)
-				}},
 				{"Worker.Score", func() (float64, float64, mat.Vec, bool) {
 					return worker.Score(ext, numConds)
 				}},
@@ -297,11 +294,12 @@ func TestSharedFastPathAgreesWithGeneralPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		slow.shared = nil
+		fw, sw := fast.newWorker(), slow.newWorker()
 
 		for e := 0; e < 6; e++ {
 			ext := randomExt(rng, n)
-			fsi, fic, _, fok := fast.Score(ext, 2)
-			ssi, sic, _, sok := slow.Score(ext, 2)
+			fsi, fic, _, fok := fw.Score(ext, 2)
+			ssi, sic, _, sok := sw.Score(ext, 2)
 			if fok != sok {
 				t.Fatalf("trial %d: ok mismatch", trial)
 			}

@@ -57,10 +57,10 @@ type shiftedGroup struct {
 }
 
 // centralStats drops the mean shifts, for the central fit (Eq. 18).
-func centralStats(gs []shiftedGroup) []background.GroupStats {
-	out := make([]background.GroupStats, len(gs))
+func centralStats(gs []shiftedGroup) []groupStats {
+	out := make([]groupStats, len(gs))
 	for i, g := range gs {
-		out[i] = background.GroupStats{Count: g.Count, S: g.S}
+		out[i] = groupStats{Count: g.Count, S: g.S}
 	}
 	return out
 }
@@ -79,7 +79,7 @@ func shiftedGroups(m background.Reader, ext *bitset.Set, w, center mat.Vec) []sh
 		}
 		gs = append(gs, shiftedGroup{
 			Count:     counts[gi],
-			S:         w.Dot(g.Sigma.MulVec(w)),
+			S:         g.Sigma.QuadForm(w),
 			MeanShift: w.Dot(center.Sub(g.Mu)),
 		})
 	}
@@ -276,7 +276,7 @@ func TestSpreadICNoncentralEndToEnd(t *testing.T) {
 }
 
 func TestSpreadApproxCDFMonotone(t *testing.T) {
-	sm := Moments([]background.GroupStats{{Count: 20, S: 1.0}}, 20)
+	sm := Moments([]groupStats{{Count: 20, S: 1.0}}, 20)
 	prev := -1.0
 	for x := -1.0; x < 6; x += 0.1 {
 		v := SpreadApproxCDF(sm, x)

@@ -112,7 +112,7 @@ type SpreadMoments struct {
 // MomentsFromSums builds the three-moment fit directly from the moment
 // sums A₁..A₃ — the form the spread optimizer uses, whose evaluation
 // engine maintains the sums itself (from precomputed quadratic forms)
-// rather than through per-group GroupStats.
+// rather than from per-group counts and projected variances.
 func MomentsFromSums(a1, a2, a3 float64) SpreadMoments {
 	return SpreadMoments{
 		Alpha: a3 / a2,
@@ -201,10 +201,9 @@ func SpreadICGradientTerms(sm SpreadMoments, ghat float64) (ic, dG, dA1, dA2, dA
 // which Theorem 1 guarantees keeps all covariances equal) avoids a d³
 // factorization per candidate.
 //
-// The scorer itself is safe for concurrent use (Score draws reusable
-// scratch from an internal pool); the engine instead calls NewWorker
-// for a per-goroutine context whose steady-state scoring path performs
-// zero heap allocations.
+// The scorer itself only mints workers and is safe for concurrent use;
+// the engine calls NewWorker for a per-goroutine context whose
+// steady-state scoring path performs zero heap allocations.
 type LocationScorer struct {
 	Y *mat.Dense
 	P Params
@@ -228,17 +227,12 @@ type LocationScorer struct {
 	boundOnce   sync.Once
 	boundVals   []float64
 	boundInvVar float64 // d == 1 only: 1/Σ, the shared scalar precision
-
-	pool sync.Pool // of *LocationWorker, for the concurrent Score path
 }
 
-// Interface conformance with the evaluation engine: workers score from
-// pooled scratch, and stat workers score level-1 candidates from the
-// Language's cached per-condition target sums.
+// Interface conformance with the evaluation engine.
 var (
-	_ engine.WorkerScorer     = (*LocationScorer)(nil)
-	_ engine.BoundScorer      = (*LocationScorer)(nil)
-	_ engine.StatScorerWorker = (*LocationWorker)(nil)
+	_ engine.Scorer = (*LocationScorer)(nil)
+	_ engine.Worker = (*LocationWorker)(nil)
 )
 
 // NewLocationScorer prepares a scorer against the given model state —
@@ -265,27 +259,11 @@ func NewLocationScorer(m background.Reader, y *mat.Dense, p Params) (*LocationSc
 		s.shared = chol
 		s.icBase = float64(s.d)*math.Log(2*math.Pi) + chol.LogDet()
 	}
-	s.pool.New = func() any { return s.newWorker() }
 	return s, nil
 }
 
-// NewWorker implements engine.WorkerScorer.
-func (s *LocationScorer) NewWorker() engine.ScorerWorker { return s.newWorker() }
-
-// Score evaluates a candidate extension with numConds conditions,
-// returning its SI, IC and subgroup mean. ok=false marks candidates that
-// cannot be scored (empty extension or degenerate marginal). Safe for
-// concurrent use; the mean is freshly allocated. Hot paths should use a
-// worker instead, whose returned mean is reusable scratch.
-func (s *LocationScorer) Score(ext *bitset.Set, numConds int) (si, ic float64, yhat mat.Vec, ok bool) {
-	w := s.pool.Get().(*LocationWorker)
-	si, ic, yhat, ok = w.Score(ext, numConds)
-	if ok {
-		yhat = yhat.Clone()
-	}
-	s.pool.Put(w)
-	return si, ic, yhat, ok
-}
+// NewWorker implements engine.Scorer.
+func (s *LocationScorer) NewWorker() engine.Worker { return s.newWorker() }
 
 // LocationWorker is a single-goroutine scoring context: all
 // intermediates (group counts, ŷ, µ_I, the solve and — on the general
@@ -324,8 +302,10 @@ func (s *LocationScorer) newWorker() *LocationWorker {
 	return w
 }
 
-// Score implements engine.ScorerWorker: the fused single-pass scoring
-// kernel. The returned mean is worker scratch, valid until the next
+// Score implements engine.Worker: the fused single-pass scoring kernel.
+// It returns the candidate's SI, IC and subgroup mean; ok=false marks
+// candidates that cannot be scored (empty extension or degenerate
+// marginal). The returned mean is worker scratch, valid until the next
 // call.
 func (w *LocationWorker) Score(ext *bitset.Set, numConds int) (si, ic float64, yhat mat.Vec, ok bool) {
 	cnt := w.accumulate(ext)
@@ -335,7 +315,7 @@ func (w *LocationWorker) Score(ext *bitset.Set, numConds int) (si, ic float64, y
 	return w.finish(cnt, numConds)
 }
 
-// ScoreStats implements engine.StatScorerWorker: ysum is ext's target
+// ScoreStats implements engine.Worker: ysum is ext's target
 // sum, so only the group counts come from ext — the popcount or label
 // pass Score would pick, with no target row read. Results are
 // bit-identical to Score because the counts are the same integers and
@@ -736,7 +716,7 @@ func (w *LocationWorker) finish(cnt, numConds int) (si, ic float64, yhat mat.Vec
 	return ic / s.P.DL(numConds, false), ic, yhat, true
 }
 
-// NewBoundWorker implements engine.BoundScorer. The bound exploits the
+// NewBoundWorker implements engine.Scorer. The bound exploits the
 // shared-Σ IC form: for a subgroup c of size k,
 //
 //	IC = ½(d·log2π + log|Σ| − d·log k + k·δᵀΣ⁻¹δ),  δ = (1/k)·Σ_{i∈c} zᵢ,

@@ -127,12 +127,31 @@ func TestLocationSIIntentionEquivalence(t *testing.T) {
 	}
 }
 
+// groupStats describes, for one parameter group intersecting an
+// extension, the quantities the spread-pattern IC needs.
+type groupStats struct {
+	Count int     // points of the group inside the extension
+	S     float64 // wᵀ·Σ_g·w
+}
+
+// spreadStats returns, for every group intersecting ext, its count
+// inside ext and its projected variance wᵀΣw along the direction w.
+func spreadStats(m background.Reader, ext *bitset.Set, w mat.Vec) []groupStats {
+	counts := m.CountByGroup(ext, nil)
+	var gs []groupStats
+	for gi, g := range m.Groups() {
+		if counts[gi] > 0 {
+			gs = append(gs, groupStats{Count: int(counts[gi]), S: g.Sigma.QuadForm(w)})
+		}
+	}
+	return gs
+}
+
 // Moments computes the approximation coefficients from the per-group
-// spread statistics returned by the background model: with
-// aᵢ = wᵀΣᵢw/|I| (constant within a group),
+// spread statistics: with aᵢ = wᵀΣᵢw/|I| (constant within a group),
 //
 //	α = A3/A2,  β = A1 − A2²/A3,  m = A2³/A3²,  Aₖ = Σ_{i∈I} aᵢᵏ.
-func Moments(gs []background.GroupStats, total int) SpreadMoments {
+func Moments(gs []groupStats, total int) SpreadMoments {
 	inv := 1 / float64(total)
 	var a1, a2, a3 float64
 	for _, g := range gs {
@@ -155,8 +174,7 @@ func SpreadIC(m background.Reader, ext *bitset.Set, w mat.Vec, ghat float64) (fl
 	if cnt == 0 {
 		return 0, background.ErrNoPoints
 	}
-	gs := m.SpreadStats(ext, w)
-	return SpreadICFromMoments(Moments(gs, cnt), ghat), nil
+	return SpreadICFromMoments(Moments(spreadStats(m, ext, w), cnt), ghat), nil
 }
 
 func TestSpreadICExactChiSquaredCase(t *testing.T) {
@@ -180,7 +198,7 @@ func TestSpreadICExactChiSquaredCase(t *testing.T) {
 }
 
 func TestSpreadMomentsEqualCase(t *testing.T) {
-	gs := []background.GroupStats{{Count: 10, S: 2.0}}
+	gs := []groupStats{{Count: 10, S: 2.0}}
 	sm := Moments(gs, 10)
 	// a = 2/10 = 0.2 ⇒ α = 0.2, β = 0, m = 10.
 	if math.Abs(sm.Alpha-0.2) > 1e-12 || math.Abs(sm.Beta) > 1e-12 ||
@@ -192,7 +210,7 @@ func TestSpreadMomentsEqualCase(t *testing.T) {
 func TestSpreadMomentsMatchTrueMoments(t *testing.T) {
 	// The three-moment fit must reproduce mean and variance of the true
 	// mixture: E[g] = A1, Var[g] = 2·A2.
-	gs := []background.GroupStats{
+	gs := []groupStats{
 		{Count: 5, S: 1.0},
 		{Count: 15, S: 3.0},
 	}
@@ -232,7 +250,7 @@ func TestSpreadICDropsAfterCommit(t *testing.T) {
 }
 
 func TestSpreadICClampsOutsideSupport(t *testing.T) {
-	gs := []background.GroupStats{
+	gs := []groupStats{
 		{Count: 5, S: 1.0},
 		{Count: 15, S: 3.0},
 	}
@@ -306,6 +324,7 @@ func TestLocationScorerMatchesDirectIC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := sc.NewWorker()
 	for trial := 0; trial < 20; trial++ {
 		var idx []int
 		for i := 0; i < n; i++ {
@@ -317,7 +336,7 @@ func TestLocationScorerMatchesDirectIC(t *testing.T) {
 			continue
 		}
 		ext := bitset.FromIndices(n, idx)
-		si1, ic1, yhat, ok := sc.Score(ext, 1)
+		si1, ic1, yhat, ok := w.Score(ext, 1)
 		if !ok {
 			t.Fatal("scorer rejected a valid extension")
 		}
@@ -354,7 +373,7 @@ func TestLocationScorerGeneralPathAfterSpreadCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := bitset.FromIndices(n, seq(10, 60)) // straddles both groups
-	_, ic1, yhat, ok := sc.Score(q, 2)
+	_, ic1, yhat, ok := sc.NewWorker().Score(q, 2)
 	if !ok {
 		t.Fatal("scorer rejected straddling extension")
 	}
@@ -374,7 +393,7 @@ func TestScoreEmptyExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := sc.Score(bitset.New(10), 1); ok {
+	if _, _, _, ok := sc.NewWorker().Score(bitset.New(10), 1); ok {
 		t.Fatal("empty extension must not score")
 	}
 }
