@@ -24,9 +24,10 @@
 // The background model is versioned copy-on-write: every commit builds
 // and atomically publishes the next immutable ModelVersion. Concurrent
 // use follows from that — Miner.Snapshot pins a version, and MineAt /
-// MineSpreadAt / ExplainLocationAt run lock-free against it while
+// PreviewSpread / ExplainLocationAt run lock-free against it while
 // commits proceed, with results byte-identical to a serial run against
-// the same version. SaveModel and Restore (RestoreOptions) are the
+// the same version. Miner.Commit commits a location and its spread as
+// one published version. SaveModel and Restore (RestoreOptions) are the
 // library's model export and import; the HTTP server persists a
 // session as its commit log and restores it by replaying the commits.
 //

@@ -47,7 +47,9 @@ var ErrDeadline = errors.New("background: refit deadline exceeded")
 // ErrInfeasible is returned (wrapped) when the committed constraints
 // cannot be enforced: the coordinate descent does not converge within
 // MaxSweeps, or a spread update cannot bracket its multiplier, diverges
-// or makes a covariance numerically singular. Like every failed commit,
+// or makes a covariance numerically singular, or a spread commit
+// claims a variance that is not positive (a subgroup whose targets do
+// not vary along w has no spread to tell). Like every failed commit,
 // the model is rolled back to its pre-commit state.
 var ErrInfeasible = errors.New("background: constraints infeasible")
 
@@ -695,7 +697,7 @@ func (m *Model) CommitSpread(ext *bitset.Set, w mat.Vec, center mat.Vec, value f
 		return fmt.Errorf("background: spread direction/center has wrong dim")
 	}
 	if value <= 0 {
-		return fmt.Errorf("background: spread value must be positive, got %v", value)
+		return fmt.Errorf("%w: spread value must be positive, got %v", ErrInfeasible, value)
 	}
 	nrm := w.Norm()
 	if math.Abs(nrm-1) > 1e-8 {

@@ -164,7 +164,7 @@ func (v *ModelVersion) Digest() uint64 {
 // first refit re-applies each satisfied constraint once (a clean
 // early return, no parameter change), which reproduces the source's
 // float trajectory exactly. A fork is either discarded or, after one
-// location commit, handed back to its source model with Model.Adopt.
+// or more commits, handed back to its source model with Model.Adopt.
 func (v *ModelVersion) Fork() *Model {
 	m := &Model{
 		n: v.n, d: v.d,
@@ -181,40 +181,42 @@ func (v *ModelVersion) Fork() *Model {
 	return m
 }
 
-// Adopt makes f's belief state the model's own, in place of a
-// CommitLocation that would compute the same state again. f must be a
-// Fork of the model's published version on which exactly one
-// CommitLocation succeeded, under the model's Tol and MaxSweeps. That
-// commit ran the same split and the same coordinate descent a live
-// commit of the same pattern runs (Fork reproduces the source's float
-// trajectory), so f holds the state the live commit would publish, bit
-// for bit. Adopt takes over f's groups, labeling, constraints,
-// constraint caches and published version, which becomes the model's
-// next version; nothing is copied or refit.
+// ForkOf returns the version a Fork started from, or nil for a model
+// built any other way or already adopted. A fork whose ForkOf is no
+// longer its source's Snapshot is stale: Adopt refuses it.
+func (m *Model) ForkOf() *ModelVersion { return m.forkOf }
+
+// Adopt makes f's belief state the model's own, in place of the commits
+// that would compute the same state again. f must be a Fork of the
+// model's published version on which k ≥ 1 commits succeeded, under
+// the model's Tol and MaxSweeps. Those commits ran the same splits and
+// the same coordinate descents the same live commits run (Fork
+// reproduces the source's float trajectory), so f holds the state the
+// live commits would publish, bit for bit. Adopt takes over f's groups,
+// labeling, constraints, constraint caches and published version,
+// which becomes the model's next version: k commits publish once, and
+// no reader ever sees a state between them. Nothing is copied or refit.
 //
 // Adopt reports false, changing nothing, when f does not fit: a commit
 // published another version since f was forked, f was forked from
-// another version or model, or f made other than exactly one location
-// commit. The caller then commits the pattern itself. Adopt does not
-// check which pattern f committed; keeping f next to its pattern is
-// the caller's part.
+// another version or model, or f made no commit. The caller then
+// commits the patterns itself. Adopt does not check which patterns f
+// committed; keeping f next to its patterns is the caller's part.
 //
 // On success f is dead: its state now belongs to the model, so Adopt
 // clears f's references to it and f must not be used again.
 func (m *Model) Adopt(f *Model) bool {
 	base := f.forkOf
-	if base == nil || m.cur.Load() != base || f.version != base.version+1 ||
+	if base == nil || m.cur.Load() != base ||
 		f.Tol != m.Tol || f.MaxSweeps != m.MaxSweeps ||
-		len(f.cons) != len(base.cons)+1 {
+		len(f.cons) <= len(base.cons) ||
+		f.version != base.version+uint64(len(f.cons)-len(base.cons)) {
 		return false
 	}
 	for i, c := range base.cons {
 		if f.cons[i] != c {
 			return false
 		}
-	}
-	if _, ok := f.cons[len(base.cons)].(*locationConstraint); !ok {
-		return false
 	}
 	m.groups, m.labels, m.cons, m.conState = f.groups, f.labels, f.cons, f.conState
 	m.epoch, m.version, m.LastSweeps = f.epoch, f.version, f.LastSweeps

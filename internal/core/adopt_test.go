@@ -46,22 +46,21 @@ func errText(err error) string {
 // commit the location on the fork and mine the spread there.
 func previewFork(t *testing.T, m *Miner, v *background.ModelVersion, loc *pattern.Location) (*Miner, *pattern.Spread) {
 	t.Helper()
-	fork := m.ForkAt(v)
-	if err := fork.Model.CommitLocation(loc.Extension, loc.Mean); err != nil {
-		t.Fatalf("preview commit: %v", err)
-	}
-	sp, _, err := fork.MineSpreadBudget(loc)
+	sp, fork, _, err := m.PreviewSpread(v, loc, MineOptions{})
 	if err != nil {
-		t.Fatalf("preview spread: %v", err)
+		t.Fatalf("preview: %v", err)
 	}
 	return fork, sp
 }
 
-// Adopting a spread preview's fork commits the location to exactly the
-// state CommitLocation computes. Each iteration commits the mined
-// location by adoption on one miner and by CommitLocation on a twin,
-// then the previewed spread on both; the two must agree after each leg
-// and mine the identical next pattern.
+// Commit publishes the state live CommitLocation + CommitSpread
+// publish, whichever way it gets there. Three miners commit each
+// iteration's location and previewed spread with Commit: one passes a
+// fresh preview of its published version (adopted), one a stale
+// preview of a version it no longer publishes (ignored: Commit forks
+// the published version), one no preview. A twin commits both legs
+// live. After every iteration all four must agree and mine the
+// identical next pattern.
 func TestAdoptLocationMatchesCommitLocation(t *testing.T) {
 	water := gen.WaterQualityLike(gen.SeedWater).DS
 	cases := []struct {
@@ -78,49 +77,76 @@ func TestAdoptLocationMatchesCommitLocation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			adopt, err := NewMiner(tc.ds, tc.cfg)
-			if err != nil {
+			miner := func() *Miner {
+				m, err := NewMiner(tc.ds, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			fresh, stale, none, twin := miner(), miner(), miner(), miner()
+			// The stale arm's first preview forks a version of the model
+			// a Reset replaced: published once, published no longer.
+			old := stale.Snapshot()
+			if err := stale.Reset(); err != nil {
 				t.Fatal(err)
 			}
-			twin, err := NewMiner(tc.ds, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loc, _, err := adopt.MineLocation()
+			loc, _, err := fresh.MineLocation()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for it := 1; it <= 6; it++ {
-				fork, sp := previewFork(t, adopt, adopt.Snapshot(), loc)
-				if !adopt.AdoptLocation(fork) {
-					t.Fatalf("iteration %d: a fresh preview fork was refused", it)
-				}
-				if fork.Snapshot() != nil {
-					t.Fatalf("iteration %d: the adopted fork still publishes a version", it)
-				}
-				if err := twin.CommitLocation(loc); err != nil {
-					t.Fatalf("iteration %d: twin location: %v", it, err)
-				}
-				requireTwins(t, fmt.Sprintf("iteration %d location", it), adopt, twin)
+				tag := func(arm string) string { return fmt.Sprintf("iteration %d %s", it, arm) }
+				preview, sp := previewFork(t, fresh, fresh.Snapshot(), loc)
+				stalePreview, _ := previewFork(t, stale, old, loc)
+				old = stale.Snapshot()
 
 				// A spread the refit cannot enforce must fail the same way
-				// on both; the rolled-back models stay twins.
-				ea, eb := adopt.CommitSpread(sp), twin.CommitSpread(sp)
-				if errText(ea) != errText(eb) {
-					t.Fatalf("iteration %d: spread commit %v, twin %v", it, ea, eb)
+				// on every arm, and commit nothing there; the twin's
+				// location leg then has a live twin on each arm.
+				if err := twin.CommitLocation(loc); err != nil {
+					t.Fatalf("%s: %v", tag("twin location"), err)
 				}
-				requireTwins(t, fmt.Sprintf("iteration %d spread", it), adopt, twin)
+				want := errText(twin.CommitSpread(sp))
+				arms := []struct {
+					name    string
+					m       *Miner
+					preview *Miner
+				}{{"fresh", fresh, preview}, {"stale", stale, stalePreview}, {"none", none, nil}}
+				for _, a := range arms {
+					before := a.m.Snapshot()
+					if got := errText(a.m.Commit(loc, sp, a.preview)); got != want {
+						t.Fatalf("%s: commit %q, twin %q", tag(a.name), got, want)
+					}
+					if want != "" {
+						if a.m.Snapshot() != before {
+							t.Fatalf("%s: a failed commit published a version", tag(a.name))
+						}
+						if err := a.m.Commit(loc, nil, nil); err != nil {
+							t.Fatalf("%s: location alone: %v", tag(a.name), err)
+						}
+					}
+					requireTwins(t, tag(a.name), a.m, twin)
+				}
+				if want == "" && preview.Snapshot() != nil {
+					t.Fatalf("%s: the fresh preview was not adopted", tag("fresh"))
+				}
+				if stalePreview.Snapshot() == nil {
+					t.Fatalf("%s: a stale preview was adopted", tag("stale"))
+				}
 
-				next, _, err := adopt.MineLocation()
+				next, _, err := twin.MineLocation()
 				if err != nil {
-					t.Fatalf("iteration %d: mine: %v", it, err)
+					t.Fatalf("%s: %v", tag("twin mine"), err)
 				}
-				twinNext, _, err := twin.MineLocation()
-				if err != nil {
-					t.Fatalf("iteration %d: twin mine: %v", it, err)
-				}
-				if a, b := locKey(tc.ds, next), locKey(tc.ds, twinNext); a != b {
-					t.Fatalf("iteration %d: next mine differs:\n%s\n%s", it, a, b)
+				for _, a := range arms {
+					got, _, err := a.m.MineLocation()
+					if err != nil {
+						t.Fatalf("%s: mine: %v", tag(a.name), err)
+					}
+					if a, b := locKey(tc.ds, got), locKey(tc.ds, next); a != b {
+						t.Fatalf("%s: next mine differs:\n%s\n%s", tag("next"), a, b)
+					}
 				}
 				loc = next
 			}
@@ -128,10 +154,11 @@ func TestAdoptLocationMatchesCommitLocation(t *testing.T) {
 	}
 }
 
-// AdoptLocation refuses every fork that is not one location commit
+// Model.Adopt refuses every fork that is not one or more commits
 // ahead of the published version, and a refusal changes nothing on
 // either side: the live model keeps its version and the fork stays
-// usable.
+// usable. A fork k commits ahead of the published version is adopted,
+// whatever it committed, as one version k stamps ahead.
 func TestAdoptLocationRefusals(t *testing.T) {
 	m, syn := synMiner(t)
 	twin, _ := synMiner(t)
@@ -143,7 +170,7 @@ func TestAdoptLocationRefusals(t *testing.T) {
 	refuse := func(tag string, fork *Miner) {
 		t.Helper()
 		before, iter := m.Snapshot(), m.Iteration()
-		if m.AdoptLocation(fork) {
+		if m.Model.Adopt(fork.Model) {
 			t.Fatalf("%s: adopted", tag)
 		}
 		if m.Snapshot() != before || m.Iteration() != iter {
@@ -153,29 +180,50 @@ func TestAdoptLocationRefusals(t *testing.T) {
 			t.Fatalf("%s: a refused adoption killed the fork", tag)
 		}
 	}
+	// adopt requires a fresh miner to adopt the fork build makes of its
+	// published version, k stamps ahead.
+	adopt := func(tag string, k uint64, build func(a *Miner, v *background.ModelVersion) *Miner) {
+		t.Helper()
+		a, _ := synMiner(t)
+		v := a.Snapshot()
+		fork := build(a, v)
+		if !a.Model.Adopt(fork.Model) {
+			t.Fatalf("%s: refused", tag)
+		}
+		if got := a.Snapshot().Version(); got != v.Version()+k {
+			t.Fatalf("%s: version %d, want %d", tag, got, v.Version()+k)
+		}
+		if fork.Snapshot() != nil {
+			t.Fatalf("%s: the adopted fork still publishes a version", tag)
+		}
+	}
 
-	// No commit on the fork, and two location commits.
+	// No commit on the fork is refused; two location commits are adopted.
 	refuse("fork advanced by 0", m.ForkAt(v0))
-	two := m.ForkAt(v0)
 	idx := make([]int, 0, syn.DS.N()/2)
 	for i := 0; i < syn.DS.N(); i += 2 {
 		idx = append(idx, i)
 	}
 	other := bitset.FromIndices(syn.DS.N(), idx)
-	if err := two.CommitLocation(loc); err != nil {
-		t.Fatal(err)
-	}
-	if err := two.Model.CommitLocation(other, pattern.SubgroupMean(syn.DS.Y, other)); err != nil {
-		t.Fatal(err)
-	}
-	refuse("fork advanced by 2", two)
+	adopt("fork advanced by 2", 2, func(a *Miner, v *background.ModelVersion) *Miner {
+		two := a.ForkAt(v)
+		if err := two.CommitLocation(loc); err != nil {
+			t.Fatal(err)
+		}
+		if err := two.Model.CommitLocation(other, pattern.SubgroupMean(syn.DS.Y, other)); err != nil {
+			t.Fatal(err)
+		}
+		return two
+	})
 
 	// A location then a spread is two commits too.
-	loSp, sp := previewFork(t, m, v0, loc)
-	if err := loSp.CommitSpread(sp); err != nil {
-		t.Fatal(err)
-	}
-	refuse("fork advanced by location and spread", loSp)
+	adopt("fork advanced by location and spread", 2, func(a *Miner, v *background.ModelVersion) *Miner {
+		loSp, sp := previewFork(t, a, v, loc)
+		if err := loSp.CommitSpread(sp); err != nil {
+			t.Fatal(err)
+		}
+		return loSp
+	})
 
 	// A fork of a version of another model: same version number, same
 	// (empty) constraint prefix, different lineage.
@@ -210,21 +258,23 @@ func TestAdoptLocationRefusals(t *testing.T) {
 	// of that version.
 	refuse("fork of an older version", stale2)
 
-	// A fork whose single commit is a spread, not a location.
-	v2 := m.Snapshot()
-	spreadOnly := m.ForkAt(v2)
-	sp2, err := spreadOnly.MineSpread(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spreadOnly.CommitSpread(sp2); err != nil {
-		t.Fatal(err)
-	}
-	refuse("fork that committed a spread", spreadOnly)
+	// A fork whose single commit is a spread, not a location, is adopted:
+	// Adopt does not check what a fork committed.
+	adopt("fork that committed a spread", 1, func(a *Miner, v *background.ModelVersion) *Miner {
+		spreadOnly := a.ForkAt(v)
+		sp, err := spreadOnly.MineSpread(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spreadOnly.CommitSpread(sp); err != nil {
+			t.Fatal(err)
+		}
+		return spreadOnly
+	})
 
 	// The fresh preview of the published version is still adopted.
-	fresh, _ := previewFork(t, m, v2, next)
-	if !m.AdoptLocation(fresh) {
+	fresh, _ := previewFork(t, m, m.Snapshot(), next)
+	if !m.Model.Adopt(fresh.Model) {
 		t.Fatal("a fresh preview fork was refused")
 	}
 }

@@ -65,10 +65,9 @@ func (c Config) withDefaults() Config {
 // belong to a single writer, but any number of goroutines may mine
 // concurrently with that writer by pinning a published model version:
 // Snapshot returns the current immutable *background.ModelVersion and
-// the *At methods (MineAt, MineSpreadAt, ExplainLocationAt, ForkAt)
-// evaluate against the version they are given, never touching the
-// live model. A mine against a version is byte-identical regardless
-// of concurrent commits.
+// MineAt, PreviewSpread, ExplainLocationAt and ForkAt evaluate against
+// the version they are given, never touching the live model. A mine
+// against a version is byte-identical regardless of concurrent commits.
 type Miner struct {
 	DS    *dataset.Dataset
 	Model *background.Model
@@ -162,10 +161,10 @@ func (m *Miner) Restore(model *background.Model, iteration int) error {
 
 // ForkAt returns an independent miner whose belief state starts at
 // exactly the given version — the what-if primitive behind spread
-// previews: commit speculatively on the fork, evaluate, then discard
-// it or hand its location commit back with AdoptLocation. The fork
-// shares the dataset and config; its model is a copy-on-write fork of
-// v, so building it is cheap and the source miner is never affected.
+// previews (PreviewSpread): commit speculatively on the fork, evaluate,
+// then discard it or let Commit adopt it. The fork shares the dataset
+// and config; its model is a copy-on-write fork of v, so building it is
+// cheap and the source miner is never affected.
 func (m *Miner) ForkAt(v *background.ModelVersion) *Miner {
 	fm := &Miner{DS: m.DS, Model: v.Fork(), Cfg: m.Cfg}
 	fm.iteration.Store(m.iteration.Load())
@@ -256,58 +255,28 @@ func (m *Miner) CommitLocation(loc *pattern.Location) error {
 	return nil
 }
 
-// AdoptLocation commits a location pattern by taking over the state
-// of fork, a ForkAt fork of the published version on which that
-// pattern's location, and nothing else, was committed: the state
-// CommitLocation would compute, without computing it again (see
-// background.Model.Adopt). It reports false, changing nothing, when
-// the fork no longer fits, typically because another commit landed
-// since it was forked; the caller then calls CommitLocation. On
-// success the iteration count advances as CommitLocation's does and
-// the fork is dead.
-func (m *Miner) AdoptLocation(fork *Miner) bool {
-	if !m.Model.Adopt(fork.Model) {
-		return false
-	}
-	m.iteration.Add(1)
-	return true
-}
-
 // MineSpread finds the most interesting spread direction for a location
 // pattern whose location must already be committed (the paper's
 // two-step procedure: the spread of a subgroup is only interpretable
 // once its location is known).
 func (m *Miner) MineSpread(loc *pattern.Location) (*pattern.Spread, error) {
-	sp, _, err := m.MineSpreadBudget(loc)
+	sp, _, err := m.mineSpread(loc)
 	return sp, err
 }
 
-// MineSpreadBudget is MineSpread with the engine options threaded
-// through: the optimizer's restart pool inherits the search
-// parallelism, and an active Model.Deadline (the same budget the
-// background refit honours) bounds the direction search — the
-// optimizer then degrades to best-so-far, reported via timedOut,
-// instead of blowing the caller's mine budget.
-func (m *Miner) MineSpreadBudget(loc *pattern.Location) (sp *pattern.Spread, timedOut bool, err error) {
-	return m.mineSpread(m.Model, loc, m.Model.Deadline)
-}
-
-// MineSpreadAt is MineSpread against a pinned model version, for
-// callers running concurrently with commits. opt.Deadline bounds the
-// direction search the way Model.Deadline does on the live path.
-func (m *Miner) MineSpreadAt(v *background.ModelVersion, loc *pattern.Location, opt MineOptions) (sp *pattern.Spread, timedOut bool, err error) {
-	return m.mineSpread(v, loc, opt.Deadline)
-}
-
-func (m *Miner) mineSpread(r background.Reader, loc *pattern.Location, deadline time.Time) (sp *pattern.Spread, timedOut bool, err error) {
+// mineSpread is MineSpread with the engine options threaded through:
+// the restart pool inherits the search parallelism, and an active
+// Model.Deadline bounds the direction search, which then returns its
+// best so far and reports timedOut.
+func (m *Miner) mineSpread(loc *pattern.Location) (sp *pattern.Spread, timedOut bool, err error) {
 	p := m.Cfg.Spread
 	if p.Parallelism <= 0 {
 		p.Parallelism = m.Cfg.Search.Parallelism
 	}
 	if p.Deadline.IsZero() {
-		p.Deadline = deadline
+		p.Deadline = m.Model.Deadline
 	}
-	res, err := spreadopt.Optimize(r, m.DS.Y, loc.Extension, loc.Mean,
+	res, err := spreadopt.Optimize(m.Model, m.DS.Y, loc.Extension, loc.Mean,
 		len(loc.Intention), m.Cfg.SI, p)
 	if err != nil {
 		return nil, false, err
@@ -322,6 +291,58 @@ func (m *Miner) mineSpread(r background.Reader, loc *pattern.Location, deadline 
 		DL:        m.Cfg.SI.DL(len(loc.Intention), true),
 		SI:        res.SI,
 	}, res.TimedOut, nil
+}
+
+// PreviewSpread mines the spread for loc, mined at the pinned version
+// v, without committing anything: it commits loc on a ForkAt(v) fork
+// and mines the spread there, both under opt.Deadline. It returns the
+// spread and the fork, the preview Commit adopts. timedOut reports a
+// direction search cut short by the deadline; a location refit cut
+// short returns an error wrapping background.ErrDeadline. Safe for
+// concurrent callers, like MineAt.
+func (m *Miner) PreviewSpread(v *background.ModelVersion, loc *pattern.Location, opt MineOptions) (sp *pattern.Spread, preview *Miner, timedOut bool, err error) {
+	preview = m.ForkAt(v)
+	preview.Model.Deadline = opt.Deadline
+	if err := preview.Model.CommitLocation(loc.Extension, loc.Mean); err != nil {
+		return nil, nil, false, err
+	}
+	sp, timedOut, err = preview.mineSpread(loc)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return sp, preview, timedOut, nil
+}
+
+// Commit commits one shown iteration, the location loc and, unless sp
+// is nil, its spread sp, under the live model's Deadline. A location
+// alone is committed live. A location and its spread are committed on
+// preview (PreviewSpread's fork, which holds loc) or, when preview is
+// nil or its base is no longer published, on a fresh fork that commits
+// loc first; the live model then adopts the fork, publishing once, bit
+// for bit what CommitLocation and CommitSpread would publish. The
+// iteration count advances by one. On error nothing is committed; a
+// preview whose spread leg failed still holds loc and may be retried.
+func (m *Miner) Commit(loc *pattern.Location, sp *pattern.Spread, preview *Miner) error {
+	if sp == nil {
+		return m.CommitLocation(loc)
+	}
+	v := m.Snapshot()
+	if preview == nil || preview.Model.ForkOf() != v {
+		preview = m.ForkAt(v)
+		preview.Model.Deadline = m.Model.Deadline
+		if err := preview.Model.CommitLocation(loc.Extension, loc.Mean); err != nil {
+			return err
+		}
+	}
+	preview.Model.Deadline = m.Model.Deadline
+	if err := preview.CommitSpread(sp); err != nil {
+		return err
+	}
+	if !m.Model.Adopt(preview.Model) {
+		return fmt.Errorf("core: the model refused a fork of its published version %d", v.Version())
+	}
+	m.iteration.Add(1)
+	return nil
 }
 
 // CommitSpread assimilates a spread pattern into the background model.

@@ -131,13 +131,9 @@ func TestForkAtSpreadPreviewDeterministic(t *testing.T) {
 		t.Fatalf("MineAt: %v", err)
 	}
 	preview := func() string {
-		fork := m.ForkAt(v)
-		if err := fork.Model.CommitLocation(loc.Extension, loc.Mean); err != nil {
-			t.Fatalf("fork commit: %v", err)
-		}
-		sp, _, err := fork.MineSpreadAt(fork.Snapshot(), loc, MineOptions{})
+		sp, _, _, err := m.PreviewSpread(v, loc, MineOptions{})
 		if err != nil {
-			t.Fatalf("MineSpreadAt: %v", err)
+			t.Fatalf("PreviewSpread: %v", err)
 		}
 		return fmt.Sprintf("%s|%x|%x", sp.Intention.Format(syn.DS), sp.W, sp.Variance)
 	}

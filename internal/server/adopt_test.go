@@ -4,8 +4,11 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // waterSession starts a server with one water depth-1 session and
@@ -110,11 +113,12 @@ func TestCommitAdoptsLatestPreview(t *testing.T) {
 	}
 }
 
-// A commit whose spread leg fails has committed (here: adopted) the
-// location, and leaves no fork behind; the retry commits only the
-// spread.
-func TestFailedSpreadLegDropsPreview(t *testing.T) {
-	base, _, sess := waterSession(t)
+// A commit whose spread leg fails commits nothing: modelVersion, the
+// history, the model, the iteration count and the stored snapshot stay
+// as they were, and both legs stay pending with their preview fork. The
+// retry then commits both legs at once.
+func TestFailedSpreadLegCommitsNothing(t *testing.T) {
+	base, srv, sess := waterSession(t)
 	doJSON(t, "POST", base+"/mine", MineRequest{Spread: true}, http.StatusOK, nil)
 	good := pendingNow(sess)
 	bad := *good.spread
@@ -122,23 +126,104 @@ func TestFailedSpreadLegDropsPreview(t *testing.T) {
 	sess.mu.Lock()
 	sess.pending.spread = &bad
 	sess.mu.Unlock()
-	doJSON(t, "POST", base+"/commit", nil, http.StatusInternalServerError, nil)
-	if good.preview.Snapshot() != nil {
-		t.Fatal("the location leg did not adopt the preview fork")
+	failed := pendingNow(sess)
+
+	type state struct {
+		version    uint64
+		history    string
+		model      string
+		iterations int
+		stored     string
 	}
-	if p := pendingNow(sess); p != (pending{spread: &bad}) {
-		t.Fatalf("after a failed spread leg %+v is pending, want only the spread", p)
+	now := func() state {
+		stored, err := srv.store.Get(sess.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, _ := srv.info(sess.id)
+		return state{
+			version:    sess.miner.Snapshot().Version(),
+			history:    string(getBody(t, base+"/history")),
+			model:      string(getBody(t, base+"/model")),
+			iterations: inf.Iterations,
+			stored:     string(mustMarshal(t, stored)),
+		}
+	}
+	before := now()
+	var env envelope
+	doJSON(t, "POST", base+"/commit", nil, http.StatusUnprocessableEntity, &env)
+	if env.Error.Code != errModelInfeasible {
+		t.Fatalf("failed spread leg answered code %q, want %q", env.Error.Code, errModelInfeasible)
+	}
+	if after := now(); after != before {
+		t.Fatalf("a failed spread leg changed the session:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if p := pendingNow(sess); p != failed {
+		t.Fatalf("after a failed spread leg %+v is pending, want both legs %+v", p, failed)
+	}
+	if good.preview.Snapshot() == nil {
+		t.Fatal("a failed spread leg killed the preview fork")
 	}
 
 	sess.mu.Lock()
 	sess.pending.spread = good.spread
 	sess.mu.Unlock()
-	if v := commitVersion(t, base); v != 3 {
-		t.Fatalf("modelVersion %d after the retry, want 3", v)
+	if v := commitVersion(t, base); v != before.version+2 {
+		t.Fatalf("modelVersion %d after the retry, want %d", v, before.version+2)
+	}
+	if good.preview.Snapshot() != nil {
+		t.Fatal("the retry did not adopt the preview fork")
 	}
 	var hist []PatternJSON
 	doJSON(t, "GET", base+"/history", nil, http.StatusOK, &hist)
 	if len(hist) != 2 || hist[0].Kind != "location" || hist[1].Kind != "spread" {
 		t.Fatalf("history %+v", hist)
+	}
+}
+
+// A two-leg commit publishes once. Readers pinning the published
+// version while spread commits land see 1, 3, 5, …: the version before
+// and the version after each commit, never the one between its
+// location and its spread.
+func TestSpreadCommitPublishesOnce(t *testing.T) {
+	base, _, sess := waterSession(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop); wg.Wait() }) }
+	defer halt()
+	seen := []map[uint64]bool{{}, {}}
+	for _, versions := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := sess.miner.Snapshot()
+				versions[v.Version()] = true
+				if _, _, err := sess.miner.MineAt(v, core.MineOptions{}); err != nil {
+					t.Errorf("mine at version %d: %v", v.Version(), err)
+					return
+				}
+			}
+		}()
+	}
+	for i := uint64(0); i < 3; i++ {
+		doJSON(t, "POST", base+"/mine", MineRequest{Spread: true}, http.StatusOK, nil)
+		if v := commitVersion(t, base); v != 3+2*i {
+			t.Fatalf("commit %d answered modelVersion %d, want %d", i+1, v, 3+2*i)
+		}
+	}
+	halt()
+	for _, versions := range seen {
+		for v := range versions {
+			if v%2 == 0 {
+				t.Errorf("a reader saw version %d, between a location and its spread", v)
+			}
+		}
 	}
 }

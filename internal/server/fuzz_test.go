@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // FuzzSnapshotFile feeds arbitrary bytes to the restore path twice.
@@ -116,4 +119,48 @@ func mustMarshal(tb testing.TB, v any) []byte {
 		tb.Fatal(err)
 	}
 	return raw
+}
+
+// FuzzV1RequestBodies feeds arbitrary bytes to POST /sessions and, when
+// that creates a session, the same bytes to its mine, then posts its
+// commit. No request may panic or answer 500 internal: a body the
+// server cannot use is the client's error, and a search or commit that
+// finds nothing to do has its own code. Every search gets at most
+// 200 ms. The seeds are creates that once answered 500: searches that
+// find no pattern, description lengths that made SI non-finite, and a
+// spread with zero variance.
+func FuzzV1RequestBodies(f *testing.F) {
+	for _, body := range noPatternCreates {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"dataset":"synthetic","gamma":1e308,"eta":1e308}`))
+	f.Add([]byte(`{"dataset":"synthetic","gamma":0,"eta":1e-320}`))
+	f.Add([]byte(`{"dataset":"csv","csv":"a:d:num,y:t:num\n1,2\n1,2\n","spread":true}`))
+	srv := NewWithOptions(Options{MaxMineBudget: 200 * time.Millisecond})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", APIPrefix+path, bytes.NewReader(body)))
+			var env envelope
+			if rec.Code == http.StatusInternalServerError &&
+				json.Unmarshal(rec.Body.Bytes(), &env) == nil && env.Error.Code == errInternal {
+				t.Fatalf("POST %s answered 500 internal: %s\nbody: %q", path, env.Error.Message, body)
+			}
+			return rec
+		}
+		rec := post("/sessions", body)
+		if rec.Code != http.StatusCreated {
+			return
+		}
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		session := "/sessions/" + info.ID
+		defer h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("DELETE", APIPrefix+session, nil))
+		post(session+"/mine", body)
+		post(session+"/commit", nil)
+	})
 }

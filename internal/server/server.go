@@ -208,10 +208,9 @@ type session struct {
 // pending is what the latest mine left for a commit: its location,
 // the spread mined for it (nil unless the mine asked for one), and
 // preview, the spread preview's fork on which that location was
-// committed (nil unless that commit succeeded). They are one value so
-// a commit never pairs one mine's pattern with another mine's fork. A
-// commit adopts the preview instead of refitting the location again
-// when no other commit has landed since the mine pinned its version.
+// committed (core.Miner.PreviewSpread; nil exactly when spread is).
+// They are one value so a commit never pairs one mine's pattern with
+// another mine's fork, and a commit consumes all of it or none of it.
 type pending struct {
 	loc     *pattern.Location
 	spread  *pattern.Spread
@@ -469,6 +468,7 @@ const (
 	errStoreDegraded   = "store_degraded"
 	errDraining        = "draining"
 	errModelInfeasible = "model_infeasible"
+	errNoPattern       = "no_pattern"
 )
 
 type errorBody struct {
@@ -568,9 +568,6 @@ func buildDataset(req *CreateRequest) (*dataset.Dataset, error) {
 // so both apply identical clamping and defaults (which is what makes a
 // restored session behave exactly like the original).
 func newSession(req *CreateRequest) (*session, error) {
-	if err := (si.Params{Gamma: req.Gamma, Eta: req.Eta}).Validate(); err != nil {
-		return nil, err
-	}
 	ds, err := buildDataset(req)
 	if err != nil {
 		return nil, err
@@ -612,6 +609,8 @@ func newSession(req *CreateRequest) (*session, error) {
 	if clamped.Gamma != 0 || clamped.Eta != 0 {
 		cfg.SI = si.Params{Gamma: clamped.Gamma, Eta: clamped.Eta}
 	}
+	// core.NewMiner rejects γ and η that would make SI non-finite
+	// (si.Params.Validate); γ = η = 0 asks for the defaults.
 	miner, err := core.NewMiner(ds, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building miner: %w", err)
@@ -1165,6 +1164,13 @@ func (s *Server) writeMineOutcome(w http.ResponseWriter, inf jobs.Info) {
 		withJob.Job = inf.ID
 		WriteJSON(w, http.StatusOK, &withJob)
 	case jobs.StatusFailed:
+		// A job records its error as text; ErrNoPattern's is the one
+		// failure that is the data's answer, not the server's fault.
+		if inf.Error == core.ErrNoPattern.Error() {
+			WriteError(w, http.StatusUnprocessableEntity, errNoPattern, 0,
+				"mining: the search ran to completion and found no pattern on this belief state")
+			return
+		}
 		WriteError(w, http.StatusInternalServerError, errInternal, 0, "mining: %s", inf.Error)
 	case jobs.StatusCancelled:
 		WriteError(w, http.StatusConflict, errCancelled, 0, "mine job %s cancelled", inf.ID)
@@ -1206,25 +1212,28 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 			return nil, cerr
 		}
 		if err != nil {
-			// A budget that expires before anything is scored is a
-			// timeout, not a server failure: honour the MineResponse
-			// contract. The pending slots are cleared so an earlier
-			// mine's pattern cannot be committed on the strength of this
-			// empty result.
-			if errors.Is(err, core.ErrNoPattern) && log != nil && log.TimedOut {
-				sess.mu.Lock()
-				sess.pending = pending{}
-				sess.mu.Unlock()
-				return &MineResponse{
-					Evaluated:    log.Evaluated,
-					BoundEvals:   log.BoundEvals,
-					Pruned:       log.Pruned,
-					Status:       MineStatusTimeout,
-					TimedOut:     true,
-					ModelVersion: v.Version(),
-				}, nil
+			if !errors.Is(err, core.ErrNoPattern) {
+				return nil, err
 			}
-			return nil, err
+			// The search scored nothing, so an earlier mine's pattern
+			// must not be committed on the strength of this result. A
+			// search that ran to completion fails the job with
+			// ErrNoPattern, which a sync mine answers 422 no_pattern.
+			sess.mu.Lock()
+			sess.pending = pending{}
+			sess.mu.Unlock()
+			if !log.TimedOut {
+				return nil, err
+			}
+			// A budget that expired first is a timeout, not a failure.
+			return &MineResponse{
+				Evaluated:    log.Evaluated,
+				BoundEvals:   log.BoundEvals,
+				Pruned:       log.Pruned,
+				Status:       MineStatusTimeout,
+				TimedOut:     true,
+				ModelVersion: v.Version(),
+			}, nil
 		}
 		progress(fmt.Sprintf("beam search done: %d evaluated, %d pruned by SI bounds",
 			log.Evaluated, log.Pruned))
@@ -1243,39 +1252,25 @@ func (s *Server) mineJob(sess *session, req MineRequest) jobs.Fn {
 		next := pending{loc: loc}
 		if req.Spread {
 			// The two-step procedure needs the location committed before
-			// the direction search; preview on a fork of the pinned
-			// version so nothing is committed until the client asks for
-			// it (and concurrent commits to the live model stay
-			// invisible).
+			// the direction search. The preview does both on a fork of
+			// the pinned version, so nothing is committed until the
+			// client asks for it, under the job's budget: on expiry the
+			// direction search degrades to its best so far, and the
+			// response is marked partial.
 			progress("spread preview")
-			preview := sess.miner.ForkAt(v)
-			// The what-if commit's coordinate descent runs on the same
-			// job budget as the search phases: a pathological refit
-			// cannot pin the worker past the mine deadline.
-			preview.Model.Deadline = deadline
-			if err := preview.Model.CommitLocation(loc.Extension, loc.Mean); err != nil {
-				// The budget ran out after the location was already
-				// mined: that is a partial result, not a job failure —
-				// same contract as a deadline expiring mid-search. The
-				// location is kept; only the spread is dropped.
-				if errors.Is(err, background.ErrDeadline) {
-					resp.Status = MineStatusPartial
-					resp.TimedOut = true
-				} else {
-					return nil, fmt.Errorf("spread preview: %w", err)
-				}
-			} else {
-				// The direction search honours the same deadline (via
-				// preview.Model.Deadline): on expiry it degrades to the
-				// best direction found so far instead of pinning the
-				// worker, and the response is marked partial.
-				sp, spTimedOut, err := preview.MineSpreadBudget(loc)
-				if err != nil {
-					return nil, fmt.Errorf("spread: %w", err)
-				}
+			sp, preview, spTimedOut, err := sess.miner.PreviewSpread(v, loc, core.MineOptions{Deadline: deadline})
+			switch {
+			case errors.Is(err, background.ErrDeadline):
+				// The budget ran out in the preview's location refit,
+				// after the location was mined: a partial result, not a
+				// job failure. The location is kept; only the spread is
+				// dropped.
+				resp.Status, resp.TimedOut = MineStatusPartial, true
+			case err != nil:
+				return nil, fmt.Errorf("spread preview: %w", err)
+			default:
 				if spTimedOut {
-					resp.Status = MineStatusPartial
-					resp.TimedOut = true
+					resp.Status, resp.TimedOut = MineStatusPartial, true
 				}
 				resp.Spread = spreadJSON(sess.miner.DS, sp)
 				next.spread, next.preview = sp, preview
@@ -1307,9 +1302,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := sess.pending
-	pl, ps := p.loc, p.spread
 	sess.mu.Unlock()
-	if pl == nil && ps == nil {
+	if p.loc == nil {
 		WriteError(w, http.StatusConflict, errNothingPending, 0, "nothing mined to commit")
 		return
 	}
@@ -1317,66 +1311,36 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// (clamped like a mine request): background.Model.refit checks the
 	// deadline each sweep and fails atomically, so one degenerate
 	// constraint system cannot hold the commit lock unboundedly. A
-	// deadline failure is back-pressure, not a server error — the
-	// pending pattern that hit it stays pending, so the client keeps
-	// what was mined. Rollback is atomic, so a retry restarts the
-	// descent from scratch under a fresh budget; it helps when the
-	// failure was load-induced, not when the constraint system
-	// deterministically needs more than the budget. Deadline lives on
-	// the live model, which only commitMu holders touch.
+	// deadline failure is back-pressure, not a server error. Deadline
+	// lives on the live model, which only commitMu holders touch.
 	model := sess.miner.Model
 	model.Deadline = time.Now().Add(s.clampBudget(sess.mineTimeout))
 	defer func() { model.Deadline = time.Time{} }()
-	if pl != nil {
-		// A spread mine already committed this location on its preview
-		// fork; when that fork still starts at the published version,
-		// its state is exactly what CommitLocation would compute.
-		if p.preview == nil || !sess.miner.AdoptLocation(p.preview) {
-			if err := sess.miner.CommitLocation(pl); err != nil {
-				status, code, retry := commitFailure(err)
-				WriteError(w, status, code, retry, "commit: %v", err)
-				return
-			}
-		}
-		// The location is now irreversibly in the background model:
-		// record that before attempting the spread, so a failed spread
-		// commit can neither double-commit the location on retry nor
-		// leave the listed iteration count behind the model's. The
-		// pending slot is cleared only if it still holds the committed
-		// pattern — a concurrent mine may have published a fresher
-		// one in the meantime, which must survive. The preview goes
-		// with the location: adopted it is dead, and stale it can never
-		// be adopted again.
-		sess.mu.Lock()
-		sess.history = append(sess.history, *locationJSON(sess.miner.DS, pl))
-		sess.log = append(sess.log, locationEntry(pl))
-		if sess.pending.loc == pl {
-			sess.pending.loc, sess.pending.preview = nil, nil
-		}
-		sess.iterations.Store(int64(sess.miner.Iteration()))
-		sess.mu.Unlock()
+	// One call commits the location and its spread, if any, and
+	// publishes once. On error nothing was committed and the pending
+	// pattern stays, so the client keeps what was mined; a retry after
+	// a deadline restarts the descent under a fresh budget.
+	if err := sess.miner.Commit(p.loc, p.spread, p.preview); err != nil {
+		status, code, retry := commitFailure(err)
+		WriteError(w, status, code, retry, "commit: %v", err)
+		return
 	}
-	if ps != nil {
-		if err := sess.miner.CommitSpread(ps); err != nil {
-			// The spread stays pending: a deadline 503 advertises a
-			// retry, and the retry must still have something to commit
-			// (the location leg above is a no-op by then).
-			status, code, retry := commitFailure(err)
-			WriteError(w, status, code, retry,
-				"commit spread (location was committed): %v", err)
-			return
-		}
-		sess.mu.Lock()
-		sess.history = append(sess.history, *spreadJSON(sess.miner.DS, ps))
-		sess.log = append(sess.log, spreadEntry(ps))
-		if sess.pending.spread == ps {
-			sess.pending.spread = nil
-		}
-		sess.mu.Unlock()
-	}
-	// Persist the new belief state so a restart resumes from here (the
-	// Put is ordered by the commitMu we still hold).
+	// Record the commit and persist the new belief state, so a restart
+	// resumes from here (the Put is ordered by the commitMu we still
+	// hold). The pending slot is cleared only if it still holds the
+	// committed pattern — a concurrent mine may have published a
+	// fresher one in the meantime, which must survive.
 	sess.mu.Lock()
+	sess.history = append(sess.history, *locationJSON(sess.miner.DS, p.loc))
+	sess.log = append(sess.log, locationEntry(p.loc))
+	if p.spread != nil {
+		sess.history = append(sess.history, *spreadJSON(sess.miner.DS, p.spread))
+		sess.log = append(sess.log, spreadEntry(p.spread))
+	}
+	if sess.pending == p {
+		sess.pending = pending{}
+	}
+	sess.iterations.Store(int64(sess.miner.Iteration()))
 	snap, err := sess.snapshotLocked()
 	sess.mu.Unlock()
 	persisted := err == nil && s.storePut(snap) == nil

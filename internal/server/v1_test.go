@@ -50,12 +50,15 @@ func TestV1ErrorEnvelope(t *testing.T) {
 // TestNegativeDescriptionLengthRejected: a negative gamma or eta makes
 // the description length γ·|intention| + η zero or negative, so SI
 // would be infinite (a mine answering 200 with an empty body) or
-// negative. Create rejects both up front.
+// negative. A γ or η above 1e6 lets DL overflow to +Inf, and γ+η below
+// 1e-6 lets SI overflow. Create rejects all of them up front.
 func TestNegativeDescriptionLengthRejected(t *testing.T) {
 	ts := newTestServer(t)
 	for _, req := range []CreateRequest{
 		{Dataset: "synthetic", Gamma: -1, Eta: 1},
 		{Dataset: "synthetic", Gamma: 0.1, Eta: -1},
+		{Dataset: "synthetic", Gamma: 1e308, Eta: 1e308},
+		{Dataset: "synthetic", Gamma: 0, Eta: 1e-320},
 	} {
 		var env envelope
 		doJSON(t, "POST", ts.URL+"/api/v1/sessions", req, http.StatusBadRequest, &env)
@@ -439,5 +442,63 @@ func BenchmarkMineUnderCommit(b *testing.B) {
 			p95 := durations[(len(durations)*95)/100%len(durations)]
 			b.ReportMetric(float64(p95.Nanoseconds())/1e6, "p95-ms")
 		})
+	}
+}
+
+// noPatternCreates are create requests whose first mine runs to
+// completion and finds no scoreable pattern.
+var noPatternCreates = []string{
+	`{"dataset":"synthetic","minSupport":100000}`,
+	`{"dataset":"csv","csv":"a:d:num,y:t:num\n1,2\n"}`,
+	`{"dataset":"csv","csv":"a:d:cat,y:t:num\nu,1\nv,2\n"}`,
+}
+
+// A search that runs to completion and finds nothing answers 422
+// no_pattern, not 500, and clears the pending slot: the commit that
+// follows has nothing to commit, even after an earlier mine.
+func TestNoPatternAnswers422(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range noPatternCreates {
+		var info SessionInfo
+		doJSON(t, "POST", ts.URL+"/api/v1/sessions", json.RawMessage(body), http.StatusCreated, &info)
+		base := ts.URL + "/api/v1/sessions/" + info.ID
+		var env envelope
+		doJSON(t, "POST", base+"/mine", nil, http.StatusUnprocessableEntity, &env)
+		if env.Error.Code != errNoPattern {
+			t.Fatalf("%s: mine answered code %q, want %q", body, env.Error.Code, errNoPattern)
+		}
+		doJSON(t, "POST", base+"/commit", nil, http.StatusConflict, nil)
+	}
+
+	// The pending slot an earlier mine filled is cleared too.
+	base, _, sess := waterSession(t)
+	doJSON(t, "POST", base+"/mine", nil, http.StatusOK, nil)
+	sess.miner.Cfg.Search.MinSupport = sess.miner.DS.N() + 1
+	doJSON(t, "POST", base+"/mine", nil, http.StatusUnprocessableEntity, nil)
+	if p := pendingNow(sess); p != (pending{}) {
+		t.Fatalf("a mine that found nothing left %+v pending", p)
+	}
+	doJSON(t, "POST", base+"/commit", nil, http.StatusConflict, nil)
+}
+
+// A spread commit whose subgroup does not vary along w (two equal rows)
+// is infeasible: 422 model_infeasible, and nothing is committed.
+func TestZeroVarianceSpreadCommit422(t *testing.T) {
+	ts := newTestServer(t)
+	var info SessionInfo
+	doJSON(t, "POST", ts.URL+"/api/v1/sessions",
+		json.RawMessage(`{"dataset":"csv","csv":"a:d:num,y:t:num\n1,2\n1,2\n"}`), http.StatusCreated, &info)
+	base := ts.URL + "/api/v1/sessions/" + info.ID
+	var mine MineResponse
+	doJSON(t, "POST", base+"/mine", MineRequest{Spread: true}, http.StatusOK, &mine)
+	var env envelope
+	doJSON(t, "POST", base+"/commit", nil, http.StatusUnprocessableEntity, &env)
+	if env.Error.Code != errModelInfeasible {
+		t.Fatalf("commit answered code %q, want %q", env.Error.Code, errModelInfeasible)
+	}
+	var hist []PatternJSON
+	doJSON(t, "GET", base+"/history", nil, http.StatusOK, &hist)
+	if len(hist) != 0 {
+		t.Fatalf("an infeasible commit left history %+v", hist)
 	}
 }

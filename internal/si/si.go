@@ -41,16 +41,29 @@ type Params struct {
 // §2); the Table I experiment overrides Gamma accordingly.
 func Default() Params { return Params{Gamma: 0.1, Eta: 1} }
 
+// Bounds on the description length coefficients that Validate
+// enforces, so that SI = IC/DL stays a finite number: a γ or η of
+// 1e308 makes a pattern's DL overflow to +Inf, and a DL near zero (γ+η
+// is the DL of a one-condition location pattern) makes SI overflow.
+// The paper's (0.1, 1) and Table I's (0.5, 1) are well inside.
+const (
+	maxCoef = 1e6  // γ ≤ maxCoef and η ≤ maxCoef
+	minDL   = 1e-6 // γ+η ≥ minDL
+)
+
 // Validate reports whether the coefficients describe a usable
-// description length: γ and η finite and non-negative. A negative γ or
-// η makes DL zero or negative (SI infinite or sign-flipped), and a
-// negative γ also makes DL shrink as conditions are added, which breaks
-// the subtree bound of exact search: that bound divides by the DL of
-// the shallowest refinement.
+// description length: γ and η in [0, 1e6], and γ+η at least 1e-6. A
+// negative γ or η makes DL zero or negative (SI infinite or
+// sign-flipped), and a negative γ also makes DL shrink as conditions
+// are added, which breaks the subtree bound of exact search: that
+// bound divides by the DL of the shallowest refinement.
 func (p Params) Validate() error {
-	ok := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
+	ok := func(v float64) bool { return v >= 0 && v <= maxCoef }
 	if !ok(p.Gamma) || !ok(p.Eta) {
-		return fmt.Errorf("si: gamma and eta must be finite and non-negative, got gamma=%g eta=%g", p.Gamma, p.Eta)
+		return fmt.Errorf("si: gamma and eta must be in [0, %g], got gamma=%g eta=%g", float64(maxCoef), p.Gamma, p.Eta)
+	}
+	if p.Gamma+p.Eta < minDL {
+		return fmt.Errorf("si: gamma+eta must be at least %g, got gamma=%g eta=%g", minDL, p.Gamma, p.Eta)
 	}
 	return nil
 }

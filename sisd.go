@@ -62,7 +62,7 @@ type (
 	// Miner is the iterative subgroup discovery engine. A Miner is safe
 	// for one writer (Commit*) plus any number of concurrent readers:
 	// Snapshot returns the immutable published model version, and MineAt
-	// / MineSpreadAt / ExplainLocationAt run against such a version
+	// / PreviewSpread / ExplainLocationAt run against such a version
 	// without locking, unperturbed by commits that land meanwhile.
 	Miner = core.Miner
 	// ModelVersion is one immutable published version of a miner's
@@ -72,7 +72,7 @@ type (
 	// same version yields byte-identical patterns regardless of
 	// concurrent commits.
 	ModelVersion = background.ModelVersion
-	// MineOptions tune one MineAt / MineSpreadAt call (currently the
+	// MineOptions tune one MineAt / PreviewSpread call (currently the
 	// search deadline) without mutating the miner's shared Config.
 	MineOptions = core.MineOptions
 	// Config bundles all mining parameters.
